@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -103,24 +104,23 @@ SlowDriftResult RunSlowDrift(const DriftWorkload& workload,
 
   SlowDriftResult result;
 
-  // Batch arm: full rebuild + full closure-cache reset each day.
+  // Batch arm: a fresh epoch (full rebuild, no cached rows) each day.
   spec::SparseProbMatrix batch_final;
   {
     spec::WindowedCounts counts(num_docs);
-    spec::SparseProbMatrix matrix(num_docs);
-    spec::ClosureCache cache(&matrix, closure_cfg);
+    spec::ClosureScratch scratch;
+    std::optional<spec::ClosureEpoch> epoch;
     const bench::Stopwatch watch;
     for (size_t d = 0; d < deltas.size(); ++d) {
       counts.Add(deltas[d]);
       if (d >= history_days) counts.Remove(deltas[d - history_days]);
-      matrix = counts.BuildMatrix(dep);
-      cache.Reset(&matrix);
+      epoch.emplace(counts.BuildMatrix(dep), closure_cfg);
       for (const trace::DocumentId doc : workload.query_docs) {
-        cache.Row(doc);
+        epoch->ClosureRow(doc, &scratch);
       }
     }
     result.batch_s = watch.Seconds();
-    batch_final = std::move(matrix);
+    if (epoch) batch_final = epoch->matrix();
   }
 
   // Incremental arm: delta maintenance, selective invalidation.

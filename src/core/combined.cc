@@ -69,9 +69,12 @@ CombinedResult SimulateCombined(const Workload& workload,
     }
   }
 
-  const spec::SparseProbMatrix matrix = spec::EstimateDependencies(
-      trace, corpus.size(), config.speculation.dependency, 0.0, split);
-  spec::ClosureCache closure(&matrix, config.speculation.closure);
+  // A single-epoch model: P from the training window, P* rows on demand.
+  const spec::ClosureEpoch model(
+      spec::EstimateDependencies(trace, corpus.size(),
+                                 config.speculation.dependency, 0.0, split),
+      config.speculation.closure);
+  spec::ClosureScratch scratch;
 
   std::unordered_map<net::NodeId, RoutePlan> plans;
   const net::NodeId server_node = topology.server_node(server);
@@ -141,13 +144,14 @@ CombinedResult SimulateCombined(const Workload& workload,
       }
       totals.bytes_hops += size * hops;
       totals.latency += Latency(config.speculation, size, hops);
-      cache.Insert(r.doc, r.bytes, /*speculative=*/false, r.time);
+      cache.Insert(r.doc, r.bytes, /*speculative=*/false);
 
       if (combined) {
         // The serving node pushes its speculation candidates; a proxy can
         // only push documents it holds.
         for (const auto& cand : SelectCandidates(
-                 closure.Row(r.doc), corpus, config.speculation.policy)) {
+                 model.ClosureRow(r.doc, &scratch), corpus,
+                 config.speculation.policy)) {
           if (cache.Contains(cand.doc)) continue;
           const bool proxy_has =
               proxy >= 0 && stores[proxy].Contains(cand.doc);
@@ -156,7 +160,7 @@ CombinedResult SimulateCombined(const Workload& workload,
               static_cast<double>(corpus.doc(cand.doc).size_bytes);
           totals.bytes_hops += cand_size * hops;
           cache.Insert(cand.doc, corpus.doc(cand.doc).size_bytes,
-                       /*speculative=*/true, r.time);
+                       /*speculative=*/true);
         }
       }
     }

@@ -1,5 +1,7 @@
 #include "spec/client_cache.h"
 
+#include <algorithm>
+
 namespace sds::spec {
 
 void ClientCache::Touch(SimTime now) {
@@ -11,24 +13,42 @@ void ClientCache::Touch(SimTime now) {
   last_access_ = now;
 }
 
-bool ClientCache::IsUnusedSpeculative(trace::DocumentId doc) const {
-  const auto it = entries_.find(doc);
-  return it != entries_.end() && it->second.speculative_unused;
+size_t ClientCache::Find(trace::DocumentId doc) const {
+  if (memo_valid_ && doc == last_doc_) return last_pos_;
+  // Recent entries are the likeliest hits, so scan from the back.
+  size_t i = entries_.size();
+  while (i-- > 0 && entries_[i].doc != doc) {
+  }
+  memo_valid_ = true;
+  last_doc_ = doc;
+  last_pos_ = i;  // wrapped to kAbsent when not found
+  return i;
+}
+
+void ClientCache::Refresh(size_t pos) {
+  Forget();
+  std::rotate(entries_.begin() + static_cast<std::ptrdiff_t>(pos),
+              entries_.begin() + static_cast<std::ptrdiff_t>(pos) + 1,
+              entries_.end());
+}
+
+void ClientCache::Discard(const Entry& entry) {
+  if (!entry.speculative_unused) return;
+  wasted_spec_bytes_ += entry.size;
+  ++wasted_spec_docs_;
+  --unused_spec_docs_;
 }
 
 void ClientCache::MarkUsed(trace::DocumentId doc) {
-  auto it = entries_.find(doc);
-  if (it == entries_.end()) return;
-  if (it->second.speculative_unused) --unused_spec_docs_;
-  it->second.speculative_unused = false;
-  lru_.erase(it->second.lru_pos);
-  lru_.push_front(doc);
-  it->second.lru_pos = lru_.begin();
+  const size_t pos = Find(doc);
+  if (pos == kAbsent) return;
+  if (entries_[pos].speculative_unused) --unused_spec_docs_;
+  entries_[pos].speculative_unused = false;
+  Refresh(pos);
 }
 
 void ClientCache::Insert(trace::DocumentId doc, uint64_t size_bytes,
-                         bool speculative, SimTime now) {
-  (void)now;
+                         bool speculative) {
   if (config_.session_timeout <= 0.0) {  // no cache
     // Doc-level waste only: wasted_spec_bytes_ has always excluded the
     // cacheless case (the push cost shows up in bandwidth_ratio instead)
@@ -43,58 +63,36 @@ void ClientCache::Insert(trace::DocumentId doc, uint64_t size_bytes,
     }
     return;
   }
-  auto it = entries_.find(doc);
-  if (it != entries_.end()) {
-    lru_.erase(it->second.lru_pos);
-    lru_.push_front(doc);
-    it->second.lru_pos = lru_.begin();
+  if (const size_t pos = Find(doc); pos != kAbsent) {
+    Refresh(pos);
     return;
   }
-  lru_.push_front(doc);
-  Entry entry;
-  entry.size = size_bytes;
-  entry.speculative_unused = speculative;
-  entry.lru_pos = lru_.begin();
-  entries_.emplace(doc, entry);
+  Forget();
+  entries_.push_back({doc, speculative, size_bytes});
   used_ += size_bytes;
   if (speculative) ++unused_spec_docs_;
   EvictIfNeeded();
 }
 
-std::vector<trace::DocumentId> ClientCache::Contents() const {
-  std::vector<trace::DocumentId> out;
-  out.reserve(entries_.size());
-  for (const auto& [doc, entry] : entries_) out.push_back(doc);
-  return out;
-}
-
 void ClientCache::PurgeAll() {
-  for (const auto& [doc, entry] : entries_) {
-    if (entry.speculative_unused) {
-      wasted_spec_bytes_ += entry.size;
-      ++wasted_spec_docs_;
-      --unused_spec_docs_;
-    }
-  }
+  for (const Entry& entry : entries_) Discard(entry);
+  Forget();
   entries_.clear();
-  lru_.clear();
   used_ = 0;
 }
 
 void ClientCache::EvictIfNeeded() {
-  if (config_.capacity_bytes == 0) return;
-  while (used_ > config_.capacity_bytes && !lru_.empty()) {
-    const trace::DocumentId victim = lru_.back();
-    lru_.pop_back();
-    auto it = entries_.find(victim);
-    used_ -= it->second.size;
-    if (it->second.speculative_unused) {
-      wasted_spec_bytes_ += it->second.size;
-      ++wasted_spec_docs_;
-      --unused_spec_docs_;
-    }
-    entries_.erase(it);
+  if (config_.capacity_bytes == 0 || used_ <= config_.capacity_bytes) return;
+  // Evict from the least recent end in one pass, then close the gap.
+  size_t evicted = 0;
+  while (used_ > config_.capacity_bytes && evicted < entries_.size()) {
+    const Entry& victim = entries_[evicted++];
+    used_ -= victim.size;
+    Discard(victim);
   }
+  Forget();
+  entries_.erase(entries_.begin(),
+                 entries_.begin() + static_cast<std::ptrdiff_t>(evicted));
 }
 
 }  // namespace sds::spec

@@ -2,8 +2,6 @@
 #define SDS_SPEC_CLIENT_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/document.h"
@@ -25,6 +23,14 @@ struct ClientCacheConfig {
 };
 
 /// \brief Per-client cache with session purging and optional LRU capacity.
+///
+/// One contiguous entry vector in recency order (back = most recently
+/// used), the BrowserCache idiom of the trace generator: a client holds
+/// tens to a few hundred documents, so a linear scan from the recent end
+/// beats a hash map plus LRU list, costs 16 bytes per entry instead of
+/// ~100, and frees with one deallocation. Lookups memoise the last document
+/// asked about, so even the const accessors must not be called from two
+/// threads at once (each replay owns its clients' caches).
 class ClientCache {
  public:
   explicit ClientCache(const ClientCacheConfig& config) : config_(config) {}
@@ -33,13 +39,14 @@ class ClientCache {
   /// Insert: purges the cache if the inter-request gap ended the session.
   void Touch(SimTime now);
 
-  bool Contains(trace::DocumentId doc) const {
-    return entries_.count(doc) > 0;
-  }
+  bool Contains(trace::DocumentId doc) const { return Find(doc) != kAbsent; }
 
   /// True if the entry exists and was delivered speculatively and has not
   /// been requested yet (used to count first-use speculative hits).
-  bool IsUnusedSpeculative(trace::DocumentId doc) const;
+  bool IsUnusedSpeculative(trace::DocumentId doc) const {
+    const size_t pos = Find(doc);
+    return pos != kAbsent && entries_[pos].speculative_unused;
+  }
 
   /// Marks a speculative entry as used by a real request.
   void MarkUsed(trace::DocumentId doc);
@@ -47,11 +54,7 @@ class ClientCache {
   /// Inserts a document (no-op if present; a present speculative entry
   /// requested for real should use MarkUsed). Evicts LRU entries when over
   /// capacity. Documents larger than the capacity are not cached.
-  void Insert(trace::DocumentId doc, uint64_t size_bytes, bool speculative,
-              SimTime now);
-
-  /// Cache contents (for cooperative-client digests).
-  std::vector<trace::DocumentId> Contents() const;
+  void Insert(trace::DocumentId doc, uint64_t size_bytes, bool speculative);
 
   uint64_t used_bytes() const { return used_; }
   size_t num_docs() const { return entries_.size(); }
@@ -72,23 +75,37 @@ class ClientCache {
 
  private:
   struct Entry {
-    uint64_t size = 0;
+    trace::DocumentId doc = trace::kInvalidDocument;
     bool speculative_unused = false;
-    std::list<trace::DocumentId>::iterator lru_pos;
+    uint64_t size = 0;
   };
 
+  static constexpr size_t kAbsent = static_cast<size_t>(-1);
+
+  /// Position of `doc` in entries_, or kAbsent.
+  size_t Find(trace::DocumentId doc) const;
+  /// Forgets the memoised lookup (every change to entries_ calls it).
+  void Forget() { memo_valid_ = false; }
+  /// Moves the entry at `pos` to the most recent end.
+  void Refresh(size_t pos);
+  /// Counts a resident entry that leaves unused as wasted.
+  void Discard(const Entry& entry);
   void PurgeAll();
   void EvictIfNeeded();
 
   ClientCacheConfig config_;
-  std::unordered_map<trace::DocumentId, Entry> entries_;
-  std::list<trace::DocumentId> lru_;  // front = most recent
+  std::vector<Entry> entries_;
   uint64_t used_ = 0;
   uint64_t wasted_spec_bytes_ = 0;
   uint64_t wasted_spec_docs_ = 0;
   uint64_t unused_spec_docs_ = 0;
   SimTime last_access_ = -kInfiniteTime;
   bool has_last_access_ = false;
+  /// The last document looked up and its position: callers ask about a
+  /// document and then act on it, so the follow-up call skips its scan.
+  mutable bool memo_valid_ = false;
+  mutable trace::DocumentId last_doc_ = trace::kInvalidDocument;
+  mutable size_t last_pos_ = kAbsent;
 };
 
 }  // namespace sds::spec

@@ -172,23 +172,57 @@ SparseProbMatrix ComputeClosure(const SparseProbMatrix& p,
   return closure;
 }
 
-SparseProbMatrix::RowView ClosureCache::Row(trace::DocumentId doc) {
-  if (doc >= rows_.size()) {
-    rows_.resize(std::max(p_->num_docs(), static_cast<size_t>(doc) + 1));
+ClosureRows::ClosureRows(size_t num_docs)
+    : slots_(std::make_unique<std::atomic<const Row*>[]>(num_docs)),
+      size_(num_docs) {}
+
+ClosureRows::~ClosureRows() { DropAll(); }
+
+ClosureRows::ClosureRows(ClosureRows&& other) noexcept
+    : slots_(std::move(other.slots_)), size_(std::exchange(other.size_, 0)) {}
+
+ClosureRows& ClosureRows::operator=(ClosureRows&& other) noexcept {
+  if (this != &other) {
+    DropAll();
+    slots_ = std::move(other.slots_);
+    size_ = std::exchange(other.size_, 0);
   }
-  auto& row = rows_[doc];
+  return *this;
+}
+
+SparseProbMatrix::RowView ClosureRows::Get(const SparseProbMatrix& p,
+                                           trace::DocumentId doc,
+                                           const ClosureConfig& config,
+                                           ClosureScratch* scratch,
+                                           bool* computed) const {
+  if (computed != nullptr) *computed = false;
+  if (doc >= size_) return {};
+  std::atomic<const Row*>& slot = slots_[doc];
+  const Row* row = slot.load(std::memory_order_acquire);
   if (row == nullptr) {
-    row = std::make_unique<std::vector<SparseProbMatrix::Entry>>(
-        ComputeClosureRow(*p_, doc, config_, &scratch_));
-    ++cached_;
+    const Row* mine = new Row(ComputeClosureRow(p, doc, config, scratch));
+    if (slot.compare_exchange_strong(row, mine, std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      row = mine;
+      if (computed != nullptr) *computed = true;
+    } else {
+      delete mine;  // another thread published the same row first
+    }
   }
   return SparseProbMatrix::RowView(row->data(), row->size());
 }
 
-void ClosureCache::Reset(const SparseProbMatrix* p) {
-  p_ = p;
-  for (auto& row : rows_) row.reset();
-  cached_ = 0;
+bool ClosureRows::Drop(trace::DocumentId doc) {
+  if (doc >= size_) return false;
+  const Row* row = slots_[doc].exchange(nullptr, std::memory_order_relaxed);
+  delete row;
+  return row != nullptr;
+}
+
+void ClosureRows::DropAll() {
+  for (size_t i = 0; i < size_; ++i) {
+    delete slots_[i].exchange(nullptr, std::memory_order_relaxed);
+  }
 }
 
 const char* ClosureModeToString(ClosureMode mode) {
@@ -201,14 +235,14 @@ const char* ClosureModeToString(ClosureMode mode) {
   return "unknown";
 }
 
-void DeltaClosure::DropAllRows() {
-  for (auto& row : rows_) row.reset();
-  cached_ = 0;
-}
-
 void DeltaClosure::Rebuild(SparseProbMatrix p) {
   p_ = std::move(p);
-  DropAllRows();
+  if (rows_.size() == p_.num_docs()) {
+    rows_.DropAll();
+  } else {
+    rows_ = ClosureRows(p_.num_docs());
+  }
+  cached_ = 0;
   ready_ = true;
   index_ready_ = false;  // rebuilt lazily on the next ApplyDelta
   ++stats_.full_rebuilds;
@@ -234,17 +268,14 @@ void DeltaClosure::RebuildReverseIndex() {
 }
 
 SparseProbMatrix::RowView DeltaClosure::ClosureRow(trace::DocumentId doc) {
-  if (doc >= rows_.size()) {
-    rows_.resize(std::max(p_.num_docs(), static_cast<size_t>(doc) + 1));
-  }
-  auto& row = rows_[doc];
-  if (row == nullptr) {
-    row = std::make_unique<std::vector<SparseProbMatrix::Entry>>(
-        ComputeClosureRow(p_, doc, config_, &scratch_));
+  bool computed = false;
+  const SparseProbMatrix::RowView row =
+      rows_.Get(p_, doc, config_, &scratch_, &computed);
+  if (computed) {
     ++cached_;
     ++stats_.closure_rows_computed;
   }
-  return SparseProbMatrix::RowView(row->data(), row->size());
+  return row;
 }
 
 void DeltaClosure::ApplyDelta(WindowedCounts* counts,
@@ -337,8 +368,7 @@ void DeltaClosure::ApplyDelta(WindowedCounts* counts,
 
   uint64_t dropped = 0;
   for (const trace::DocumentId v : visited_) {
-    if (v < rows_.size() && rows_[v] != nullptr) {
-      rows_[v].reset();
+    if (rows_.Drop(v)) {
       --cached_;
       ++dropped;
     }

@@ -1,6 +1,7 @@
 #ifndef SDS_SPEC_CLOSURE_H_
 #define SDS_SPEC_CLOSURE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -41,7 +42,7 @@ struct ClosureConfig {
 /// accumulators are flat arrays invalidated in O(1) by bumping an epoch
 /// stamp, so computing a row allocates nothing and touches no hash map.
 /// One scratch serves any number of sequential row computations; it is not
-/// thread-safe (each ClosureCache owns its own).
+/// thread-safe (each thread that computes rows owns its own).
 class ClosureScratch {
  public:
   struct HeapItem {
@@ -73,45 +74,85 @@ class ClosureScratch {
 };
 
 /// \brief Computes the full closure P* of P (every row). For large
-/// matrices prefer ClosureCache, which computes rows lazily.
+/// matrices prefer ClosureEpoch, which computes rows lazily.
 SparseProbMatrix ComputeClosure(const SparseProbMatrix& p,
                                 const ClosureConfig& config);
 
-/// \brief Lazy per-row closure: rows are computed on first use and cached
-/// until Reset(). The speculation simulator re-estimates P every
-/// UpdateCycle days and only ever needs rows for documents actually
-/// requested, so lazy evaluation is far cheaper than the full closure.
-class ClosureCache {
+/// \brief Lazily computed closure rows of one P, one slot per document.
+///
+/// A slot is filled once: the row is computed into a fresh allocation and
+/// published with a release compare-and-swap, and readers load slots with
+/// acquire. Any number of threads may therefore look rows up at once (each
+/// with its own scratch); a thread that loses the race to fill a slot frees
+/// its copy and returns the winner's, which is bit-identical because a row
+/// is a pure function of (P, source, config). Dropping rows is not
+/// thread-safe. Views stay valid until their row is dropped.
+class ClosureRows {
  public:
-  ClosureCache(const SparseProbMatrix* p, const ClosureConfig& config)
-      : p_(p), config_(config) {}
+  ClosureRows() = default;
+  explicit ClosureRows(size_t num_docs);
+  ~ClosureRows();
 
-  /// The closure row of `doc`, sorted by descending probability. The view
-  /// is valid until Reset().
-  SparseProbMatrix::RowView Row(trace::DocumentId doc);
+  ClosureRows(ClosureRows&& other) noexcept;
+  ClosureRows& operator=(ClosureRows&& other) noexcept;
 
-  /// Points the cache at a freshly estimated P and drops all cached rows.
-  void Reset(const SparseProbMatrix* p);
+  /// The closure row of `doc` in `p`, sorted by descending probability;
+  /// computed on first use. `*computed` (if non-null) reports whether this
+  /// call filled the slot. Documents past the table have no P row, so
+  /// their closure is empty and is returned without a slot.
+  SparseProbMatrix::RowView Get(const SparseProbMatrix& p,
+                                trace::DocumentId doc,
+                                const ClosureConfig& config,
+                                ClosureScratch* scratch,
+                                bool* computed = nullptr) const;
 
-  size_t CachedRows() const { return cached_; }
+  /// Drops the cached row of `doc`; returns whether one was cached.
+  bool Drop(trace::DocumentId doc);
+  void DropAll();
+
+  size_t size() const { return size_; }
 
  private:
-  const SparseProbMatrix* p_;
+  using Row = std::vector<SparseProbMatrix::Entry>;
+
+  std::unique_ptr<std::atomic<const Row*>[]> slots_;
+  size_t size_ = 0;
+};
+
+/// \brief One update cycle's model: an immutable P plus its lazily
+/// computed P* rows. Nothing but row fills ever changes it, and those are
+/// thread-safe (ClosureRows), so every run at the same epoch can share one
+/// instance.
+class ClosureEpoch {
+ public:
+  ClosureEpoch(SparseProbMatrix p, const ClosureConfig& config)
+      : p_(std::move(p)), config_(config), rows_(p_.num_docs()) {}
+
+  /// Row of P.
+  SparseProbMatrix::RowView PRow(trace::DocumentId doc) const {
+    return p_.Row(doc);
+  }
+  /// Closure row of `doc`, computed on first use with the caller's scratch
+  /// and kept for the epoch's lifetime; sorted by descending probability.
+  SparseProbMatrix::RowView ClosureRow(trace::DocumentId doc,
+                                       ClosureScratch* scratch) const {
+    return rows_.Get(p_, doc, config_, scratch);
+  }
+
+  const SparseProbMatrix& matrix() const { return p_; }
+
+ private:
+  SparseProbMatrix p_;
   ClosureConfig config_;
-  ClosureScratch scratch_;
-  /// Cached rows indexed by doc; unique_ptr keeps each row's storage
-  /// stable while the outer vector grows, so returned views survive
-  /// further Row() calls.
-  std::vector<std::unique_ptr<std::vector<SparseProbMatrix::Entry>>> rows_;
-  size_t cached_ = 0;
+  ClosureRows rows_;
 };
 
 /// \brief How the speculation simulator maintains P and P* across update
 /// cycles (§3.4: P drifts slowly, so a from-scratch rebuild every cycle is
 /// almost entirely redundant work).
 enum class ClosureMode : uint8_t {
-  /// Rebuild P from the whole window and drop every cached closure row at
-  /// each UpdateCycle (the original behavior).
+  /// Rebuild P from the whole window at each UpdateCycle, into a fresh
+  /// epoch with no closure rows yet (the original behavior).
   kBatch = 0,
   /// Semi-naive maintenance: rebuild only the P rows whose windowed counts
   /// changed, and invalidate only the cached closure rows whose dirty-row
@@ -125,8 +166,8 @@ const char* ClosureModeToString(ClosureMode mode);
 /// \brief Incrementally maintained P plus lazily computed, selectively
 /// invalidated closure rows — the engine behind ClosureMode::kIncremental.
 ///
-/// Rebuild() installs a freshly built P (batch path, and the first build
-/// of the incremental path). ApplyDelta() drains the WindowedCounts dirty
+/// Rebuild() installs a freshly built P (the first build of the
+/// incremental path). ApplyDelta() drains the WindowedCounts dirty
 /// set, rebuilds exactly those P rows, and drops only the cached closure
 /// rows that could see a changed row: a closure row of source s explores
 /// rows at most max_depth - 1 edges from s, so s is affected only if a
@@ -174,14 +215,11 @@ class DeltaClosure {
   bool ready() const { return ready_; }
 
  private:
-  void DropAllRows();
-
   ClosureConfig config_;
   SparseProbMatrix p_;
   ClosureScratch scratch_;
   bool ready_ = false;
-  /// Cached closure rows (see ClosureCache for the stability contract).
-  std::vector<std::unique_ptr<std::vector<SparseProbMatrix::Entry>>> rows_;
+  ClosureRows rows_;
   size_t cached_ = 0;
   Stats stats_;
 

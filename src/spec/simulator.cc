@@ -134,21 +134,138 @@ const char* ServiceModeToString(ServiceMode mode) {
   return "?";
 }
 
+SpeculationModel::SpeculationModel(size_t num_docs,
+                                   const SpeculationConfig& config,
+                                   DayCountsSource deltas, bool keep_epochs)
+    : config_(config), deltas_(std::move(deltas)), keep_epochs_(keep_epochs) {
+  SDS_CHECK(deltas_ != nullptr) << "a model needs day counts";
+  SDS_CHECK(config.update_cycle_days >= 1);
+  SDS_CHECK(config.history_days >= 1);
+  if (config.estimator == SpeculationConfig::EstimatorKind::kExponentialDecay) {
+    // The decay estimator touches every counter daily, so it always
+    // rebuilds in full.
+    decayed_.emplace(num_docs, config.decay_per_day);
+    return;
+  }
+  counts_.emplace(num_docs);
+  if (config.closure_mode == ClosureMode::kIncremental) {
+    SDS_CHECK(!keep_epochs) << "an incremental model is private";
+    counts_->EnableRowTracking();
+    delta_ = std::make_unique<DeltaClosure>(config.closure);
+  }
+}
+
+size_t SpeculationModel::epochs_built() const {
+  std::lock_guard<std::mutex> lock(epochs_mutex_);
+  return epochs_.size();
+}
+
+void SpeculationModel::FoldDay(long day) {
+  if (decayed_) {
+    if (const DayCounts* d = deltas_(day)) decayed_->AdvanceDay(*d);
+    return;
+  }
+  // Sliding window: the finished day enters, the day D' before it leaves.
+  if (const DayCounts* d = deltas_(day)) counts_->Add(*d);
+  const long expired = day - static_cast<long>(config_.history_days);
+  if (expired >= 0) {
+    if (const DayCounts* d = deltas_(expired)) counts_->Remove(*d);
+  }
+}
+
+std::unique_ptr<const ClosureEpoch> SpeculationModel::BuildNext() {
+  const bool first = day_ == 0;
+  do {
+    FoldDay(day_++);
+  } while (!RebuildsOn(day_, config_.update_cycle_days));
+  if (decayed_) {
+    return std::make_unique<ClosureEpoch>(
+        decayed_->BuildMatrix(config_.dependency), config_.closure);
+  }
+  if (delta_ == nullptr) {
+    return std::make_unique<ClosureEpoch>(
+        counts_->BuildMatrix(config_.dependency), config_.closure);
+  }
+  if (first) {
+    // Draining the dirty set makes the next ApplyDelta start from a clean
+    // slate that matches the matrix just built.
+    counts_->DrainDirtyRows();
+    delta_->Rebuild(counts_->BuildMatrix(config_.dependency));
+  } else {
+    delta_->ApplyDelta(&*counts_, config_.dependency);
+  }
+  return nullptr;
+}
+
+const ClosureEpoch* SpeculationModel::Epoch(size_t k) {
+  {
+    std::lock_guard<std::mutex> lock(epochs_mutex_);
+    if (k < epochs_.size()) return epochs_[k].get();
+  }
+  std::lock_guard<std::mutex> build(build_mutex_);
+  for (;;) {
+    size_t next = 0;
+    {
+      std::lock_guard<std::mutex> lock(epochs_mutex_);
+      if (k < epochs_.size()) return epochs_[k].get();
+      next = epochs_.size();
+    }
+    std::unique_ptr<const ClosureEpoch> epoch = BuildNext();
+    std::lock_guard<std::mutex> lock(epochs_mutex_);
+    epochs_.push_back(std::move(epoch));
+    if (!keep_epochs_ && next > 0) epochs_[next - 1].reset();
+  }
+}
+
+namespace {
+
+bool NeedsModel(ServiceMode mode) {
+  return mode == ServiceMode::kSpeculativePush ||
+         mode == ServiceMode::kHybrid || mode == ServiceMode::kServerHints;
+}
+
+std::shared_ptr<SpeculationModel> PrivateModel(const trace::Corpus* corpus,
+                                               const SpeculationConfig& config,
+                                               DayCountsSource deltas) {
+  if (!NeedsModel(config.mode)) return nullptr;
+  SDS_CHECK(deltas != nullptr) << "speculative modes need day counts";
+  return std::make_shared<SpeculationModel>(corpus->size(), config,
+                                            std::move(deltas),
+                                            /*keep_epochs=*/false);
+}
+
+/// Reads the simulator's cached day counts (thread-safe: they are
+/// immutable once cached).
+DayCountsSource VectorSource(const std::vector<DayCounts>* deltas) {
+  return [deltas](long day) -> const DayCounts* {
+    return day >= 0 && static_cast<size_t>(day) < deltas->size()
+               ? &(*deltas)[day]
+               : nullptr;
+  };
+}
+
+}  // namespace
+
 SpeculationReplay::SpeculationReplay(const trace::Corpus* corpus,
                                      uint32_t num_clients,
                                      uint32_t num_servers,
                                      const SpeculationConfig& config,
                                      DayCountsSource deltas,
                                      std::vector<ServerEvent>* server_events)
+    : SpeculationReplay(corpus, num_clients, num_servers, config,
+                        PrivateModel(corpus, config, std::move(deltas)),
+                        server_events) {}
+
+SpeculationReplay::SpeculationReplay(
+    const trace::Corpus* corpus, uint32_t num_clients, uint32_t num_servers,
+    const SpeculationConfig& config, std::shared_ptr<SpeculationModel> model,
+    std::vector<ServerEvent>* server_events)
     : run_span_("spec.run"),
       journey_("spec"),
       corpus_(corpus),
       config_(&config),
-      deltas_(std::move(deltas)),
       server_events_(server_events),
-      counts_(corpus->size()),
-      decayed_(corpus->size(), config.decay_per_day),
-      model_(config.closure),
+      model_(std::move(model)),
       retry_rng_(config.retry_jitter_seed),
       tracker_(config.protection.track_load ? num_servers : 0,
                config.protection.load),
@@ -163,20 +280,13 @@ SpeculationReplay::SpeculationReplay(const trace::Corpus* corpus,
   server_hints_ = config.mode == ServiceMode::kServerHints;
   client_prefetches_ = config.mode == ServiceMode::kClientPrefetch ||
                        config.mode == ServiceMode::kHybrid;
-  needs_model_ = server_speculates_ || server_hints_;
-  if (needs_model_) {
-    SDS_CHECK(deltas_ != nullptr) << "speculative modes need day counts";
+  if (NeedsModel(config.mode)) {
+    SDS_CHECK(model_ != nullptr) << "speculative modes need a model";
+    delta_ = model_->delta();
+    if (delta_ == nullptr) row_stamp_.assign(corpus->size(), 0);
+  } else {
+    model_.reset();
   }
-
-  use_decay_ =
-      config.estimator == SpeculationConfig::EstimatorKind::kExponentialDecay;
-  // P and the lazily cached P* rows, maintained batch (full rebuild per
-  // update cycle) or incrementally (delta rebuild of drifted rows only).
-  // The decay estimator touches every counter daily, so it always
-  // rebuilds in full.
-  incremental_ = needs_model_ && !use_decay_ &&
-                 config.closure_mode == ClosureMode::kIncremental;
-  if (incremental_) counts_.EnableRowTracking();
 
   caches_.reserve(num_clients);
   for (uint32_t c = 0; c < num_clients; ++c) {
@@ -207,46 +317,32 @@ SpeculationReplay::SpeculationReplay(const trace::Corpus* corpus,
 }
 
 void SpeculationReplay::RollDay(uint32_t day) {
-  const SpeculationConfig& config = *config_;
-  // Day roll: fold finished days into the sliding window and re-estimate
-  // the relations at UpdateCycle boundaries.
+  // Day roll: the model re-estimates the relations at UpdateCycle
+  // boundaries (and on the first day-roll).
   while (static_cast<long>(day) > current_day_) {
-    const long finished = current_day_;
     ++current_day_;
-    if (needs_model_) {
-      if (use_decay_) {
-        if (const DayCounts* d = deltas_(finished)) {
-          decayed_.AdvanceDay(*d);
-        }
-      } else {
-        if (const DayCounts* d = deltas_(finished)) {
-          counts_.Add(*d);
-        }
-        const long expired =
-            finished - static_cast<long>(config.history_days);
-        if (expired >= 0) {
-          if (const DayCounts* d = deltas_(expired)) {
-            counts_.Remove(*d);
-          }
-        }
-      }
-      if (current_day_ % config.update_cycle_days == 0 ||
-          !model_ready_) {
-        if (use_decay_) {
-          model_.Rebuild(decayed_.BuildMatrix(config.dependency));
-        } else if (incremental_ && model_ready_) {
-          model_.ApplyDelta(&counts_, config.dependency);
-        } else {
-          // First build (or batch mode): full rebuild. Draining the
-          // dirty set here makes the next ApplyDelta start from a
-          // clean slate that matches the matrix just built.
-          if (incremental_) counts_.DrainDirtyRows();
-          model_.Rebuild(counts_.BuildMatrix(config.dependency));
-        }
-        model_ready_ = true;
-      }
+    if (model_ == nullptr ||
+        !SpeculationModel::RebuildsOn(current_day_,
+                                      config_->update_cycle_days)) {
+      continue;
     }
+    epoch_ = model_->Epoch(epochs_consumed_++);
+    model_ready_ = true;
   }
+}
+
+SparseProbMatrix::RowView SpeculationReplay::ModelRow(trace::DocumentId doc) {
+  if (delta_ != nullptr) {
+    return config_->use_closure ? delta_->ClosureRow(doc) : delta_->PRow(doc);
+  }
+  if (!config_->use_closure) return epoch_->PRow(doc);
+  // Stamps start at 0 and the first epoch consumed is 1.
+  const uint32_t stamp = static_cast<uint32_t>(epochs_consumed_);
+  if (doc < row_stamp_.size() && row_stamp_[doc] != stamp) {
+    row_stamp_[doc] = stamp;
+    ++rows_looked_up_;
+  }
+  return epoch_->ClosureRow(doc, &scratch_);
 }
 
 void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
@@ -389,10 +485,8 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
   if (degraded && model_ready_ &&
       (server_speculates_ || server_hints_)) {
     ++totals_.brownout_responses;
-    const SparseProbMatrix::RowView row =
-        config.use_closure ? model_.ClosureRow(doc) : model_.PRow(doc);
     const size_t suppressed =
-        SelectCandidates(row, *corpus_,
+        SelectCandidates(ModelRow(doc), *corpus_,
                          server_speculates_ ? push_policy_ : config.policy)
             .size();
     if (scheduled_degraded) {
@@ -407,10 +501,8 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
   }
 
   if (server_speculates_ && model_ready_ && !degraded) {
-    const SparseProbMatrix::RowView row =
-        config.use_closure ? model_.ClosureRow(doc) : model_.PRow(doc);
     for (const auto& cand :
-         SelectCandidates(row, *corpus_, push_policy_)) {
+         SelectCandidates(ModelRow(doc), *corpus_, push_policy_)) {
       const uint64_t cand_size = corpus_->doc(cand.doc).size_bytes;
       const bool cached = cache.Contains(cand.doc);
       if (cached && config.cooperative_clients) {
@@ -431,7 +523,7 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
         obs::FlightRecord(i, "spec.push", "duplicate_waste", cand.doc,
                           static_cast<double>(cand_size));
       } else {
-        cache.Insert(cand.doc, cand_size, /*speculative=*/true, now);
+        cache.Insert(cand.doc, cand_size, /*speculative=*/true);
         obs::FlightRecord(i, "spec.push", "pushed", cand.doc,
                           static_cast<double>(cand_size));
       }
@@ -441,10 +533,8 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
   if (server_hints_ && model_ready_ && !degraded) {
     // The hint list itself is negligible; the client fetches hinted
     // documents it lacks as background prefetches.
-    const SparseProbMatrix::RowView row =
-        config.use_closure ? model_.ClosureRow(doc) : model_.PRow(doc);
     for (const auto& cand :
-         SelectCandidates(row, *corpus_, config.policy)) {
+         SelectCandidates(ModelRow(doc), *corpus_, config.policy)) {
       if (cache.Contains(cand.doc)) continue;
       const uint64_t cand_size = corpus_->doc(cand.doc).size_bytes;
       ++totals_.server_requests;
@@ -457,7 +547,7 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
       obs::TsCount("spec.speculative_bytes", now,
                    static_cast<double>(cand_size));
       ++pushed_docs;
-      cache.Insert(cand.doc, cand_size, /*speculative=*/true, now);
+      cache.Insert(cand.doc, cand_size, /*speculative=*/true);
       obs::FlightRecord(i, "spec.hint", "prefetched", cand.doc,
                         static_cast<double>(cand_size));
       if (track_load_) {
@@ -481,7 +571,7 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
                               ? response_bytes
                               : static_cast<double>(size));
   totals_.total_latency += service_time;
-  cache.Insert(doc, size, /*speculative=*/false, now);
+  cache.Insert(doc, size, /*speculative=*/false);
 
   if (sampled) {
     obs::JourneyRecord j;
@@ -520,7 +610,7 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
       obs::TsCount("spec.speculative_docs_sent", now);
       obs::TsCount("spec.speculative_bytes", now,
                    static_cast<double>(cand_size));
-      cache.Insert(cand.doc, cand_size, /*speculative=*/true, now);
+      cache.Insert(cand.doc, cand_size, /*speculative=*/true);
       obs::FlightRecord(i, "spec.prefetch", "prefetched", cand.doc,
                         static_cast<double>(cand_size));
       if (track_load_) {
@@ -589,7 +679,15 @@ RunTotals SpeculationReplay::Finish() {
                static_cast<double>(totals_.shed_speculative_docs));
     obs::Count("spec.breaker_fast_fails",
                static_cast<double>(totals_.breaker_fast_fails));
-    const DeltaClosure::Stats& cs = model_.stats();
+    // An epoch model's run consumed one full build per epoch and computed
+    // (or found shared) each row it looked up once per epoch.
+    DeltaClosure::Stats cs;
+    if (delta_ != nullptr) {
+      cs = delta_->stats();
+    } else {
+      cs.full_rebuilds = epochs_consumed_;
+      cs.closure_rows_computed = rows_looked_up_;
+    }
     obs::Count("spec.closure.full_rebuilds",
                static_cast<double>(cs.full_rebuilds));
     obs::Count("spec.closure.delta_cycles",
@@ -660,23 +758,59 @@ void SpeculationSimulator::Prewarm(const DependencyConfig& config) {
   DailyDeltas(config);
 }
 
+SpeculationSimulator::ModelKey SpeculationSimulator::MakeModelKey(
+    const SpeculationConfig& config) {
+  const DependencyConfig& dep = config.dependency;
+  const ClosureConfig& closure = config.closure;
+  return {std::bit_cast<uint64_t>(dep.window),
+          std::bit_cast<uint64_t>(dep.stride_timeout),
+          std::bit_cast<uint64_t>(dep.min_probability),
+          dep.min_support,
+          config.history_days,
+          config.update_cycle_days,
+          static_cast<uint64_t>(config.estimator),
+          std::bit_cast<uint64_t>(config.decay_per_day),
+          static_cast<uint64_t>(closure.semantics),
+          std::bit_cast<uint64_t>(closure.min_probability),
+          closure.max_depth,
+          closure.max_expansions};
+}
+
+std::shared_ptr<SpeculationModel> SpeculationSimulator::AcquireModel(
+    const SpeculationConfig& config) {
+  const bool incremental =
+      config.closure_mode == ClosureMode::kIncremental &&
+      config.estimator != SpeculationConfig::EstimatorKind::kExponentialDecay;
+  if (!NeedsModel(config.mode) || incremental) return nullptr;
+  const std::vector<DayCounts>* deltas = &DailyDeltas(config.dependency);
+  const ModelKey key = MakeModelKey(config);
+  std::lock_guard<std::mutex> lock(model_mutex_);
+  std::weak_ptr<SpeculationModel>& slot = models_[key];
+  std::shared_ptr<SpeculationModel> model = slot.lock();
+  if (model == nullptr) {
+    model = std::make_shared<SpeculationModel>(
+        corpus_->size(), config, VectorSource(deltas), /*keep_epochs=*/true);
+    slot = model;
+    ++model_builds_;
+  }
+  return model;
+}
+
+uint64_t SpeculationSimulator::model_builds() const {
+  std::lock_guard<std::mutex> lock(model_mutex_);
+  return model_builds_;
+}
+
 RunTotals SpeculationSimulator::Run(const SpeculationConfig& config,
                                     std::vector<ServerEvent>* server_events) {
-  const bool needs_model = config.mode == ServiceMode::kSpeculativePush ||
-                           config.mode == ServiceMode::kHybrid ||
-                           config.mode == ServiceMode::kServerHints;
-  const std::vector<DayCounts>* deltas =
-      needs_model ? &DailyDeltas(config.dependency) : nullptr;
-  DayCountsSource source;
-  if (deltas != nullptr) {
-    source = [deltas](long day) -> const DayCounts* {
-      return day >= 0 && static_cast<size_t>(day) < deltas->size()
-                 ? &(*deltas)[day]
-                 : nullptr;
-    };
+  std::shared_ptr<SpeculationModel> model = AcquireModel(config);
+  if (model == nullptr && NeedsModel(config.mode)) {
+    // kIncremental: a private model over the cached day counts.
+    model = PrivateModel(corpus_, config,
+                         VectorSource(&DailyDeltas(config.dependency)));
   }
   SpeculationReplay replay(corpus_, trace_->num_clients, trace_->num_servers,
-                           config, std::move(source), server_events);
+                           config, std::move(model), server_events);
   // Replay the prepared flat arrays (kDocument/kAlias requests only, with
   // sizes and day indices resolved at construction).
   const PreparedSpecTrace& pt = prepared_;
@@ -714,9 +848,7 @@ RunTotals StreamingSpeculationSimulator::Run(
     const SpeculationConfig& config,
     std::vector<ServerEvent>* server_events) {
   replay_->Rewind();
-  const bool needs_model = config.mode == ServiceMode::kSpeculativePush ||
-                           config.mode == ServiceMode::kHybrid ||
-                           config.mode == ServiceMode::kServerHints;
+  const bool needs_model = NeedsModel(config.mode);
   std::unique_ptr<DailyDependencyAccumulator> acc;
   bool deps_done = false;
   DayCountsSource source;

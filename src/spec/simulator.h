@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -180,23 +181,96 @@ struct UserProfile {
 /// a DailyDependencyAccumulator just far enough to finalise the day.
 using DayCountsSource = std::function<const DayCounts*(long day)>;
 
+/// \brief P and P* across a replay's update cycles, as a sequence of
+/// epochs.
+///
+/// Epoch k is the model re-estimated on the k-th rebuild day (day 1, then
+/// every day divisible by update_cycle_days): P from the day counts the
+/// estimator holds at that point, plus its lazily computed P* rows. Epochs
+/// are built in order on first request, so a model only ever reads the day
+/// counts it needs, in the order a replay's day-roll would. P and P* depend
+/// on the trace and on the fields of SpeculationSimulator's model key, never
+/// on the policy, so every run with the same key can read the same epochs.
+///
+/// A model that keeps its epochs serves any number of concurrent runs that
+/// are at different days (SpeculationSimulator shares one per key among its
+/// in-flight runs); Epoch is thread-safe and epoch pointers stay valid for
+/// the model's lifetime. A private model keeps only the newest epoch: the
+/// previous one is freed when the next is built. Under
+/// ClosureMode::kIncremental (sliding window only) the model instead keeps
+/// one DeltaClosure, patched in place each cycle; such a model is always
+/// private.
+class SpeculationModel {
+ public:
+  /// `num_docs` bounds the document ids; `deltas` supplies the finished
+  /// day counts and must be thread-safe if runs share the model. `config`
+  /// is copied; only its model-key fields and closure_mode are read.
+  SpeculationModel(size_t num_docs, const SpeculationConfig& config,
+                   DayCountsSource deltas, bool keep_epochs);
+
+  /// True if the model is re-estimated when the day-roll reaches `day`.
+  static bool RebuildsOn(long day, uint32_t update_cycle_days) {
+    return day == 1 || day % update_cycle_days == 0;
+  }
+
+  /// The k-th epoch, building every epoch up to it first. Returns nullptr
+  /// under kIncremental, where delta() holds the model as of epoch k.
+  const ClosureEpoch* Epoch(size_t k);
+
+  /// The incrementally maintained model (kIncremental only, else null).
+  DeltaClosure* delta() { return delta_.get(); }
+
+  /// Epochs built so far.
+  size_t epochs_built() const;
+
+ private:
+  /// Folds finished day `day` into the estimator's counters.
+  void FoldDay(long day);
+  /// Steps the day-roll to the next rebuild day and re-estimates there.
+  std::unique_ptr<const ClosureEpoch> BuildNext();
+
+  const SpeculationConfig config_;
+  const DayCountsSource deltas_;
+  const bool keep_epochs_;
+
+  /// Epoch-building state, guarded by build_mutex_.
+  std::mutex build_mutex_;
+  long day_ = 0;
+  std::optional<WindowedCounts> counts_;
+  std::optional<DecayedCounts> decayed_;
+  std::unique_ptr<DeltaClosure> delta_;
+
+  /// Built epochs (null once a private model moved past them), guarded by
+  /// epochs_mutex_ so readers never wait for a build in progress.
+  mutable std::mutex epochs_mutex_;
+  std::vector<std::unique_ptr<const ClosureEpoch>> epochs_;
+};
+
 /// \brief The speculation replay loop, one request at a time.
 ///
-/// Holds every piece of per-run state (model counters, client caches,
-/// protection stack, totals) so a run needs only O(clients + model)
-/// resident memory regardless of trace length. SpeculationSimulator::Run
-/// feeds it from the prepared flat arrays; the streaming path feeds it
-/// straight from a request cursor. Both produce bit-identical RunTotals
-/// because this class *is* the former Run loop body, verbatim.
+/// Holds every piece of per-run state (client caches, protection stack,
+/// totals, its position in the model) so a run needs only O(clients +
+/// model) resident memory regardless of trace length. SpeculationSimulator::Run
+/// feeds it from the prepared flat arrays with a model shared among its
+/// in-flight runs; the streaming path feeds it straight from a request
+/// cursor with a private model. Both produce bit-identical RunTotals.
 class SpeculationReplay {
  public:
   /// `corpus`, `config` and `deltas` must outlive the replay. `deltas` may
-  /// be empty only when the mode needs no model. `server_events`, if
-  /// non-null, is cleared and then receives one time-ordered entry per
-  /// request that reached the server.
+  /// be empty only when the mode needs no model; the replay builds a
+  /// private SpeculationModel over it. `server_events`, if non-null, is
+  /// cleared and then receives one time-ordered entry per request that
+  /// reached the server.
   SpeculationReplay(const trace::Corpus* corpus, uint32_t num_clients,
                     uint32_t num_servers, const SpeculationConfig& config,
                     DayCountsSource deltas,
+                    std::vector<ServerEvent>* server_events);
+
+  /// Reads the epochs of `model` (null only when the mode needs no model),
+  /// which may be shared with other runs of the same model key.
+  SpeculationReplay(const trace::Corpus* corpus, uint32_t num_clients,
+                    uint32_t num_servers, const SpeculationConfig& config,
+                    std::shared_ptr<SpeculationModel> model,
                     std::vector<ServerEvent>* server_events);
 
   /// One replayable (kDocument/kAlias) request, with its corpus size and
@@ -219,31 +293,39 @@ class SpeculationReplay {
 
  private:
   void RollDay(uint32_t day);
+  /// The row of `doc` the policy consults: P* (or P without closure) of
+  /// the current epoch.
+  SparseProbMatrix::RowView ModelRow(trace::DocumentId doc);
 
   obs::SpanGuard run_span_;
   obs::JourneyRun journey_;
   const trace::Corpus* corpus_;
   const SpeculationConfig* config_;
-  DayCountsSource deltas_;
   std::vector<ServerEvent>* server_events_;
 
   bool server_speculates_ = false;
   bool server_hints_ = false;
   bool client_prefetches_ = false;
-  bool needs_model_ = false;
-  bool use_decay_ = false;
-  bool incremental_ = false;
   bool faulty_ = false;
   bool track_load_ = false;
   bool breakers_armed_ = false;
   bool budget_armed_ = false;
   bool admission_armed_ = false;
 
-  WindowedCounts counts_;
-  DecayedCounts decayed_;
-  DeltaClosure model_;
+  std::shared_ptr<SpeculationModel> model_;
+  /// kIncremental: the private model's DeltaClosure; else null.
+  DeltaClosure* delta_ = nullptr;
+  /// The epoch the run reads (epoch modes), and how many it consumed.
+  const ClosureEpoch* epoch_ = nullptr;
+  size_t epochs_consumed_ = 0;
   bool model_ready_ = false;
   long current_day_ = 0;
+  ClosureScratch scratch_;
+  /// Epoch-stamped per-doc marks of the closure rows looked up in the
+  /// current epoch: their count is what a private model would have
+  /// computed, whoever actually computed a shared row.
+  std::vector<uint32_t> row_stamp_;
+  uint64_t rows_looked_up_ = 0;
 
   std::vector<ClientCache> caches_;
   std::vector<internal::UserProfile> profiles_;
@@ -262,14 +344,15 @@ class SpeculationReplay {
 /// configuration and returns raw totals; Evaluate additionally replays the
 /// plain protocol with identical caching and returns the paper's four
 /// ratios. Per-day dependency counts are cached across runs that share
-/// (T_w, StrideTimeout), which makes parameter sweeps (T_p, MaxSize, ...)
+/// (T_w, StrideTimeout), and concurrent runs with the same model key share
+/// one SpeculationModel, which makes parameter sweeps (T_p, MaxSize, ...)
 /// cheap.
 ///
 /// Thread safety: Run and Evaluate may be called concurrently from any
-/// number of threads on the same simulator (all replay state is local to
-/// the call; the shared per-day count cache is mutex-guarded and its
-/// contents are a pure function of the dependency config). Core sweeps
-/// call Prewarm first so that workers do not serialise on the first cache
+/// number of threads on the same simulator (replay state is local to the
+/// call; the per-day count cache and the model map are mutex-guarded, and
+/// their contents are pure functions of their keys). Core sweeps call
+/// Prewarm first so that workers do not serialise on the first cache
 /// fill.
 class SpeculationSimulator {
  public:
@@ -290,6 +373,19 @@ class SpeculationSimulator {
 
   /// Runs `config` and its mode-kNone twin and computes the four ratios.
   SpeculationMetrics Evaluate(const SpeculationConfig& config);
+
+  /// The model `config` reads: the one an in-flight run with the same model
+  /// key holds, else a new one. Null when the run builds no shared model
+  /// (modes without one, and ClosureMode::kIncremental, whose model is
+  /// private). Holding the handle keeps the model, and with it every epoch
+  /// built so far, alive for later runs; Run holds it for its duration
+  /// only, so runs share a model exactly while they overlap.
+  std::shared_ptr<SpeculationModel> AcquireModel(
+      const SpeculationConfig& config);
+
+  /// Shared models built so far (one per AcquireModel that found no live
+  /// model for its key).
+  uint64_t model_builds() const;
 
   /// Builds the per-day dependency counts for `config` now (a no-op if
   /// already cached). Parallel sweeps whose points share a dependency
@@ -312,6 +408,12 @@ class SpeculationSimulator {
             std::bit_cast<uint64_t>(config.stride_timeout)};
   }
 
+  /// Every field the model's day-roll, BuildMatrix and ComputeClosureRow
+  /// read, by bit pattern like DeltaKey: runs whose keys are equal read
+  /// identical epochs.
+  using ModelKey = std::array<uint64_t, 12>;
+  static ModelKey MakeModelKey(const SpeculationConfig& config);
+
   const std::vector<DayCounts>& DailyDeltas(const DependencyConfig& config);
 
   const trace::Corpus* corpus_;
@@ -323,6 +425,11 @@ class SpeculationSimulator {
   /// references stay valid.
   std::map<DeltaKey, std::vector<DayCounts>> delta_cache_;
   std::mutex delta_mutex_;
+  /// Models of the in-flight runs, by key; an entry expires with the last
+  /// run that holds its model. Guarded by model_mutex_.
+  std::map<ModelKey, std::weak_ptr<SpeculationModel>> models_;
+  uint64_t model_builds_ = 0;
+  mutable std::mutex model_mutex_;
 };
 
 /// \brief Streaming counterpart of SpeculationSimulator: replays a

@@ -137,19 +137,25 @@ TEST(ClosureTest, SumProductCapsAtOne) {
   }
 }
 
-TEST(ClosureCacheTest, CachesAndResets) {
-  const auto p = ChainMatrix();
-  ClosureCache cache(&p, Config());
-  const auto& row1 = cache.Row(0);
+TEST(ClosureEpochTest, CachesRowsForTheEpoch) {
+  const ClosureEpoch epoch(ChainMatrix(), Config());
+  ClosureScratch scratch;
+  const auto row1 = epoch.ClosureRow(0, &scratch);
   EXPECT_FALSE(row1.empty());
-  EXPECT_EQ(cache.CachedRows(), 1u);
-  cache.Row(0);
-  EXPECT_EQ(cache.CachedRows(), 1u);  // cached, not recomputed
+  // Cached: the second lookup returns the same storage.
+  EXPECT_EQ(epoch.ClosureRow(0, &scratch).data(), row1.data());
+  const auto direct = ComputeClosureRow(ChainMatrix(), 0, Config());
+  ASSERT_EQ(row1.size(), direct.size());
+  for (size_t k = 0; k < direct.size(); ++k) {
+    EXPECT_EQ(row1[k].doc, direct[k].doc);
+    EXPECT_EQ(row1[k].probability, direct[k].probability);
+  }
 
-  SparseProbMatrix empty(4);
-  cache.Reset(&empty);
-  EXPECT_EQ(cache.CachedRows(), 0u);
-  EXPECT_TRUE(cache.Row(0).empty());
+  // A fresh epoch over another P starts with no rows.
+  const ClosureEpoch empty(SparseProbMatrix(4), Config());
+  EXPECT_TRUE(empty.ClosureRow(0, &scratch).empty());
+  // Documents past the matrix have no P row, hence an empty closure.
+  EXPECT_TRUE(epoch.ClosureRow(17, &scratch).empty());
 }
 
 TEST(ClosureTest, EmptyMatrix) {
