@@ -7,6 +7,8 @@
 /// The *Legacy* kernels reimplement the pre-flat-layout (hash-map based)
 /// versions of the closure-row, dependency-count and route-plan hot paths,
 /// so the BM_X vs BM_XLegacy pairs quantify what the CSR/flat rewrites buy.
+/// BM_PathUp times the fault-schedule reachability check of the failover
+/// chain.
 ///
 /// `--smoke` shortens every benchmark's min time; `--json` writes
 /// BENCH_micro_kernels.json (google-benchmark's JSON format).
@@ -15,6 +17,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -328,11 +331,10 @@ void BM_EvaluatePlacementLegacyFind(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluatePlacementLegacyFind);
 
-/// Fault-interval data shared by the Covers pair: one node with many
+/// Fault-interval data for the Covers kernel: one node with many
 /// overlapping outages over a year, queried across the whole horizon.
 struct FaultCoversFixture {
   net::FaultSchedule schedule;
-  std::vector<std::pair<SimTime, SimTime>> raw;  ///< as-added, unmerged
   std::vector<SimTime> queries;
 };
 
@@ -345,7 +347,6 @@ const FaultCoversFixture& SharedFaultCovers() {
       const SimTime start = rng.NextDouble() * horizon;
       const SimTime end = start + (0.5 + rng.NextDouble()) * 3600.0;
       f->schedule.Add({net::FaultKind::kNodeOutage, 17, start, end});
-      f->raw.emplace_back(start, end);
     }
     for (int i = 0; i < 4096; ++i) {
       f->queries.push_back(rng.NextDouble() * horizon);
@@ -355,7 +356,7 @@ const FaultCoversFixture& SharedFaultCovers() {
   return fixture;
 }
 
-/// Point-in-set query via the merged, sorted interval list (the current
+/// Point-in-set query via the merged, sorted interval list (the
 /// binary-search NodeDown path).
 void BM_FaultCoversBinary(benchmark::State& state) {
   const auto& fixture = SharedFaultCovers();
@@ -369,26 +370,78 @@ void BM_FaultCoversBinary(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultCoversBinary);
 
-/// The pre-rewrite query: a linear scan over the unmerged as-added
-/// interval list.
-void BM_FaultCoversLegacyLinear(benchmark::State& state) {
-  const auto& fixture = SharedFaultCovers();
-  for (auto _ : state) {
-    uint64_t hits = 0;
-    for (const SimTime t : fixture.queries) {
-      bool down = false;
-      for (const auto& [start, end] : fixture.raw) {
-        if (start <= t && t < end) {
-          down = true;
-          break;
-        }
-      }
-      hits += down ? 1 : 0;
+/// Route reachability as the faulted dissemination replay asks it: a
+/// paper-scale topology under Figure 8's worst outage rate (0.2/day for
+/// nodes and servers, 0.1/day for links, zone failures at 0.3) over the
+/// paper's 90-day trace. Queries go from client subnets to the home
+/// server's node (Arg 0) or to an interior region/organisation node, where
+/// proxies sit (Arg 1). One iteration is one query, so Time is ns/query.
+struct PathUpFixture {
+  std::unique_ptr<net::Topology> topology;
+  net::FaultSchedule schedule;
+  struct Query {
+    net::NodeId from;
+    net::NodeId to;
+    SimTime t;
+  };
+  std::vector<Query> to_server;
+  std::vector<Query> to_interior;
+};
+
+const PathUpFixture& SharedPathUp() {
+  static const PathUpFixture& fixture = *[] {
+    auto* f = new PathUpFixture;
+    const core::WorkloadConfig paper = core::PaperScaleConfig();
+    const uint32_t num_clients = paper.tracegen.num_clients;
+    std::vector<bool> remote(num_clients);
+    for (uint32_t c = 0; c < num_clients; ++c) remote[c] = c % 10 != 0;
+    Rng rng(11);
+    f->topology = std::make_unique<net::Topology>(net::Topology::Generate(
+        paper.topology, num_clients, remote, 1, &rng));
+    const net::Topology& topo = *f->topology;
+
+    net::FaultInjectionConfig faults;
+    faults.horizon_days = paper.tracegen.days + 1.0;
+    faults.node_failure_rate_per_day = 0.20;
+    faults.link_failure_rate_per_day = 0.10;
+    faults.server_failure_rate_per_day = 0.20;
+    faults.mean_outage_days = 1.0;
+    faults.min_outage_days = 2.0 / 24.0;
+    faults.zone_failure_probability = 0.3;
+    f->schedule = net::GenerateFaultSchedule(topo, faults, &rng);
+
+    std::vector<net::NodeId> interior;
+    for (net::NodeId n = 1; n < topo.num_nodes(); ++n) {
+      if (topo.depth(n) <= 2) interior.push_back(n);
     }
-    benchmark::DoNotOptimize(hits);
+    const double horizon = faults.horizon_days * kDay;
+    for (int i = 0; i < 4096; ++i) {
+      const net::NodeId from = topo.client_node(
+          static_cast<trace::ClientId>(rng.NextBounded(num_clients)));
+      f->to_server.push_back(
+          {from, topo.server_node(0), rng.NextDouble() * horizon});
+      f->to_interior.push_back(
+          {from, interior[rng.NextBounded(interior.size())],
+           rng.NextDouble() * horizon});
+    }
+    return f;
+  }();
+  return fixture;
+}
+
+void BM_PathUp(benchmark::State& state) {
+  const auto& fixture = SharedPathUp();
+  const auto& queries =
+      state.range(0) == 0 ? fixture.to_server : fixture.to_interior;
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& q = queries[i];
+    benchmark::DoNotOptimize(
+        fixture.schedule.PathUp(*fixture.topology, q.from, q.to, q.t));
+    i = i + 1 == queries.size() ? 0 : i + 1;
   }
 }
-BENCHMARK(BM_FaultCoversLegacyLinear);
+BENCHMARK(BM_PathUp)->Arg(0)->Arg(1);
 
 // --- CLF line scanning: allocating getline reader vs mmap cursor --------
 //

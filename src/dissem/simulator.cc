@@ -594,21 +594,18 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
     // Chain: on-route proxies holding the document (nearest first), the
     // home server, then any other live replica by distance. A proxy past
     // its daily capacity is shielded out of the chain.
-    struct Candidate {
-      int proxy = -1;  ///< -1 = home server.
-      uint32_t hops = 0;
-      bool off_route = false;
-    };
-    std::vector<Candidate> chain;
+    std::vector<Candidate>& chain = chain_;
+    chain.clear();
     bool capacity_blocked = false;
-    const auto consider_proxy = [&](int p, uint32_t hops, bool off_route) {
+    const auto consider_into = [&](std::vector<Candidate>* list, int p,
+                                   uint32_t hops, bool off_route) {
       if (!stores_[p].Contains(r.doc)) return;
       if (config_.proxy_daily_request_capacity > 0 &&
           today_count_[p] >= config_.proxy_daily_request_capacity) {
         capacity_blocked = true;
         return;
       }
-      chain.push_back({p, hops, off_route});
+      list->push_back({p, hops, off_route});
     };
     if (config_.selection_d >= 2) {
       // d-choice failover chain: sample up to d candidate holders no
@@ -616,18 +613,10 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
       // then the unsampled near holders (on-route first), the home
       // server, and the far replicas of last resort — so primary
       // selection spreads load while failover semantics stay intact.
-      std::vector<Candidate> pool;
-      std::vector<Candidate> far;
-      const auto consider_into = [&](std::vector<Candidate>* list, int p,
-                                     uint32_t hops, bool off_route) {
-        if (!stores_[p].Contains(r.doc)) return;
-        if (config_.proxy_daily_request_capacity > 0 &&
-            today_count_[p] >= config_.proxy_daily_request_capacity) {
-          capacity_blocked = true;
-          return;
-        }
-        list->push_back({p, hops, off_route});
-      };
+      std::vector<Candidate>& pool = chain_pool_;
+      std::vector<Candidate>& far = chain_far_;
+      pool.clear();
+      far.clear();
       for (const auto& [p, hops] : plan.on_route) {
         consider_into(&pool, p, hops, false);
       }
@@ -636,7 +625,8 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
                       true);
       }
       SampleIndices(pool.size(), config_.selection_d, rng_, &dchoice_idx_);
-      std::vector<char> taken(pool.size(), 0);
+      std::vector<char>& taken = chain_taken_;
+      taken.assign(pool.size(), 0);
       for (const uint32_t i : dchoice_idx_) {
         chain.push_back(pool[i]);
         taken[i] = 1;
@@ -659,11 +649,11 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
       for (const auto& c : far) chain.push_back(c);
     } else {
       for (const auto& [p, hops] : plan.on_route) {
-        consider_proxy(p, hops, false);
+        consider_into(&chain, p, hops, false);
       }
       chain.push_back({-1, plan.hops_to_server, false});
       for (const auto& [p, hops] : plan.off_route) {
-        consider_proxy(p, hops, true);
+        consider_into(&chain, p, hops, true);
       }
     }
     const auto entity_of = [&](const Candidate& c) -> size_t {

@@ -393,6 +393,19 @@ class DisseminationReplay {
   /// across requests so the fault-free fast path stays allocation-free.
   std::vector<std::pair<int, uint32_t>> dchoice_pool_;
   std::vector<uint32_t> dchoice_idx_;
+  /// One entry of the dynamic path's failover chain.
+  struct Candidate {
+    int proxy = -1;  ///< -1 = home server.
+    uint32_t hops = 0;
+    bool off_route = false;
+  };
+  /// Failover-chain scratch (the chain, the d-choice near pool and far
+  /// replicas, and which pool entries were sampled), reused across
+  /// requests so the faulted and protected paths stay allocation-free.
+  std::vector<Candidate> chain_;
+  std::vector<Candidate> chain_pool_;
+  std::vector<Candidate> chain_far_;
+  std::vector<char> chain_taken_;
 };
 
 /// \brief One-pass streaming simulation: rewinds the cursor and replays

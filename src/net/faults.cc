@@ -47,6 +47,7 @@ void FaultSchedule::Insert(Intervals* intervals, uint32_t id, SimTime start,
   // Membership in the union of half-open intervals is all Covers answers,
   // so overlapping and touching intervals ([a,b) + [b,c) = [a,c)) coalesce
   // into one entry. The list stays sorted and pairwise disjoint.
+  if (id >= intervals->size()) intervals->resize(static_cast<size_t>(id) + 1);
   auto& list = (*intervals)[id];
   auto first = std::lower_bound(
       list.begin(), list.end(), start,
@@ -65,9 +66,8 @@ void FaultSchedule::Insert(Intervals* intervals, uint32_t id, SimTime start,
 
 bool FaultSchedule::Covers(const Intervals& intervals, uint32_t id,
                            SimTime t) {
-  const auto it = intervals.find(id);
-  if (it == intervals.end()) return false;
-  const auto& list = it->second;
+  if (id >= intervals.size()) return false;
+  const auto& list = intervals[id];
   // First interval whose start is > t; its predecessor is the only
   // candidate that can cover t in a sorted disjoint list.
   auto after = std::upper_bound(
@@ -98,15 +98,23 @@ bool FaultSchedule::ServerDegraded(trace::ServerId server, SimTime t) const {
 bool FaultSchedule::PathUp(const Topology& topology, NodeId from, NodeId to,
                            SimTime t) const {
   if (node_down_.empty() && link_down_.empty()) return true;
-  const std::vector<NodeId> route = topology.Route(from, to);
-  for (size_t i = 1; i < route.size(); ++i) {
-    if (NodeDown(route[i], t)) return false;
-    // The edge between route[i-1] and route[i] is keyed by whichever
-    // endpoint is the child (the deeper node).
-    const NodeId child = topology.depth(route[i]) > topology.depth(route[i - 1])
-                             ? route[i]
-                             : route[i - 1];
-    if (LinkDown(child, t)) return false;
+  // The lowest-common-ancestor walk of Topology: the deeper end steps up
+  // until both meet. Every edge crossed is keyed by the node it leaves
+  // (the deeper endpoint). A step on the `from` side lands on a route
+  // node other than `from` (the LCA included, unless it is `from`); the
+  // `to` side checks each node it leaves, i.e. `to` up to but excluding
+  // the LCA.
+  NodeId a = from;
+  NodeId b = to;
+  while (a != b) {
+    if (topology.depth(a) >= topology.depth(b)) {
+      if (LinkDown(a, t)) return false;
+      a = topology.parent(a);
+      if (NodeDown(a, t)) return false;
+    } else {
+      if (NodeDown(b, t) || LinkDown(b, t)) return false;
+      b = topology.parent(b);
+    }
   }
   return true;
 }

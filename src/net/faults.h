@@ -2,7 +2,7 @@
 #define SDS_NET_FAULTS_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/topology.h"
@@ -49,6 +49,8 @@ struct FaultEvent {
 /// iff some event covers start <= t < end.
 class FaultSchedule {
  public:
+  /// Storage is indexed by id, so ids are expected to be topology NodeIds
+  /// and ServerIds (small and dense), not arbitrary keys.
   void Add(const FaultEvent& event);
 
   bool empty() const { return events_.empty(); }
@@ -65,17 +67,18 @@ class FaultSchedule {
   /// node on the route except `from` itself is up and every edge on the
   /// route is uncut. (`from` is the querying client's own attachment node;
   /// its failure is modelled as the client being offline, not as a service
-  /// failure, so it is not checked here.)
+  /// failure, so it is not checked here.) Walks parent pointers from both
+  /// ends up to their lowest common ancestor; no route is materialised.
   bool PathUp(const Topology& topology, NodeId from, NodeId to,
               SimTime t) const;
 
  private:
-  // Per-entity interval sets kept sorted and coalesced at insertion time
-  // (overlapping/adjacent intervals are merged into one), so every query is
-  // a single binary search and const queries stay safe to share across
-  // threads with no lazy mutation.
-  using Intervals =
-      std::unordered_map<uint32_t, std::vector<std::pair<SimTime, SimTime>>>;
+  // Per-entity interval sets indexed by id (ids never added read as
+  // empty), kept sorted and coalesced at insertion time (overlapping/
+  // adjacent intervals are merged into one), so every query is an index
+  // plus a single binary search and const queries stay safe to share
+  // across threads with no lazy mutation.
+  using Intervals = std::vector<std::vector<std::pair<SimTime, SimTime>>>;
   static void Insert(Intervals* intervals, uint32_t id, SimTime start,
                      SimTime end);
   static bool Covers(const Intervals& intervals, uint32_t id, SimTime t);

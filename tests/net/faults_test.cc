@@ -342,6 +342,74 @@ TEST(FaultScheduleTest, PathUpEqualsRouteConjunctionOnRandomSchedules) {
   }
 }
 
+TEST(FaultScheduleTest, PathUpEqualsRouteConjunctionOnAllNodePairs) {
+  // Property over every (from, to) node pair, not only client -> server:
+  // proxies sit on interior nodes, so targets include the root, ancestors
+  // and descendants of `from`, and `from` itself. PathUp must equal the
+  // conjunction of !NodeDown over Route(from, to) minus `from` and of
+  // !LinkDown over each route edge keyed by its deeper endpoint.
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng shape_rng(seed * 31 + 5);
+    TopologyConfig topo_config;
+    topo_config.regions = 2 + static_cast<uint32_t>(shape_rng.NextBounded(4));
+    topo_config.orgs_per_region =
+        1 + static_cast<uint32_t>(shape_rng.NextBounded(4));
+    topo_config.subnets_per_org =
+        1 + static_cast<uint32_t>(shape_rng.NextBounded(3));
+    const uint32_t num_clients = 30 + 5 * static_cast<uint32_t>(seed);
+    std::vector<bool> remote(num_clients);
+    for (uint32_t c = 0; c < num_clients; ++c) remote[c] = c % 4 != 0;
+    const Topology topo =
+        Topology::Generate(topo_config, num_clients, remote, 1, &shape_rng);
+
+    FaultInjectionConfig config;
+    config.horizon_days = 12.0;
+    config.node_failure_rate_per_day = 0.12;
+    config.link_failure_rate_per_day = 0.10;
+    config.zone_failure_probability = seed % 2 == 0 ? 0.5 : 0.0;
+    Rng rng(seed * 7919 + 3);
+    const FaultSchedule schedule = GenerateFaultSchedule(topo, config, &rng);
+    ASSERT_FALSE(schedule.empty()) << "seed=" << seed;
+
+    // Probe at random times and exactly at event boundaries, where the
+    // half-open intervals switch.
+    std::vector<SimTime> times;
+    Rng probe_rng(seed);
+    for (int i = 0; i < 6; ++i) {
+      times.push_back(probe_rng.NextDouble() * config.horizon_days * kDay);
+    }
+    for (size_t i = 0; i < schedule.size(); i += 1 + schedule.size() / 4) {
+      times.push_back(schedule.events()[i].start);
+      times.push_back(schedule.events()[i].end);
+    }
+
+    size_t up = 0;
+    size_t down = 0;
+    for (NodeId from = 0; from < topo.num_nodes(); ++from) {
+      for (NodeId to = 0; to < topo.num_nodes(); ++to) {
+        const std::vector<NodeId> route = topo.Route(from, to);
+        for (const SimTime t : times) {
+          bool expected = true;
+          for (size_t i = 1; i < route.size(); ++i) {
+            if (schedule.NodeDown(route[i], t)) expected = false;
+            const NodeId child =
+                topo.depth(route[i]) > topo.depth(route[i - 1]) ? route[i]
+                                                                : route[i - 1];
+            if (schedule.LinkDown(child, t)) expected = false;
+          }
+          const bool got = schedule.PathUp(topo, from, to, t);
+          ASSERT_EQ(got, expected) << "seed=" << seed << " from=" << from
+                                   << " to=" << to << " t=" << t;
+          ++(got ? up : down);
+        }
+      }
+    }
+    // The schedule is dense enough that both answers occur.
+    EXPECT_GT(up, 0u) << "seed=" << seed;
+    EXPECT_GT(down, 0u) << "seed=" << seed;
+  }
+}
+
 TEST(RetryPolicyTest, ValidateAcceptsDefaultsAndCatchesEachField) {
   EXPECT_TRUE(RetryPolicy{}.Validate().ok());
 

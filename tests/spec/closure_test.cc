@@ -201,8 +201,9 @@ DependencyConfig DepConfig() {
   return dep;
 }
 
-void ExpectSameAsBatch(const DeltaClosure& delta,
-                       const WindowedCounts& counts,
+/// P and every P* row of `delta` (cached or computed on demand here) equal
+/// a batch rebuild bit for bit; a stale cached closure row fails this.
+void ExpectSameAsBatch(DeltaClosure& delta, const WindowedCounts& counts,
                        const DependencyConfig& dep,
                        const ClosureConfig& closure_cfg) {
   const SparseProbMatrix batch = counts.BuildMatrix(dep);
@@ -214,6 +215,14 @@ void ExpectSameAsBatch(const DeltaClosure& delta,
     for (size_t k = 0; k < a.size(); ++k) {
       EXPECT_EQ(a[k].doc, b[k].doc) << "row " << i;
       EXPECT_EQ(a[k].probability, b[k].probability) << "row " << i;
+    }
+    const auto want = ComputeClosureRow(batch, i, closure_cfg);
+    const auto got = delta.ClosureRow(i);
+    ASSERT_EQ(want.size(), got.size()) << "closure row " << i;
+    for (size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(want[k].doc, got[k].doc) << "closure row " << i;
+      EXPECT_EQ(want[k].probability, got[k].probability)
+          << "closure row " << i;
     }
   }
 }
