@@ -4,23 +4,19 @@
 /// the speculation replay loop. Not a paper artefact — these guard against
 /// performance regressions of the simulator itself.
 ///
-/// The *Legacy* kernels reimplement the pre-flat-layout (hash-map based)
-/// versions of the closure-row, dependency-count and route-plan hot paths,
-/// so the BM_X vs BM_XLegacy pairs quantify what the CSR/flat rewrites buy.
-/// BM_PathUp times the fault-schedule reachability check of the failover
-/// chain.
+/// The closure-row, dependency-count, route-plan and placement kernels time
+/// the flat (CSR / indexed / bitmap) layouts; the speedups over the
+/// hash-map versions they replaced are recorded in docs/PERF.md. BM_PathUp
+/// times the fault-schedule reachability check of the failover chain.
 ///
 /// `--smoke` shortens every benchmark's min time; `--json` writes
 /// BENCH_micro_kernels.json (google-benchmark's JSON format).
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
-#include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include <filesystem>
@@ -99,60 +95,6 @@ void BM_ClosureRows(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosureRows);
 
-/// The pre-CSR closure row: priority_queue + unordered_map best-chain
-/// search, exactly as shipped before the flat rewrite (reads the same
-/// matrix through the same Row() API, so only the bookkeeping differs).
-void BM_ClosureRowsLegacyMap(benchmark::State& state) {
-  const auto& p = SharedDependencyMatrix();
-  const spec::ClosureConfig config;
-  trace::DocumentId source = 0;
-  struct Item {
-    double prob;
-    uint32_t depth;
-    trace::DocumentId doc;
-    bool operator<(const Item& other) const { return prob < other.prob; }
-  };
-  for (auto _ : state) {
-    source = (source + 1) % static_cast<trace::DocumentId>(p.num_docs());
-    std::priority_queue<Item> queue;
-    std::unordered_map<trace::DocumentId, double> best;
-    queue.push({1.0, 0, source});
-    best[source] = 1.0;
-    uint32_t expansions = 0;
-    std::vector<spec::SparseProbMatrix::Entry> out;
-    while (!queue.empty() && expansions < config.max_expansions) {
-      const Item item = queue.top();
-      queue.pop();
-      if (item.prob < best[item.doc]) continue;
-      ++expansions;
-      if (item.doc != source) {
-        out.push_back({item.doc, static_cast<float>(item.prob)});
-      }
-      if (item.depth >= config.max_depth) continue;
-      if (item.doc >= p.num_docs()) continue;
-      for (const auto& e : p.Row(item.doc)) {
-        const double cand = item.prob * e.probability;
-        if (cand < config.min_probability) break;
-        auto [it, inserted] = best.emplace(e.doc, cand);
-        if (!inserted) {
-          if (cand <= it->second) continue;
-          it->second = cand;
-        }
-        queue.push({cand, item.depth + 1, e.doc});
-      }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const spec::SparseProbMatrix::Entry& a,
-                 const spec::SparseProbMatrix::Entry& b) {
-                if (a.probability != b.probability)
-                  return a.probability > b.probability;
-                return a.doc < b.doc;
-              });
-    benchmark::DoNotOptimize(out.size());
-  }
-}
-BENCHMARK(BM_ClosureRowsLegacyMap);
-
 void BM_DependencyCountFlat(benchmark::State& state) {
   const auto& w = SharedWorkload();
   spec::DependencyConfig config;
@@ -178,35 +120,6 @@ void BM_DependencyScanOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DependencyScanOnly)->Unit(benchmark::kMillisecond);
-
-/// The pre-flat daily counting: per-day unordered_map accumulators fed by
-/// the identical scan (spec::ScanDependencies), as shipped before the
-/// rewrite.
-void BM_DependencyCountLegacyMap(benchmark::State& state) {
-  const auto& w = SharedWorkload();
-  spec::DependencyConfig config;
-  struct LegacyDayCounts {
-    std::unordered_map<uint64_t, uint32_t> pair_counts;
-    std::unordered_map<trace::DocumentId, uint32_t> occurrences;
-  };
-  for (auto _ : state) {
-    const uint32_t days =
-        w.clean().empty()
-            ? 1
-            : static_cast<uint32_t>(DayOfTime(w.clean().Span())) + 1;
-    std::vector<LegacyDayCounts> out(days);
-    spec::ScanDependencies(
-        w.clean(), config, 0.0, kInfiniteTime,
-        [&](uint32_t day, trace::DocumentId doc) {
-          ++out[day].occurrences[doc];
-        },
-        [&](uint32_t day, trace::DocumentId i, trace::DocumentId j) {
-          ++out[day].pair_counts[spec::PairKey(i, j)];
-        });
-    benchmark::DoNotOptimize(out.size());
-  }
-}
-BENCHMARK(BM_DependencyCountLegacyMap)->Unit(benchmark::kMillisecond);
 
 void BM_ExponentialAllocation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -273,28 +186,6 @@ void BM_RoutePlanIndexedLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutePlanIndexedLookup);
 
-/// The pre-rewrite lookup: a per-request hash-map find on the client's
-/// attachment node (plans built once here; the legacy path also built them
-/// lazily inside the replay).
-void BM_RoutePlanHashLookup(benchmark::State& state) {
-  const auto& prepared = SharedPrepared();
-  const std::vector<dissem::RoutePlan> plans =
-      dissem::BuildRoutePlans(prepared, SharedProxyPlacement());
-  std::unordered_map<net::NodeId, dissem::RoutePlan> by_node;
-  for (size_t i = 0; i < prepared.nodes.size(); ++i) {
-    by_node.emplace(prepared.nodes[i], plans[i]);
-  }
-  for (auto _ : state) {
-    uint64_t hops = 0;
-    for (size_t k = 0; k < prepared.eval_node.size(); ++k) {
-      const net::NodeId node = prepared.nodes[prepared.eval_node[k]];
-      hops += by_node.find(node)->second.hops_to_server;
-    }
-    benchmark::DoNotOptimize(hops);
-  }
-}
-BENCHMARK(BM_RoutePlanHashLookup);
-
 /// Placement evaluation with the epoch-stamped membership bitmap: proxy
 /// membership is marked once per call, each route hop is an O(1) stamp
 /// compare (the current EvaluatePlacement, also the GreedyCore inner
@@ -307,29 +198,6 @@ void BM_EvaluatePlacementBitmap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvaluatePlacementBitmap);
-
-/// The pre-rewrite evaluation: an O(k) std::find over the proxy vector at
-/// every route hop of every leaf. Produces the identical sum (same FP
-/// order) — placement_test pins that; this pair pins the speedup.
-void BM_EvaluatePlacementLegacyFind(benchmark::State& state) {
-  const auto& tree = SharedPrepared().tree;
-  const std::vector<net::NodeId> proxies = SharedProxyPlacement();
-  for (auto _ : state) {
-    double saved = 0.0;
-    for (const auto& leaf : tree.leaves) {
-      uint32_t best = 0;
-      for (uint32_t d = 1; d < leaf.path_from_server.size(); ++d) {
-        if (std::find(proxies.begin(), proxies.end(),
-                      leaf.path_from_server[d]) != proxies.end()) {
-          best = std::max(best, d);
-        }
-      }
-      saved += static_cast<double>(leaf.bytes) * 1.0 * best;
-    }
-    benchmark::DoNotOptimize(saved);
-  }
-}
-BENCHMARK(BM_EvaluatePlacementLegacyFind);
 
 /// Fault-interval data for the Covers kernel: one node with many
 /// overlapping outages over a year, queried across the whole horizon.

@@ -170,6 +170,75 @@ Tab2Result RunTab2() {
 }
 
 // ---------------------------------------------------------------------------
+// Shared by the dissemination figures (3, 7, 8, 9)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// The training-side context of home server 0 (popularity, clientele tree,
+// routes, eval filter), shared read-only by every sweep point. In streaming
+// mode it is prepared from one pass over a clean cursor, so no materialised
+// trace is ever needed.
+dissem::PreparedDissemination PrepareServer0(const Workload& workload) {
+  const double train_fraction = dissem::DisseminationConfig{}.train_fraction;
+  if (!workload.streaming()) {
+    return dissem::PrepareDissemination(workload.corpus(), workload.clean(),
+                                        workload.topology(), 0,
+                                        train_fraction);
+  }
+  const auto cursor = workload.NewCleanCursor();
+  return dissem::PrepareDisseminationStream(
+      workload.corpus(), workload.topology(), 0, train_fraction,
+      workload.clean_span(), cursor.get());
+}
+
+// One evaluation replay over `prepared`: the batch eval index, or in
+// streaming mode a fresh clean cursor of the point's own.
+dissem::DisseminationResult Simulate(
+    const Workload& workload, const dissem::PreparedDissemination& prepared,
+    const dissem::DisseminationConfig& config, Rng* rng) {
+  if (!workload.streaming()) {
+    return SimulateDissemination(prepared, config, rng, &workload.updates());
+  }
+  const auto cursor = workload.NewCleanCursor();
+  return SimulateDisseminationStream(prepared, config, rng,
+                                     &workload.updates(), cursor.get());
+}
+
+// The clients' recovery policy under fault injection: six attempts, 5 s
+// timeouts, exponential backoff from 1 s capped at 60 s.
+net::RetryPolicy FaultRetryPolicy(double jitter) {
+  net::RetryPolicy retry;
+  retry.max_attempts = 6;
+  retry.timeout_s = 5.0;
+  retry.base_backoff_s = 1.0;
+  retry.backoff_multiplier = 2.0;
+  retry.max_backoff_s = 60.0;
+  retry.jitter = jitter;
+  const Status status = retry.Validate();
+  SDS_CHECK(status.ok()) << status.ToString();
+  return retry;
+}
+
+// Random outages over the workload's horizon: nodes and the server fail at
+// `rate` per day and links at half that, for a day on average (at least two
+// hours); `zone_probability` makes a node outage take its subtree down.
+net::FaultInjectionConfig FaultInjection(const Workload& workload, double rate,
+                                         double zone_probability) {
+  net::FaultInjectionConfig config;
+  config.horizon_days = workload.clean_span() / kDay + 1.0;
+  config.node_failure_rate_per_day = rate;
+  config.link_failure_rate_per_day = rate / 2.0;
+  config.server_failure_rate_per_day = rate;
+  config.mean_outage_days = 1.0;
+  config.min_outage_days = 2.0 / 24.0;
+  config.zone_failure_probability = zone_probability;
+  return config;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // Figure 3
 // ---------------------------------------------------------------------------
 
@@ -181,25 +250,7 @@ Fig3Result RunFig3(const Workload& workload, uint32_t max_proxies,
     dissem::DisseminationResult tailored;
   };
   Fig3Result result;
-  // The training-side derivations (popularity, clientele tree, routes,
-  // eval filter) do not depend on the sweep point; build them once and
-  // share read-only across workers. In streaming mode the context is
-  // prepared from one pass over a clean cursor and each point replays the
-  // evaluation window from its own cursor, so no materialized trace is
-  // ever needed.
-  const bool streaming = workload.streaming();
-  dissem::PreparedDissemination prepared;
-  if (streaming) {
-    const auto cursor = workload.NewCleanCursor();
-    prepared = dissem::PrepareDisseminationStream(
-        workload.corpus(), workload.topology(), 0,
-        dissem::DisseminationConfig{}.train_fraction, workload.clean_span(),
-        cursor.get());
-  } else {
-    prepared = dissem::PrepareDissemination(
-        workload.corpus(), workload.clean(), workload.topology(), 0,
-        dissem::DisseminationConfig{}.train_fraction);
-  }
+  const dissem::PreparedDissemination prepared = PrepareServer0(workload);
   const auto points = SweepMap(
       max_proxies, options,
       [&](size_t index, Rng& rng) {
@@ -207,25 +258,14 @@ Fig3Result RunFig3(const Workload& workload, uint32_t max_proxies,
         config.num_proxies = static_cast<uint32_t>(index) + 1;
         config.placement = dissem::PlacementStrategy::kGreedy;
 
-        const auto cursor =
-            streaming ? workload.NewCleanCursor() : nullptr;
-        const auto simulate = [&](const dissem::DisseminationConfig& c,
-                                  Rng* rng_ptr) {
-          return streaming
-                     ? SimulateDisseminationStream(prepared, c, rng_ptr,
-                                                   &workload.updates(),
-                                                   cursor.get())
-                     : SimulateDissemination(prepared, c, rng_ptr,
-                                             &workload.updates());
-        };
         Point point;
         config.dissemination_fraction = 0.10;
-        point.top10 = simulate(config, &rng);
+        point.top10 = Simulate(workload, prepared, config, &rng);
         config.dissemination_fraction = 0.04;
-        point.top4 = simulate(config, &rng);
+        point.top4 = Simulate(workload, prepared, config, &rng);
         config.dissemination_fraction = 0.10;
         config.tailored_per_proxy = true;
-        point.tailored = simulate(config, &rng);
+        point.tailored = Simulate(workload, prepared, config, &rng);
         return point;
       },
       &result.sweep);
@@ -423,66 +463,30 @@ Fig7Result RunFig7(const Workload& workload,
   result.num_proxies = proxies;
   if (result.num_proxies.empty()) result.num_proxies = {1, 2, 4, 8};
 
-  const double horizon_days = workload.clean_span() / kDay + 1.0;
   const size_t cols = result.num_proxies.size();
   // The schedule stream is keyed by the row (rate) only, so every proxy
   // count of one row replays the same outages; the offset keeps it
   // disjoint from the per-point streams below.
   const uint64_t schedule_seed = Rng::Mix(options.seed ^ 0xfa177au);
-
-  net::RetryPolicy retry;
-  retry.max_attempts = 6;
-  retry.timeout_s = 5.0;
-  retry.base_backoff_s = 1.0;
-  retry.backoff_multiplier = 2.0;
-  retry.max_backoff_s = 60.0;
-  retry.jitter = 0.1;
-  const Status retry_status = retry.Validate();
-  SDS_CHECK(retry_status.ok()) << retry_status.ToString();
-
-  const bool streaming = workload.streaming();
-  dissem::PreparedDissemination prepared;
-  if (streaming) {
-    const auto cursor = workload.NewCleanCursor();
-    prepared = dissem::PrepareDisseminationStream(
-        workload.corpus(), workload.topology(), 0,
-        dissem::DisseminationConfig{}.train_fraction, workload.clean_span(),
-        cursor.get());
-  } else {
-    prepared = dissem::PrepareDissemination(
-        workload.corpus(), workload.clean(), workload.topology(), 0,
-        dissem::DisseminationConfig{}.train_fraction);
-  }
+  const net::RetryPolicy retry = FaultRetryPolicy(/*jitter=*/0.1);
+  const dissem::PreparedDissemination prepared = PrepareServer0(workload);
   result.cells = SweepMap(
       result.failure_rates.size() * cols, options,
       [&](size_t index, Rng& rng) {
         const size_t row = index / cols;
-        const double rate = result.failure_rates[row];
-
-        net::FaultInjectionConfig fault_config;
-        fault_config.horizon_days = horizon_days;
-        fault_config.node_failure_rate_per_day = rate;
-        fault_config.link_failure_rate_per_day = rate / 2.0;
-        fault_config.server_failure_rate_per_day = rate;
-        fault_config.mean_outage_days = 1.0;
-        fault_config.min_outage_days = 2.0 / 24.0;
         Rng schedule_rng = MakePointRng(schedule_seed, row);
         const net::FaultSchedule schedule = net::GenerateFaultSchedule(
-            workload.topology(), fault_config, &schedule_rng);
+            workload.topology(),
+            FaultInjection(workload, result.failure_rates[row],
+                           /*zone_probability=*/0.0),
+            &schedule_rng);
 
         dissem::DisseminationConfig config;
         config.num_proxies = result.num_proxies[index % cols];
         config.dissemination_fraction = 0.10;
         config.faults = &schedule;
         config.retry = retry;
-        if (streaming) {
-          const auto cursor = workload.NewCleanCursor();
-          return SimulateDisseminationStream(prepared, config, &rng,
-                                             &workload.updates(),
-                                             cursor.get());
-        }
-        return SimulateDissemination(prepared, config, &rng,
-                                     &workload.updates());
+        return Simulate(workload, prepared, config, &rng);
       },
       &result.sweep);
   return result;
@@ -572,40 +576,17 @@ Fig8Result RunFig8(const Workload& workload,
   result.levels = {Fig8Protection::kOff, Fig8Protection::kBreakers,
                    Fig8Protection::kFull};
 
-  const double horizon_days = workload.clean_span() / kDay + 1.0;
   const size_t cols = result.levels.size();
   // Row-keyed schedule stream, as in fig7: every protection stack of one
   // row replays the same (zone-correlated) outages, so the arms are
   // directly comparable.
   const uint64_t schedule_seed = Rng::Mix(options.seed ^ 0xf188e5u);
-
-  net::RetryPolicy retry;
-  retry.max_attempts = 6;
-  retry.timeout_s = 5.0;
-  retry.base_backoff_s = 1.0;
-  retry.backoff_multiplier = 2.0;
-  retry.max_backoff_s = 60.0;
   // No jitter: the arms of one row must differ only through their
   // protection stacks, not through per-arm backoff luck — with jitter on,
   // a request can straddle an outage edge in one arm and not another,
   // which drowns the per-rate availability ordering in noise.
-  retry.jitter = 0.0;
-  const Status retry_status = retry.Validate();
-  SDS_CHECK(retry_status.ok()) << retry_status.ToString();
-
-  const bool streaming = workload.streaming();
-  dissem::PreparedDissemination prepared;
-  if (streaming) {
-    const auto cursor = workload.NewCleanCursor();
-    prepared = dissem::PrepareDisseminationStream(
-        workload.corpus(), workload.topology(), 0,
-        dissem::DisseminationConfig{}.train_fraction, workload.clean_span(),
-        cursor.get());
-  } else {
-    prepared = dissem::PrepareDissemination(
-        workload.corpus(), workload.clean(), workload.topology(), 0,
-        dissem::DisseminationConfig{}.train_fraction);
-  }
+  const net::RetryPolicy retry = FaultRetryPolicy(/*jitter=*/0.0);
+  const dissem::PreparedDissemination prepared = PrepareServer0(workload);
 
   // Capacity calibration: per-request service cost is set so the home
   // server *alone* would run at kSoloLoad x capacity over the evaluation
@@ -634,19 +615,12 @@ Fig8Result RunFig8(const Workload& workload,
       result.failure_rates.size() * cols, options,
       [&](size_t index, Rng& rng) {
         const size_t row = index / cols;
-        const double rate = result.failure_rates[row];
-
-        net::FaultInjectionConfig fault_config;
-        fault_config.horizon_days = horizon_days;
-        fault_config.node_failure_rate_per_day = rate;
-        fault_config.link_failure_rate_per_day = rate / 2.0;
-        fault_config.server_failure_rate_per_day = rate;
-        fault_config.mean_outage_days = 1.0;
-        fault_config.min_outage_days = 2.0 / 24.0;
-        fault_config.zone_failure_probability = 0.3;
         Rng schedule_rng = MakePointRng(schedule_seed, row);
         const net::FaultSchedule schedule = net::GenerateFaultSchedule(
-            workload.topology(), fault_config, &schedule_rng);
+            workload.topology(),
+            FaultInjection(workload, result.failure_rates[row],
+                           /*zone_probability=*/0.3),
+            &schedule_rng);
 
         dissem::DisseminationConfig config;
         config.num_proxies = 8;
@@ -658,15 +632,7 @@ Fig8Result RunFig8(const Workload& workload,
         config.collect_service_times = true;
 
         Fig8Result::Cell cell;
-        if (streaming) {
-          const auto cursor = workload.NewCleanCursor();
-          cell.sim = SimulateDisseminationStream(prepared, config, &rng,
-                                                 &workload.updates(),
-                                                 cursor.get());
-        } else {
-          cell.sim = SimulateDissemination(prepared, config, &rng,
-                                           &workload.updates());
-        }
+        cell.sim = Simulate(workload, prepared, config, &rng);
         cell.scheduled_events = schedule.size();
         cell.availability = 1.0 - cell.sim.unavailable_fraction;
         cell.retry_amplification =
@@ -754,31 +720,10 @@ Fig9Result RunFig9(const Workload& workload,
   }
   const size_t cols = result.arms.size();
 
-  net::RetryPolicy retry;
-  retry.max_attempts = 6;
-  retry.timeout_s = 5.0;
-  retry.base_backoff_s = 1.0;
-  retry.backoff_multiplier = 2.0;
-  retry.max_backoff_s = 60.0;
   // No jitter: the arms of one row must differ only through their
   // selection/allocation policies, not through per-arm backoff luck.
-  retry.jitter = 0.0;
-  const Status retry_status = retry.Validate();
-  SDS_CHECK(retry_status.ok()) << retry_status.ToString();
-
-  const bool streaming = workload.streaming();
-  dissem::PreparedDissemination prepared;
-  if (streaming) {
-    const auto cursor = workload.NewCleanCursor();
-    prepared = dissem::PrepareDisseminationStream(
-        workload.corpus(), workload.topology(), 0,
-        dissem::DisseminationConfig{}.train_fraction, workload.clean_span(),
-        cursor.get());
-  } else {
-    prepared = dissem::PrepareDissemination(
-        workload.corpus(), workload.clean(), workload.topology(), 0,
-        dissem::DisseminationConfig{}.train_fraction);
-  }
+  const net::RetryPolicy retry = FaultRetryPolicy(/*jitter=*/0.0);
+  const dissem::PreparedDissemination prepared = PrepareServer0(workload);
 
   // One shared fault overlay for every faulted cell: the environment does
   // not depend on the row, so a single schedule keeps all faulted arms
@@ -786,15 +731,9 @@ Fig9Result RunFig9(const Workload& workload,
   // is a pure function of the seed, plus deterministic server-brownout
   // windows (every third evaluation day, 6 hours) — deterministic on both
   // the batch and streaming paths, unlike trace-derived brownouts.
-  const double horizon_days = workload.clean_span() / kDay + 1.0;
-  net::FaultInjectionConfig fault_config;
-  fault_config.horizon_days = horizon_days;
-  fault_config.node_failure_rate_per_day = 0.05;
-  fault_config.link_failure_rate_per_day = 0.025;
-  fault_config.server_failure_rate_per_day = 0.05;
-  fault_config.mean_outage_days = 1.0;
-  fault_config.min_outage_days = 2.0 / 24.0;
-  fault_config.zone_failure_probability = 0.3;
+  const net::FaultInjectionConfig fault_config =
+      FaultInjection(workload, /*rate=*/0.05, /*zone_probability=*/0.3);
+  const double horizon_days = fault_config.horizon_days;
   Rng schedule_rng = MakePointRng(Rng::Mix(options.seed ^ 0xf199baau), 0);
   net::FaultSchedule schedule = net::GenerateFaultSchedule(
       workload.topology(), fault_config, &schedule_rng);
@@ -832,15 +771,7 @@ Fig9Result RunFig9(const Workload& workload,
         }
 
         Fig9Result::Cell cell;
-        if (streaming) {
-          const auto cursor = workload.NewCleanCursor();
-          cell.sim = SimulateDisseminationStream(prepared, config, &rng,
-                                                 &workload.updates(),
-                                                 cursor.get());
-        } else {
-          cell.sim = SimulateDissemination(prepared, config, &rng,
-                                           &workload.updates());
-        }
+        cell.sim = Simulate(workload, prepared, config, &rng);
         cell.availability = 1.0 - cell.sim.unavailable_fraction;
         return cell;
       },

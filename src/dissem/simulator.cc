@@ -545,7 +545,6 @@ void DisseminationReplay::ApplyUpdatesThrough(long day) {
 
 void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
   if (!active_) return;
-  const net::Topology& topology = *prepared_.topology;
   const net::ProtectionConfig& protection = config_.protection;
   const net::RetryPolicy& retry = config_.retry;
   const size_t num_proxies = placement_.proxies.size();
@@ -570,8 +569,8 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
   ++replayed_requests_;
   replayed_bytes_ += bytes;
   obs::TsCount("dissem.eval_requests", r.time);
-  const bool sampled = journey_.Sample(k);
 
+  Outcome o;
   if (dynamic_) {
     // --- Baseline availability: a home-server-only client retrying the
     // server with the same policy. ---
@@ -664,10 +663,7 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
 
     SimTime when = r.time;
     size_t pos = 0;
-    int served_at = -1;  ///< Chain position that served, -1 = none.
-    uint32_t request_retries = 0;
-    double request_backoff = 0.0;
-    bool fast_failed = false;
+    o.served = false;
     for (uint32_t attempts = 0; attempts < retry.max_attempts;) {
       if (breakers_armed || admission_armed) {
         // Open breakers and admission-shed candidates reject instantly:
@@ -709,7 +705,7 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
             // with nowhere else to go — and fails fast from the second
             // attempt on.
             if (attempts > 0) {
-              fast_failed = true;
+              o.fast_failed = true;
               break;
             }
           } else {
@@ -734,89 +730,142 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
       ++attempts;
       if (up) {
         if (breakers_armed) breakers_[breaker_base + entity].RecordSuccess();
-        served_at = static_cast<int>(pos);
+        if (track_load) tracker_.RecordService(entity, when, bytes);
+        o.served = true;
+        o.overflow = capacity_blocked;
+        o.proxy = cand.proxy;
+        o.hops = cand.hops;
+        o.chain_depth = static_cast<uint32_t>(pos);
         break;
       }
       if (track_load && reachable) tracker_.RecordOverhead(entity, when);
       if (breakers_armed) breakers_[breaker_base + entity].RecordFailure(when);
       ++result_.retry_attempts;
       obs::TsCount("dissem.retry_attempts", when);
-      ++request_retries;
+      ++o.retries;
       if (attempts < retry.max_attempts) {
         // The budget caps the tail of the backoff ladder, never a
         // request's first failover hop: retry #1 is what reaches the
         // second candidate, and suppressing it turns servable requests
         // into failures.
-        if (budget_armed && request_retries > 1 &&
-            !retry_budget_.TryRetry(when)) {
+        if (budget_armed && o.retries > 1 && !retry_budget_.TryRetry(when)) {
           ++result_.retries_suppressed_by_budget;
           obs::TsCount("dissem.retries_suppressed_by_budget", when);
           result_.retry_wait_seconds += retry.timeout_s;
-          request_backoff += retry.timeout_s;
+          o.backoff_s += retry.timeout_s;
           break;
         }
         const double wait =
             retry.timeout_s + retry.BackoffBeforeRetry(attempts - 1, rng_);
         result_.retry_wait_seconds += wait;
-        request_backoff += wait;
+        o.backoff_s += wait;
         when += wait;
       } else {
         result_.retry_wait_seconds += retry.timeout_s;
-        request_backoff += retry.timeout_s;
+        o.backoff_s += retry.timeout_s;
       }
       pos = (pos + 1) % chain.size();
     }
+  } else {
+    result_.baseline_bytes_hops += bytes * plan.hops_to_server;
 
-    if (served_at < 0) {
-      if (fast_failed) ++result_.fast_failed_requests;
-      ++result_.unavailable_requests;
-      unavailable_bytes_ += bytes;
-      obs::TsCount("dissem.unavailable_requests", r.time);
-      obs::FlightRecord(k, "dissem.request",
-                        fast_failed ? "fast_failed" : "unavailable", r.doc,
-                        bytes);
-      if (sampled) {
-        obs::JourneyRecord j;
-        j.request = k;
-        j.time_s = r.time;
-        j.client = r.client;
-        j.doc = r.doc;
-        j.served_by = obs::kServedByNone;
-        j.retries = request_retries;
-        j.backoff_s = request_backoff;
-        journey_.Record(j);
+    // Which proxy serves, and at how many hops. Legacy (selection_d = 1):
+    // the nearest on-route proxy iff it holds the document — no RNG draw.
+    // d-choice (selection_d >= 2): sample up to d holders no farther than
+    // the home server and serve from the least-loaded sampled holder.
+    // Not the chain head: it picks farther holders and overflows differently.
+    o.hops = plan.hops_to_server;
+    if (config_.selection_d >= 2) {
+      dchoice_pool_.clear();
+      bool capacity_blocked = false;
+      const auto consider = [&](int p, uint32_t hops) {
+        if (!stores_[p].Contains(r.doc)) return;
+        if (config_.proxy_daily_request_capacity > 0 &&
+            today_count_[p] >= config_.proxy_daily_request_capacity) {
+          capacity_blocked = true;
+          return;
+        }
+        dchoice_pool_.emplace_back(p, hops);
+      };
+      for (const auto& [p, hops] : plan.on_route) consider(p, hops);
+      for (const auto& [p, hops] : plan.off_route) {
+        if (hops <= plan.hops_to_server) consider(p, hops);
       }
-      return;
+      if (!dchoice_pool_.empty()) {
+        SampleIndices(dchoice_pool_.size(), config_.selection_d, rng_,
+                      &dchoice_idx_);
+        // Least-loaded sampled holder wins; ties break to fewer hops, then
+        // the lower proxy index.
+        int best = -1;
+        uint32_t best_hops = 0;
+        uint64_t best_load = 0;
+        for (const uint32_t i : dchoice_idx_) {
+          const auto& [p, hops] = dchoice_pool_[i];
+          const uint64_t load = result_.proxy_requests[p];
+          if (best < 0 || load < best_load ||
+              (load == best_load &&
+               (hops < best_hops || (hops == best_hops && p < best)))) {
+            best = p;
+            best_hops = hops;
+            best_load = load;
+          }
+        }
+        o.proxy = best;
+        o.hops = best_hops;
+      } else {
+        o.overflow = capacity_blocked;
+      }
+    } else if (plan.proxy_index >= 0 &&
+               stores_[plan.proxy_index].Contains(r.doc)) {
+      if (config_.proxy_daily_request_capacity == 0 ||
+          today_count_[plan.proxy_index] <
+              config_.proxy_daily_request_capacity) {
+        o.proxy = plan.proxy_index;
+        o.hops = plan.hops_to_proxy;
+      } else {
+        o.overflow = true;
+      }
     }
-    obs::Observe("dissem.failover_chain_depth",
-                 static_cast<double>(served_at));
-    const Candidate& winner = chain[served_at];
-    if (track_load) {
-      tracker_.RecordService(entity_of(winner), when, bytes);
+  }
+  Record(k, r, o);
+}
+
+void DisseminationReplay::Record(size_t k, const EvalRecord& r,
+                                 const Outcome& o) {
+  const double bytes = static_cast<double>(r.bytes);
+  if (!o.served) {
+    if (o.fast_failed) ++result_.fast_failed_requests;
+    ++result_.unavailable_requests;
+    unavailable_bytes_ += bytes;
+    obs::TsCount("dissem.unavailable_requests", r.time);
+    obs::FlightRecord(k, "dissem.request",
+                      o.fast_failed ? "fast_failed" : "unavailable", r.doc,
+                      bytes);
+  } else {
+    if (dynamic_) {
+      obs::Observe("dissem.failover_chain_depth",
+                   static_cast<double>(o.chain_depth));
     }
     result_.served_bytes += bytes;
     if (config_.collect_service_times) {
-      service_times_.push_back(
-          ServiceTimeS(request_backoff, bytes, winner.hops));
+      service_times_.push_back(ServiceTimeS(o.backoff_s, bytes, o.hops));
     }
-    result_.with_proxies_bytes_hops += bytes * winner.hops;
-    obs::TsCount("dissem.with_proxies_bytes_hops", r.time,
-                 bytes * winner.hops);
-    if (served_at != 0) {
+    result_.with_proxies_bytes_hops += bytes * o.hops;
+    obs::TsCount("dissem.with_proxies_bytes_hops", r.time, bytes * o.hops);
+    if (o.chain_depth != 0) {
       ++result_.failover_requests;
       obs::TsCount("dissem.failover_requests", r.time);
-      result_.degraded_bytes_hops += bytes * winner.hops;
-      obs::TsCount("dissem.degraded_bytes_hops", r.time, bytes * winner.hops);
+      result_.degraded_bytes_hops += bytes * o.hops;
+      obs::TsCount("dissem.degraded_bytes_hops", r.time, bytes * o.hops);
     }
-    if (winner.proxy >= 0) {
-      ++today_count_[winner.proxy];
-      ++result_.proxy_requests[winner.proxy];
+    if (o.proxy >= 0) {
+      ++today_count_[o.proxy];
+      ++result_.proxy_requests[o.proxy];
       ++proxy_served_;
-      obs::FlightRecord(k, "dissem.request", "proxy_hit", winner.proxy,
-                        bytes);
+      obs::FlightRecord(k, "dissem.request", "proxy_hit", o.proxy, bytes);
       if (obs::Enabled()) {
         const char* level = ProxyHitLevelName(
-            topology.depth(placement_.proxies[winner.proxy]));
+            prepared_.topology->depth(placement_.proxies[o.proxy]));
         obs::Count(level);
         obs::TsCount(level, r.time);
         obs::TsCount("dissem.proxy_hits", r.time);
@@ -825,9 +874,11 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
         ++result_.stale_proxy_requests;
         obs::TsCount("dissem.stale_proxy_requests", r.time);
       }
-    } else if (capacity_blocked) {
+    } else if (o.overflow) {
       // Shielding overflow: the proxy copy existed but the daily budget
-      // was spent, so the home server absorbed the request.
+      // was spent, so the home server absorbed the request. It stays out
+      // of server_requests, so proxy + server + overflow + unavailable ==
+      // evaluated requests.
       ++result_.shielding_overflow_requests;
       obs::TsCount("dissem.shielding_overflow_requests", r.time);
       obs::FlightRecord(k, "dissem.request", "overflow", r.doc, bytes);
@@ -836,138 +887,24 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
       obs::TsCount("dissem.server_requests", r.time);
       obs::FlightRecord(k, "dissem.request", "server", r.doc, bytes);
     }
-    if (sampled) {
-      obs::JourneyRecord j;
-      j.request = k;
-      j.time_s = r.time;
-      j.client = r.client;
-      j.doc = r.doc;
-      j.served_by = winner.proxy >= 0 ? winner.proxy : obs::kServedByServer;
-      j.hops = winner.hops;
-      j.failover_depth = static_cast<uint32_t>(served_at);
-      j.retries = request_retries;
-      j.backoff_s = request_backoff;
-      j.response_bytes = bytes;
-      journey_.Record(j);
-    }
-    return;
   }
-
-  result_.baseline_bytes_hops += bytes * plan.hops_to_server;
-
-  // Which proxy serves, and at how many hops. Legacy (selection_d = 1):
-  // the nearest on-route proxy iff it holds the document — no RNG draw.
-  // d-choice (selection_d >= 2): sample up to d holders no farther than
-  // the home server and serve from the least-loaded sampled holder.
-  int serving_proxy = -1;
-  uint32_t serving_hops = plan.hops_to_server;
-  bool overflowed = false;
-  if (config_.selection_d >= 2) {
-    dchoice_pool_.clear();
-    bool capacity_blocked = false;
-    const auto consider = [&](int p, uint32_t hops) {
-      if (!stores_[p].Contains(r.doc)) return;
-      if (config_.proxy_daily_request_capacity > 0 &&
-          today_count_[p] >= config_.proxy_daily_request_capacity) {
-        capacity_blocked = true;
-        return;
-      }
-      dchoice_pool_.emplace_back(p, hops);
-    };
-    for (const auto& [p, hops] : plan.on_route) consider(p, hops);
-    for (const auto& [p, hops] : plan.off_route) {
-      if (hops <= plan.hops_to_server) consider(p, hops);
-    }
-    if (!dchoice_pool_.empty()) {
-      SampleIndices(dchoice_pool_.size(), config_.selection_d, rng_,
-                    &dchoice_idx_);
-      // Least-loaded sampled holder wins; ties break to fewer hops, then
-      // the lower proxy index.
-      int best = -1;
-      uint32_t best_hops = 0;
-      uint64_t best_load = 0;
-      for (const uint32_t i : dchoice_idx_) {
-        const auto& [p, hops] = dchoice_pool_[i];
-        const uint64_t load = result_.proxy_requests[p];
-        if (best < 0 || load < best_load ||
-            (load == best_load &&
-             (hops < best_hops || (hops == best_hops && p < best)))) {
-          best = p;
-          best_hops = hops;
-          best_load = load;
-        }
-      }
-      serving_proxy = best;
-      serving_hops = best_hops;
-      ++today_count_[serving_proxy];
-    } else if (capacity_blocked) {
-      overflowed = true;
-      ++result_.shielding_overflow_requests;
-      obs::TsCount("dissem.shielding_overflow_requests", r.time);
-    }
-  } else if (plan.proxy_index >= 0 &&
-             stores_[plan.proxy_index].Contains(r.doc)) {
-    if (config_.proxy_daily_request_capacity == 0 ||
-        today_count_[plan.proxy_index] <
-            config_.proxy_daily_request_capacity) {
-      serving_proxy = plan.proxy_index;
-      serving_hops = plan.hops_to_proxy;
-      ++today_count_[plan.proxy_index];
-    } else {
-      overflowed = true;
-      ++result_.shielding_overflow_requests;
-      obs::TsCount("dissem.shielding_overflow_requests", r.time);
-    }
-  }
-  const bool served_by_proxy = serving_proxy >= 0;
-  result_.served_bytes += bytes;
-  if (config_.collect_service_times) {
-    service_times_.push_back(ServiceTimeS(0.0, bytes, serving_hops));
-  }
-  if (served_by_proxy) {
-    result_.with_proxies_bytes_hops += bytes * serving_hops;
-    obs::TsCount("dissem.with_proxies_bytes_hops", r.time,
-                 bytes * serving_hops);
-    ++result_.proxy_requests[serving_proxy];
-    ++proxy_served_;
-    obs::FlightRecord(k, "dissem.request", "proxy_hit", serving_proxy,
-                      bytes);
-    if (obs::Enabled()) {
-      const char* level = ProxyHitLevelName(
-          topology.depth(placement_.proxies[serving_proxy]));
-      obs::Count(level);
-      obs::TsCount(level, r.time);
-      obs::TsCount("dissem.proxy_hits", r.time);
-    }
-    if (last_update_day_[r.doc] > dissemination_day_) {
-      ++result_.stale_proxy_requests;
-      obs::TsCount("dissem.stale_proxy_requests", r.time);
-    }
-  } else {
-    // Served by the home server at full hop cost; overflowed requests
-    // stay in shielding_overflow_requests (not server_requests), so
-    // proxy + server + overflow == evaluated requests.
-    result_.with_proxies_bytes_hops += bytes * plan.hops_to_server;
-    obs::TsCount("dissem.with_proxies_bytes_hops", r.time,
-                 bytes * plan.hops_to_server);
-    if (!overflowed) {
-      ++result_.server_requests;
-      obs::TsCount("dissem.server_requests", r.time);
-    }
-    obs::FlightRecord(k, "dissem.request", overflowed ? "overflow" : "server",
-                      r.doc, bytes);
-  }
-  if (sampled) {
-    obs::JourneyRecord j;
-    j.request = k;
-    j.time_s = r.time;
-    j.client = r.client;
-    j.doc = r.doc;
-    j.served_by = served_by_proxy ? serving_proxy : obs::kServedByServer;
-    j.hops = serving_hops;
+  if (!journey_.Sample(k)) return;
+  obs::JourneyRecord j;
+  j.request = k;
+  j.time_s = r.time;
+  j.client = r.client;
+  j.doc = r.doc;
+  j.served_by = !o.served     ? obs::kServedByNone
+                : o.proxy >= 0 ? o.proxy
+                               : obs::kServedByServer;
+  j.retries = o.retries;
+  j.backoff_s = o.backoff_s;
+  if (o.served) {
+    j.hops = o.hops;
+    j.failover_depth = o.chain_depth;
     j.response_bytes = bytes;
-    journey_.Record(j);
   }
+  journey_.Record(j);
 }
 
 DisseminationResult DisseminationReplay::Finish() {

@@ -353,10 +353,28 @@ class DisseminationReplay {
   DisseminationResult Finish();
 
  private:
+  /// Where one evaluated request went, as decided by the fault-free
+  /// selection or the failover walk.
+  struct Outcome {
+    bool served = true;
+    bool fast_failed = false;  ///< Unserved: every candidate was blocked.
+    /// Home-served because a holder of the document was at its daily
+    /// capacity (shielding overflow).
+    bool overflow = false;
+    int proxy = -1;  ///< Serving proxy, -1 = home server.
+    uint32_t hops = 0;
+    uint32_t chain_depth = 0;  ///< Failover-chain position that served.
+    uint32_t retries = 0;
+    double backoff_s = 0.0;
+  };
+
   bool ServerReachable(net::NodeId client_node, SimTime when) const;
   bool ProxyReachable(net::NodeId client_node, int p, SimTime when) const;
   double ServiceTimeS(double waits, double bytes, uint32_t hops) const;
   void ApplyUpdatesThrough(long day);
+  /// The only writer of a request's outcome: result fields, time series,
+  /// flight event and sampled journey.
+  void Record(size_t k, const EvalRecord& r, const Outcome& o);
 
   obs::SpanGuard run_span_;
   obs::JourneyRun journey_;

@@ -4,8 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <mutex>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/export.h"
@@ -187,42 +190,56 @@ struct Shard {
   }
 };
 
-void MergeShardInto(const Shard& shard, MetricsSnapshot* snapshot) {
+/// Totals per (name, point). Names are keyed by string, so literals with
+/// equal text from different translation units merge.
+using NamePoint = std::pair<std::string, int64_t>;
+struct PointTotals {
+  std::map<NamePoint, double> counters;
+  std::map<NamePoint, double> gauges;
+  std::map<NamePoint, DistData> dists;
+};
+
+void MergeShardInto(const Shard& shard, PointTotals* totals) {
   for (const auto& [key, value] : shard.counters) {
-    snapshot->counters[key.name] += value;
-    if (key.point != kNoPoint) {
-      snapshot->point_counters[key.point][key.name] += value;
-    }
+    totals->counters[{key.name, key.point}] += value;
   }
   for (const auto& [key, value] : shard.gauges) {
-    auto [it, inserted] = snapshot->gauges.emplace(key.name, value);
+    auto [it, inserted] = totals->gauges.emplace(
+        NamePoint{key.name, key.point}, value);
     if (!inserted && value > it->second) it->second = value;
   }
   for (const auto& [key, dist] : shard.dists) {
-    snapshot->distributions[key.name].Merge(dist);
+    totals->dists[{key.name, key.point}].Merge(dist);
   }
 }
 
-void MergeSnapshotInto(const MetricsSnapshot& from, MetricsSnapshot* into) {
-  for (const auto& [name, value] : from.counters) into->counters[name] += value;
-  for (const auto& [name, value] : from.gauges) {
-    auto [it, inserted] = into->gauges.emplace(name, value);
+/// Rolls the per-point totals up in (name, point) order. A sweep point
+/// records on one thread, so every (name, point) total is the same at any
+/// worker count, and folding them in a fixed order keeps the rolled-up
+/// floating-point sums bit-identical too.
+MetricsSnapshot FoldTotals(const PointTotals& totals) {
+  MetricsSnapshot snapshot;
+  for (const auto& [key, value] : totals.counters) {
+    snapshot.counters[key.first] += value;
+    if (key.second != kNoPoint) {
+      snapshot.point_counters[key.second][key.first] += value;
+    }
+  }
+  for (const auto& [key, value] : totals.gauges) {
+    auto [it, inserted] = snapshot.gauges.emplace(key.first, value);
     if (!inserted && value > it->second) it->second = value;
   }
-  for (const auto& [name, dist] : from.distributions) {
-    into->distributions[name].Merge(dist);
+  for (const auto& [key, dist] : totals.dists) {
+    snapshot.distributions[key.first].Merge(dist);
   }
-  for (const auto& [point, counters_at_point] : from.point_counters) {
-    auto& dest = into->point_counters[point];
-    for (const auto& [name, value] : counters_at_point) dest[name] += value;
-  }
+  return snapshot;
 }
 
 struct Registry {
   std::mutex mutex;
   std::vector<Shard*> live;
-  /// Accumulated shards of exited threads, merged by name string.
-  MetricsSnapshot retired;
+  /// Accumulated shards of exited threads.
+  PointTotals retired;
 };
 
 /// Leaked on purpose: thread_local shard destructors (including the main
@@ -293,16 +310,15 @@ int64_t CurrentPoint() { return tls_point; }
 MetricsSnapshot SnapshotMetrics() {
   Registry& registry = GlobalRegistry();
   std::lock_guard<std::mutex> lock(registry.mutex);
-  MetricsSnapshot snapshot;
-  MergeSnapshotInto(registry.retired, &snapshot);
-  for (const Shard* shard : registry.live) MergeShardInto(*shard, &snapshot);
-  return snapshot;
+  PointTotals totals = registry.retired;
+  for (const Shard* shard : registry.live) MergeShardInto(*shard, &totals);
+  return FoldTotals(totals);
 }
 
 void ResetMetrics() {
   Registry& registry = GlobalRegistry();
   std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.retired = MetricsSnapshot{};
+  registry.retired = PointTotals{};
   for (Shard* shard : registry.live) shard->Clear();
 }
 

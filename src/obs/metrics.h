@@ -19,7 +19,9 @@ namespace sds::obs {
 /// thread accumulates into a private shard (open hash keyed by the name
 /// pointer, no locks); shards merge into a global accumulator under a
 /// mutex when their thread exits, which is exactly the sweep-join point
-/// for `core::RunSweep` workers.
+/// for `core::RunSweep` workers. Accumulation stays per (name, point) up
+/// to the snapshot, which rolls the totals up in (name, point) order: a
+/// snapshot is bit-identical at any worker count.
 ///
 /// Names must be string literals (they are kept by pointer and resolved
 /// to strings only at snapshot time; duplicates across translation units

@@ -359,7 +359,6 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
   ++totals_.client_requests;
   obs::TsCount("spec.client_requests", now);
   totals_.requested_bytes += static_cast<double>(size);
-  const bool sampled = journey_.Sample(i);
 
   if (cache.Contains(doc)) {
     ++totals_.cache_hits;
@@ -371,50 +370,28 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
       obs::FlightRecord(i, "spec.request", "cache_hit", doc);
     }
     cache.MarkUsed(doc);
-    if (sampled) {
-      obs::JourneyRecord j;
-      j.request = i;
-      j.time_s = now;
-      j.client = client;
-      j.doc = doc;
-      j.served_by = obs::kServedByCache;
-      journey_.Record(j);
-    }
+    RecordJourney(i, rec, {.served_by = obs::kServedByCache});
     return;  // zero-latency cache hit, no server involvement
   }
 
   // Cache miss: the request tries to reach the server. During a server
   // outage the client retries with backoff; if every attempt finds the
   // server down, the request is lost (counted unavailable, never served).
-  uint32_t request_retries = 0;
-  double request_backoff = 0.0;
+  Outcome o;
   if (budget_armed_) retry_budget_.RecordRequest(now);
   if (breakers_armed_ && !breakers_[server].AllowRequest(now)) {
     // Open breaker: the miss fails fast without burning a timeout, and
     // the struggling server sees no traffic at all from it.
     ++totals_.breaker_fast_fails;
-    ++totals_.unavailable_requests;
-    obs::TsCount("spec.unavailable_requests", now);
-    obs::FlightRecord(i, "spec.request", "breaker_fast_fail", doc);
-    totals_.miss_bytes += static_cast<double>(size);
-    if (sampled) {
-      obs::JourneyRecord j;
-      j.request = i;
-      j.time_s = now;
-      j.client = client;
-      j.doc = doc;
-      j.served_by = obs::kServedByNone;
-      journey_.Record(j);
-    }
+    RecordUnavailable(i, rec, "breaker_fast_fail", o);
     return;
   }
   if (faulty_ && config.faults->ServerDown(server, now)) {
     SimTime when = now;
-    double waited = 0.0;
     bool reached = false;
     ++totals_.retry_attempts;  // the initial attempt timed out
     obs::TsCount("spec.retry_attempts", now);
-    ++request_retries;
+    ++o.retries;
     if (breakers_armed_) breakers_[server].RecordFailure(now);
     for (uint32_t attempt = 1; attempt < config.retry.max_attempts;
          ++attempt) {
@@ -426,7 +403,7 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
       const double wait =
           config.retry.timeout_s +
           config.retry.BackoffBeforeRetry(attempt - 1, &retry_rng_);
-      waited += wait;
+      o.backoff_s += wait;
       when += wait;
       if (!config.faults->ServerDown(server, when)) {
         reached = true;
@@ -434,29 +411,13 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
       }
       ++totals_.retry_attempts;
       obs::TsCount("spec.retry_attempts", when);
-      ++request_retries;
+      ++o.retries;
       if (breakers_armed_) breakers_[server].RecordFailure(when);
     }
-    if (!reached) waited += config.retry.timeout_s;
-    totals_.retry_wait_seconds += waited;
-    request_backoff = waited;
+    if (!reached) o.backoff_s += config.retry.timeout_s;
+    totals_.retry_wait_seconds += o.backoff_s;
     if (!reached) {
-      ++totals_.unavailable_requests;
-      obs::TsCount("spec.unavailable_requests", now);
-      obs::FlightRecord(i, "spec.request", "unavailable", doc,
-                        request_backoff);
-      totals_.miss_bytes += static_cast<double>(size);
-      if (sampled) {
-        obs::JourneyRecord j;
-        j.request = i;
-        j.time_s = now;
-        j.client = client;
-        j.doc = doc;
-        j.served_by = obs::kServedByNone;
-        j.retries = request_retries;
-        j.backoff_s = request_backoff;
-        journey_.Record(j);
-      }
+      RecordUnavailable(i, rec, "unavailable", o);
       return;
     }
   }
@@ -479,8 +440,7 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
   obs::FlightRecord(i, "spec.request", degraded ? "served_degraded" : "served",
                     doc, static_cast<double>(size));
   totals_.miss_bytes += static_cast<double>(size);
-  double response_bytes = static_cast<double>(size);
-  uint32_t pushed_docs = 0;
+  o.response_bytes = static_cast<double>(size);
 
   if (degraded && model_ready_ &&
       (server_speculates_ || server_hints_)) {
@@ -508,13 +468,9 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
       if (cached && config.cooperative_clients) {
         continue;  // digest tells the server not to send it
       }
-      response_bytes += static_cast<double>(cand_size);
-      totals_.speculative_bytes += static_cast<double>(cand_size);
-      ++totals_.speculative_docs_sent;
-      obs::TsCount("spec.speculative_docs_sent", now);
-      obs::TsCount("spec.speculative_bytes", now,
-                   static_cast<double>(cand_size));
-      ++pushed_docs;
+      o.response_bytes += static_cast<double>(cand_size);
+      CountSpeculative(now, cand_size);
+      ++o.pushed_docs;
       if (cached) {
         // Blind duplicate push: pure waste.
         totals_.wasted_speculative_bytes +=
@@ -536,57 +492,25 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
     for (const auto& cand :
          SelectCandidates(ModelRow(doc), *corpus_, config.policy)) {
       if (cache.Contains(cand.doc)) continue;
-      const uint64_t cand_size = corpus_->doc(cand.doc).size_bytes;
-      ++totals_.server_requests;
-      obs::TsCount("spec.server_requests", now);
-      ++totals_.prefetch_requests;
-      totals_.bytes_sent += static_cast<double>(cand_size);
-      totals_.speculative_bytes += static_cast<double>(cand_size);
-      ++totals_.speculative_docs_sent;
-      obs::TsCount("spec.speculative_docs_sent", now);
-      obs::TsCount("spec.speculative_bytes", now,
-                   static_cast<double>(cand_size));
-      ++pushed_docs;
-      cache.Insert(cand.doc, cand_size, /*speculative=*/true);
-      obs::FlightRecord(i, "spec.hint", "prefetched", cand.doc,
-                        static_cast<double>(cand_size));
-      if (track_load_) {
-        tracker_.RecordService(server, now, static_cast<double>(cand_size));
-      }
-      if (server_events_ != nullptr) {
-        server_events_->push_back({now, static_cast<double>(cand_size)});
-      }
+      ++o.pushed_docs;
+      RecordPrefetch(i, "spec.hint", rec, cand.doc,
+                     corpus_->doc(cand.doc).size_bytes);
     }
   }
 
   if (server_events_ != nullptr) {
-    server_events_->push_back({now, response_bytes});
+    server_events_->push_back({now, o.response_bytes});
   }
-  if (track_load_) tracker_.RecordService(server, now, response_bytes);
-  totals_.bytes_sent += response_bytes;
+  if (track_load_) tracker_.RecordService(server, now, o.response_bytes);
+  totals_.bytes_sent += o.response_bytes;
   totals_.demand_bytes_sent += static_cast<double>(size);
-  const double service_time =
-      config.serv_cost +
-      config.comm_cost * (config.charge_speculative_latency
-                              ? response_bytes
-                              : static_cast<double>(size));
-  totals_.total_latency += service_time;
+  o.transfer_s = config.serv_cost +
+                 config.comm_cost * (config.charge_speculative_latency
+                                         ? o.response_bytes
+                                         : static_cast<double>(size));
+  totals_.total_latency += o.transfer_s;
   cache.Insert(doc, size, /*speculative=*/false);
-
-  if (sampled) {
-    obs::JourneyRecord j;
-    j.request = i;
-    j.time_s = now;
-    j.client = client;
-    j.doc = doc;
-    j.served_by = obs::kServedByServer;
-    j.retries = request_retries;
-    j.backoff_s = request_backoff;
-    j.pushed_docs = pushed_docs;
-    j.response_bytes = response_bytes;
-    j.transfer_s = service_time;
-    journey_.Record(j);
-  }
+  RecordJourney(i, rec, o);
 
   if (client_prefetches_ && !degraded) {
     // The client consults its own profile and fetches likely successors
@@ -601,29 +525,61 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
           cand_size > config.policy.max_size) {
         continue;
       }
-      ++totals_.server_requests;
-      obs::TsCount("spec.server_requests", now);
-      ++totals_.prefetch_requests;
-      totals_.bytes_sent += static_cast<double>(cand_size);
-      totals_.speculative_bytes += static_cast<double>(cand_size);
-      ++totals_.speculative_docs_sent;
-      obs::TsCount("spec.speculative_docs_sent", now);
-      obs::TsCount("spec.speculative_bytes", now,
-                   static_cast<double>(cand_size));
-      cache.Insert(cand.doc, cand_size, /*speculative=*/true);
-      obs::FlightRecord(i, "spec.prefetch", "prefetched", cand.doc,
-                        static_cast<double>(cand_size));
-      if (track_load_) {
-        tracker_.RecordService(server, now, static_cast<double>(cand_size));
-      }
-      if (server_events_ != nullptr) {
-        server_events_->push_back({now, static_cast<double>(cand_size)});
-      }
+      RecordPrefetch(i, "spec.prefetch", rec, cand.doc, cand_size);
     }
   }
   if (client_prefetches_) {
     profiles_[client].Observe(doc, now, config.dependency);
   }
+}
+
+void SpeculationReplay::CountSpeculative(SimTime now, uint64_t size) {
+  totals_.speculative_bytes += static_cast<double>(size);
+  ++totals_.speculative_docs_sent;
+  obs::TsCount("spec.speculative_docs_sent", now);
+  obs::TsCount("spec.speculative_bytes", now, static_cast<double>(size));
+}
+
+void SpeculationReplay::RecordPrefetch(size_t i, const char* stage,
+                                       const Record& rec,
+                                       trace::DocumentId doc, uint64_t size) {
+  const double bytes = static_cast<double>(size);
+  ++totals_.server_requests;
+  obs::TsCount("spec.server_requests", rec.time);
+  ++totals_.prefetch_requests;
+  totals_.bytes_sent += bytes;
+  CountSpeculative(rec.time, size);
+  caches_[rec.client].Insert(doc, size, /*speculative=*/true);
+  obs::FlightRecord(i, stage, "prefetched", doc, bytes);
+  if (track_load_) tracker_.RecordService(rec.server, rec.time, bytes);
+  if (server_events_ != nullptr) server_events_->push_back({rec.time, bytes});
+}
+
+void SpeculationReplay::RecordUnavailable(size_t i, const Record& rec,
+                                          const char* decision, Outcome o) {
+  ++totals_.unavailable_requests;
+  obs::TsCount("spec.unavailable_requests", rec.time);
+  obs::FlightRecord(i, "spec.request", decision, rec.doc, o.backoff_s);
+  totals_.miss_bytes += static_cast<double>(rec.size_bytes);
+  o.served_by = obs::kServedByNone;
+  RecordJourney(i, rec, o);
+}
+
+void SpeculationReplay::RecordJourney(size_t i, const Record& rec,
+                                      const Outcome& o) {
+  if (!journey_.Sample(i)) return;
+  obs::JourneyRecord j;
+  j.request = i;
+  j.time_s = rec.time;
+  j.client = rec.client;
+  j.doc = rec.doc;
+  j.served_by = o.served_by;
+  j.retries = o.retries;
+  j.backoff_s = o.backoff_s;
+  j.pushed_docs = o.pushed_docs;
+  j.response_bytes = o.response_bytes;
+  j.transfer_s = o.transfer_s;
+  journey_.Record(j);
 }
 
 RunTotals SpeculationReplay::Finish() {

@@ -292,10 +292,31 @@ class SpeculationReplay {
   RunTotals Finish();
 
  private:
+  /// How one client request ended, as its journey reports it.
+  struct Outcome {
+    int32_t served_by = obs::kServedByServer;
+    uint32_t retries = 0;
+    double backoff_s = 0.0;
+    uint32_t pushed_docs = 0;
+    double response_bytes = 0.0;
+    double transfer_s = 0.0;
+  };
+
   void RollDay(uint32_t day);
   /// The row of `doc` the policy consults: P* (or P without closure) of
   /// the current epoch.
   SparseProbMatrix::RowView ModelRow(trace::DocumentId doc);
+  /// Records a miss that never reached the server (`decision` names why).
+  void RecordUnavailable(size_t i, const Record& rec, const char* decision,
+                         Outcome o);
+  /// Records the journey of request `i`, if sampled.
+  void RecordJourney(size_t i, const Record& rec, const Outcome& o);
+  /// Counts one speculative document sent (pushed, hinted or prefetched).
+  void CountSpeculative(SimTime now, uint64_t size);
+  /// Accounts one background fetch of `doc` from the server (an accepted
+  /// hint or a client prefetch) into the client's cache.
+  void RecordPrefetch(size_t i, const char* stage, const Record& rec,
+                      trace::DocumentId doc, uint64_t size);
 
   obs::SpanGuard run_span_;
   obs::JourneyRun journey_;

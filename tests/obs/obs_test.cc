@@ -1,6 +1,9 @@
 #include "obs/metrics.h"
 
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -57,6 +60,46 @@ TEST_F(ObsTest, CounterGaugeDistributionRoundTrip) {
   EXPECT_DOUBLE_EQ(dist.min, 0.25);
   EXPECT_DOUBLE_EQ(dist.max, 4.0);
   EXPECT_DOUBLE_EQ(dist.mean(), 1.75);
+}
+
+TEST_F(ObsTest, SnapshotIsBitIdenticalAtAnyWorkerCount) {
+  // Non-integer values, whose floating-point sums depend on the order they
+  // are added in: the rolled-up counter and distribution must not depend
+  // on which worker ran which point or on when the workers exited. Each
+  // point sleeps briefly so that every worker gets a share of the points.
+  const auto run_at = [](uint32_t workers) {
+    ResetMetrics();
+    core::SweepMap(64, {.workers = workers, .seed = 7},
+                   [](size_t index, Rng& rng) {
+                     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                     for (int k = 0; k < 16; ++k) {
+                       const double v =
+                           rng.NextDouble() * 1e3 + 1.0 / (index + 3.0);
+                       Count("obs_test.weight", v);
+                       Observe("obs_test.weight_dist", v);
+                     }
+                     return 0;
+                   });
+    return SnapshotMetrics();
+  };
+  const MetricsSnapshot serial = run_at(1);
+  const MetricsSnapshot parallel = run_at(4);
+  ASSERT_EQ(serial.point_counters.size(), 64u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(serial.counters.at("obs_test.weight")),
+            std::bit_cast<uint64_t>(parallel.counters.at("obs_test.weight")));
+  for (const auto& [point, counters] : serial.point_counters) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(counters.at("obs_test.weight")),
+              std::bit_cast<uint64_t>(
+                  parallel.point_counters.at(point).at("obs_test.weight")))
+        << "point " << point;
+  }
+  const DistData& a = serial.distributions.at("obs_test.weight_dist");
+  const DistData& b = parallel.distributions.at("obs_test.weight_dist");
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.sum), std::bit_cast<uint64_t>(b.sum));
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.buckets, b.buckets);
 }
 
 TEST_F(ObsTest, DisabledRecordingIsDropped) {
