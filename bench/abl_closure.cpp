@@ -5,179 +5,16 @@
 /// (raw P). Also isolates the contribution of chains: how much of the
 /// speculation value comes from multi-hop inference.
 
-#include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/experiments.h"
 #include "core/sweep.h"
 #include "spec/closure.h"
-#include "spec/dependency.h"
 #include "spec/simulator.h"
 #include "util/rng.h"
 #include "util/table.h"
-
-namespace {
-
-/// Synthetic slow-drift workload for the maintenance arm (the §3.4
-/// continuous-operation regime: P is stable, so almost all per-cycle
-/// rebuild work is redundant). Documents form small clusters of
-/// interlinked pages; each doc's base activity recurs on a fixed day slot
-/// with period = the window length, so the day entering the window always
-/// carries the same base counts as the day leaving it — those rows go
-/// dirty but their probabilities are unchanged. On top of that, a few
-/// docs per day gain genuine extra traffic (the drift), changing their
-/// rows once on window entry and once on exit.
-struct DriftWorkload {
-  size_t num_docs = 0;
-  std::vector<sds::spec::DayCounts> days;
-  /// The hot set served every day (one doc per cluster).
-  std::vector<sds::trace::DocumentId> query_docs;
-};
-
-DriftWorkload MakeSlowDriftWorkload(bool smoke, uint32_t window) {
-  using namespace sds;
-  DriftWorkload w;
-  w.num_docs = smoke ? 400 : 4000;
-  const size_t days = 2 * window;
-  const uint32_t cluster = 16;
-  const size_t drift_per_day = smoke ? 4 : 8;
-  Rng rng(1234);
-  w.days.resize(days);
-  for (size_t d = 0; d < days; ++d) {
-    auto& dc = w.days[d];
-    // Base activity: every doc whose slot matches today's residue.
-    for (trace::DocumentId i = d % window; i < w.num_docs; i += window) {
-      const trace::DocumentId base = i - (i % cluster);
-      dc.occurrences.push_back({i, 40});
-      const uint32_t counts[3] = {20, 10, 5};
-      for (uint32_t k = 0; k < 3; ++k) {
-        const trace::DocumentId j = base + ((i - base + 1 + k) % cluster);
-        if (j == i) continue;
-        dc.pair_counts.push_back({spec::PairKey(i, j), counts[k]});
-      }
-    }
-    // Drift: a handful of docs gain real extra traffic today.
-    for (size_t r = 0; r < drift_per_day; ++r) {
-      const auto i =
-          static_cast<trace::DocumentId>(rng.NextBounded(w.num_docs));
-      const trace::DocumentId base = i - (i % cluster);
-      const trace::DocumentId j =
-          base + ((i - base + 1 + rng.NextBounded(cluster - 1)) % cluster);
-      if (j == i) continue;
-      dc.occurrences.push_back({i, 10});
-      dc.pair_counts.push_back({spec::PairKey(i, j), 8});
-    }
-    dc.Normalize();
-  }
-  for (trace::DocumentId i = 0; i < w.num_docs; i += cluster) {
-    w.query_docs.push_back(i);
-  }
-  return w;
-}
-
-/// The slow-drift maintenance arm: a window slides one day at a time over
-/// the synthetic day counts and the model serves the closure rows of the
-/// hot set every day — the work the update-cycle path does, isolated from
-/// trace replay. Batch rebuilds P and drops all cached P* rows every day;
-/// incremental applies the day's delta and keeps every row whose
-/// dirty-row frontier stays clear. Returns per-arm seconds and asserts
-/// the two arms' final matrices are bit-identical.
-struct SlowDriftResult {
-  double batch_s = 0.0;
-  double incremental_s = 0.0;
-  double rows_changed_per_cycle = 0.0;
-  double closure_rows_kept_fraction = 0.0;
-  bool identical = true;
-};
-
-SlowDriftResult RunSlowDrift(const DriftWorkload& workload,
-                             uint32_t history_days) {
-  using namespace sds;
-  const spec::DependencyConfig dep =
-      core::BaselineSpecConfig().dependency;
-  const spec::ClosureConfig closure_cfg = core::BaselineSpecConfig().closure;
-  const size_t num_docs = workload.num_docs;
-  const auto& deltas = workload.days;
-
-  SlowDriftResult result;
-
-  // Batch arm: a fresh epoch (full rebuild, no cached rows) each day.
-  spec::SparseProbMatrix batch_final;
-  {
-    spec::WindowedCounts counts(num_docs);
-    spec::ClosureScratch scratch;
-    std::optional<spec::ClosureEpoch> epoch;
-    const bench::Stopwatch watch;
-    for (size_t d = 0; d < deltas.size(); ++d) {
-      counts.Add(deltas[d]);
-      if (d >= history_days) counts.Remove(deltas[d - history_days]);
-      epoch.emplace(counts.BuildMatrix(dep), closure_cfg);
-      for (const trace::DocumentId doc : workload.query_docs) {
-        epoch->ClosureRow(doc, &scratch);
-      }
-    }
-    result.batch_s = watch.Seconds();
-    if (epoch) batch_final = epoch->matrix();
-  }
-
-  // Incremental arm: delta maintenance, selective invalidation.
-  spec::DeltaClosure model(closure_cfg);
-  {
-    spec::WindowedCounts counts(num_docs);
-    counts.EnableRowTracking();
-    const bench::Stopwatch watch;
-    for (size_t d = 0; d < deltas.size(); ++d) {
-      counts.Add(deltas[d]);
-      if (d >= history_days) counts.Remove(deltas[d - history_days]);
-      if (d == 0) {
-        counts.DrainDirtyRows();
-        model.Rebuild(counts.BuildMatrix(dep));
-      } else {
-        model.ApplyDelta(&counts, dep);
-      }
-      for (const trace::DocumentId doc : workload.query_docs) {
-        model.ClosureRow(doc);
-      }
-    }
-    result.incremental_s = watch.Seconds();
-  }
-
-  const auto& stats = model.stats();
-  if (stats.delta_cycles > 0) {
-    result.rows_changed_per_cycle =
-        static_cast<double>(stats.rows_changed) /
-        static_cast<double>(stats.delta_cycles);
-  }
-  const uint64_t kept_plus_dropped =
-      stats.closure_rows_kept + stats.closure_rows_dropped;
-  if (kept_plus_dropped > 0) {
-    result.closure_rows_kept_fraction =
-        static_cast<double>(stats.closure_rows_kept) /
-        static_cast<double>(kept_plus_dropped);
-  }
-
-  // Differential check: the two arms' final matrices must agree bitwise.
-  for (trace::DocumentId i = 0; i < num_docs && result.identical; ++i) {
-    const auto a = batch_final.Row(i);
-    const auto b = model.matrix().Row(i);
-    if (a.size() != b.size()) {
-      result.identical = false;
-      break;
-    }
-    for (size_t k = 0; k < a.size(); ++k) {
-      if (a[k].doc != b[k].doc || a[k].probability != b[k].probability) {
-        result.identical = false;
-        break;
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace sds;
@@ -241,35 +78,6 @@ int main(int argc, char** argv) {
   std::printf("the closure adds multi-hop candidates: more coverage than\n"
               "raw P at the same threshold; sum-product promotes targets\n"
               "reachable along many chains (embedding-heavy pages).\n\n");
-
-  // Slow-drift maintenance arm (ClosureMode::kIncremental vs kBatch): the
-  // update-cycle work in isolation, on a synthetic workload whose daily
-  // drift is a small fraction of the window (see MakeSlowDriftWorkload).
-  const uint32_t history =
-      bench_args.smoke ? 10u : core::BaselineSpecConfig().history_days;
-  const DriftWorkload drift_workload =
-      MakeSlowDriftWorkload(bench_args.smoke, history);
-  const SlowDriftResult drift = RunSlowDrift(drift_workload, history);
-  const double speedup = drift.incremental_s > 0.0
-                             ? drift.batch_s / drift.incremental_s
-                             : 0.0;
-  std::printf("slow-drift maintenance (%u-day window, %zu days, %zu docs):\n"
-              "  batch       %.3f s\n"
-              "  incremental %.3f s  (%.2fx, %.1f rows changed/cycle,\n"
-              "               %.1f%% closure rows kept, identical: %s)\n",
-              history, drift_workload.days.size(), drift_workload.num_docs,
-              drift.batch_s, drift.incremental_s, speedup,
-              drift.rows_changed_per_cycle,
-              100.0 * drift.closure_rows_kept_fraction,
-              drift.identical ? "yes" : "NO");
-  bench_report.Metric("slow_drift_batch_s", drift.batch_s);
-  bench_report.Metric("slow_drift_incremental_s", drift.incremental_s);
-  bench_report.Metric("slow_drift_incremental_speedup", speedup);
-  bench_report.Metric("slow_drift_rows_changed_per_cycle",
-                      drift.rows_changed_per_cycle);
-  bench_report.Metric("slow_drift_closure_rows_kept_fraction",
-                      drift.closure_rows_kept_fraction);
-  bench_report.Metric("slow_drift_identical", drift.identical ? 1.0 : 0.0);
 
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -28,11 +29,11 @@ inline void PrintHeader(const char* experiment, const char* paper_artifact) {
   std::printf("=====================================================\n");
 }
 
-/// Common bench command line: `--smoke` shrinks the workload/grid for CI,
-/// `--json` is accepted for symmetry with micro_kernels (every bench
-/// writes BENCH_<name>.json regardless). `--obs` turns the observability
+/// Common bench command line: `--smoke` shrinks the workload/grid for CI
+/// (every bench writes BENCH_<name>.json). `--obs` turns the observability
 /// layer on (metrics land in the report's "metrics" section). The output
-/// flags each take a file path and imply `--obs`:
+/// flags each take a file path and imply `--obs`; one given as the last
+/// argument, with no path, is an error (exit status 2):
 ///   --trace-out       stage-trace spans, legacy span JSON
 ///   --chrome-trace-out  Chrome trace-event JSON (Perfetto-loadable)
 ///   --timeseries-out  simulated-clock windowed counters, CSV
@@ -43,10 +44,10 @@ inline void PrintHeader(const char* experiment, const char* paper_artifact) {
 /// and end of run, a violation dumps the flight recorder and fails the
 /// bench. `--flightrec-out PATH` overrides the dump path (implies
 /// `--audit`). `--stream` generates the workload trace on the fly instead
-/// of materialising it. Unknown flags are ignored.
+/// of materialising it. Unknown flags, such as micro_kernels' `--json`, are
+/// ignored.
 struct BenchArgs {
   bool smoke = false;
-  bool json = false;
   bool obs = false;
   bool audit = false;
   bool stream = false;
@@ -62,14 +63,17 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
   const auto path_flag = [&](int* i, const char* flag,
                              std::string* out) -> bool {
-    if (std::strcmp(argv[*i], flag) != 0 || *i + 1 >= argc) return false;
+    if (std::strcmp(argv[*i], flag) != 0) return false;
+    if (*i + 1 >= argc) {
+      std::fprintf(stderr, "error: %s needs a path\n", flag);
+      std::exit(2);
+    }
     *out = argv[++*i];
     args.obs = true;
     return true;
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) args.smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0) args.json = true;
     if (std::strcmp(argv[i], "--obs") == 0) args.obs = true;
     if (std::strcmp(argv[i], "--audit") == 0) args.audit = true;
     if (std::strcmp(argv[i], "--stream") == 0) args.stream = true;

@@ -29,33 +29,6 @@ int main(int argc, char** argv) {
   std::printf("%s\n", result.ToTable().ToAlignedString().c_str());
   std::printf("%s\n\n", result.sweep.Summary().c_str());
 
-  // Incremental arm: the same grid under ClosureMode::kIncremental. The
-  // table must be bit-identical; the report records both wall times so
-  // CI diffs surface maintenance-cost regressions.
-  const core::ExpUpdateCycleResult incremental = bench_report.Stage(
-      "run_incremental", [&] {
-        return core::RunExpUpdateCycle(workload, 0.25, {},
-                                       spec::ClosureMode::kIncremental);
-      });
-  bool identical = result.rows.size() == incremental.rows.size();
-  for (size_t i = 0; identical && i < result.rows.size(); ++i) {
-    const auto& a = result.rows[i].metrics;
-    const auto& b = incremental.rows[i].metrics;
-    identical = a.bandwidth_ratio == b.bandwidth_ratio &&
-                a.server_load_ratio == b.server_load_ratio &&
-                a.service_time_ratio == b.service_time_ratio &&
-                a.miss_rate_ratio == b.miss_rate_ratio;
-  }
-  std::printf("incremental arm: wall %.3f s (batch %.3f s), "
-              "bit-identical: %s\n\n",
-              incremental.sweep.wall_seconds, result.sweep.wall_seconds,
-              identical ? "yes" : "NO");
-  bench_report.Metric("incremental_wall_s",
-                      incremental.sweep.wall_seconds);
-  bench_report.Metric("incremental_serial_s",
-                      incremental.sweep.serial_seconds);
-  bench_report.Metric("incremental_identical", identical ? 1.0 : 0.0);
-
   std::printf("paper: D=7 degrades ~3%% absolute, D=60 ~7%% (vs D=1);\n"
               "       D'=30 improves ~5%% over D'=60.\n");
   bench_report.Metric("total_s", bench_total.Seconds());

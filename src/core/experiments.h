@@ -149,12 +149,9 @@ struct Fig5Result {
   Table ToFig6Table() const;  ///< Figure 6: reductions vs extra traffic.
 };
 
-/// `closure_mode` selects how each sweep point maintains P/P* across
-/// update cycles; results are bit-identical for either mode.
 Fig5Result RunFig5(const Workload& workload,
                    const std::vector<double>& tps = {},
-                   const SweepOptions& options = {},
-                   spec::ClosureMode closure_mode = spec::ClosureMode::kBatch);
+                   const SweepOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // Figure 7 — availability under fault injection (this reproduction's
@@ -333,10 +330,9 @@ struct ExpUpdateCycleResult {
   Table ToTable() const;
 };
 
-ExpUpdateCycleResult RunExpUpdateCycle(
-    const Workload& workload, double tp = 0.25,
-    const SweepOptions& options = {},
-    spec::ClosureMode closure_mode = spec::ClosureMode::kBatch);
+ExpUpdateCycleResult RunExpUpdateCycle(const Workload& workload,
+                                       double tp = 0.25,
+                                       const SweepOptions& options = {});
 
 /// E2: effect of MaxSize at a fixed T_p.
 struct ExpMaxSizeResult {

@@ -116,43 +116,6 @@ void SparseProbMatrix::SortRows() {
   }
 }
 
-void SparseProbMatrix::ReplaceRows(
-    std::span<const trace::DocumentId> row_ids,
-    std::span<const std::vector<Entry>> new_rows) {
-  SDS_CHECK(row_ids.size() == new_rows.size());
-  if (row_ids.empty()) {
-    SortRows();
-    return;
-  }
-  SortRows();  // no-op when already finalised
-  size_t total = entries_.size();
-  for (size_t k = 0; k < row_ids.size(); ++k) {
-    const trace::DocumentId row = row_ids[k];
-    SDS_CHECK(row < num_docs_) << "row out of range";
-    SDS_CHECK(k == 0 || row_ids[k - 1] < row) << "rows not ascending/unique";
-    total -= offsets_[row + 1] - offsets_[row];
-    total += new_rows[k].size();
-  }
-  std::vector<uint32_t> offsets(num_docs_ + 1, 0);
-  std::vector<Entry> entries;
-  entries.reserve(total);
-  size_t next = 0;  // next pending replacement in row_ids
-  for (trace::DocumentId i = 0; i < num_docs_; ++i) {
-    offsets[i] = static_cast<uint32_t>(entries.size());
-    if (next < row_ids.size() && row_ids[next] == i) {
-      entries.insert(entries.end(), new_rows[next].begin(),
-                     new_rows[next].end());
-      ++next;
-    } else {
-      entries.insert(entries.end(), entries_.begin() + offsets_[i],
-                     entries_.begin() + offsets_[i + 1]);
-    }
-  }
-  offsets[num_docs_] = static_cast<uint32_t>(entries.size());
-  offsets_ = std::move(offsets);
-  entries_ = std::move(entries);
-}
-
 void DayCounts::Normalize() {
   NormalizeRun(&pair_counts);
   NormalizeRun(&occurrences);
@@ -307,13 +270,12 @@ std::vector<DayCounts> CountDailyDependenciesStream(
 
 void WindowedCounts::Add(const DayCounts& day) {
   for (const auto& [key, n] : day.pair_counts) {
-    RecordPair(static_cast<trace::DocumentId>(key >> 32), key, n);
+    pair_counts_[key] += n;
     total_pairs_ += n;
   }
   for (const auto& [doc, n] : day.occurrences) {
     if (doc >= occurrences_.size()) occurrences_.resize(doc + 1, 0);
     occurrences_[doc] += n;
-    MarkDirty(doc);
   }
 }
 
@@ -323,75 +285,12 @@ void WindowedCounts::Remove(const DayCounts& day) {
     SDS_CHECK(count != nullptr && *count >= n) << "window underflow";
     *count -= n;
     total_pairs_ -= n;
-    MarkDirty(static_cast<trace::DocumentId>(key >> 32));
   }
   for (const auto& [doc, n] : day.occurrences) {
     SDS_CHECK(doc < occurrences_.size() && occurrences_[doc] >= n)
         << "window underflow";
     occurrences_[doc] -= n;
-    MarkDirty(doc);
   }
-}
-
-void WindowedCounts::EnableRowTracking() {
-  if (track_rows_) return;
-  track_rows_ = true;
-  // Index any pairs already in the window so RebuildRow sees them; rows
-  // are not marked dirty retroactively (the caller rebuilds from scratch
-  // once before applying deltas).
-  pair_counts_.ForEach([&](uint64_t key, int64_t n) {
-    if (n == 0) return;
-    const trace::DocumentId row = static_cast<trace::DocumentId>(key >> 32);
-    if (row >= row_cols_.size()) row_cols_.resize(row + 1);
-    row_cols_[row].push_back(
-        static_cast<trace::DocumentId>(key & 0xffffffffu));
-  });
-}
-
-std::vector<trace::DocumentId> WindowedCounts::DrainDirtyRows() {
-  std::sort(dirty_rows_.begin(), dirty_rows_.end());
-  for (const trace::DocumentId row : dirty_rows_) dirty_flag_[row] = 0;
-  return std::exchange(dirty_rows_, {});
-}
-
-void WindowedCounts::RebuildRow(trace::DocumentId i,
-                                const DependencyConfig& config,
-                                std::vector<SparseProbMatrix::Entry>* out) {
-  SDS_CHECK(track_rows_) << "row tracking disabled";
-  out->clear();
-  if (i >= row_cols_.size()) return;
-  std::vector<trace::DocumentId>& cols = row_cols_[i];
-  if (++col_epoch_ == 0) {
-    std::fill(col_stamp_.begin(), col_stamp_.end(), 0u);
-    col_epoch_ = 1;
-  }
-  const int64_t occ = i < occurrences_.size() ? occurrences_[i] : 0;
-  size_t kept = 0;
-  for (const trace::DocumentId j : cols) {
-    if (j >= col_stamp_.size()) col_stamp_.resize(j + 1, 0);
-    if (col_stamp_[j] == col_epoch_) continue;  // duplicate column
-    col_stamp_[j] = col_epoch_;
-    const int64_t* n = pair_counts_.Find(PairKey(i, j));
-    if (n == nullptr || *n <= 0) continue;  // stale: drop from the index
-    cols[kept++] = j;
-    // From here on, mirror BuildMatrix exactly (same arithmetic, same
-    // float narrowing) so a rebuilt row is bit-identical to a from-scratch
-    // matrix row.
-    if (*n < config.min_support) continue;
-    if (occ == 0) continue;
-    const double p =
-        std::min(1.0, static_cast<double>(*n) / static_cast<double>(occ));
-    if (p < config.min_probability) continue;
-    out->push_back({j, static_cast<float>(p)});
-  }
-  cols.resize(kept);
-  std::sort(out->begin(), out->end(),
-            [](const SparseProbMatrix::Entry& a,
-               const SparseProbMatrix::Entry& b) {
-              if (a.probability != b.probability)
-                return a.probability > b.probability;
-              return a.doc < b.doc;
-            });
 }
 
 SparseProbMatrix WindowedCounts::BuildMatrix(

@@ -68,16 +68,6 @@ class SparseProbMatrix {
   /// descending probability (ties by doc id).
   void SortRows();
 
-  /// Splices new contents for the given rows into the finalised CSR layout
-  /// (finalising first if needed): row `row_ids[k]` is replaced by
-  /// `new_rows[k]`, which must already be sorted by descending probability
-  /// (ties by doc id) — the SortRows() order. `row_ids` must be ascending
-  /// and unique. Every other row keeps its entries bit-identically, so a
-  /// matrix patched this way equals a from-scratch rebuild whose rows
-  /// differ only at `row_ids`. One O(entries) copy, no per-row sorts.
-  void ReplaceRows(std::span<const trace::DocumentId> row_ids,
-                   std::span<const std::vector<Entry>> new_rows);
-
   /// Total number of stored (i, j) entries.
   size_t NumEntries() const {
     return offsets_.empty() ? staging_.size() : entries_.size();
@@ -273,39 +263,14 @@ class WindowedCounts {
   void AddOccurrence(trace::DocumentId doc) {
     if (doc >= occurrences_.size()) occurrences_.resize(doc + 1, 0);
     ++occurrences_[doc];
-    MarkDirty(doc);
   }
   void AddPair(trace::DocumentId i, trace::DocumentId j) {
-    RecordPair(i, PairKey(i, j), 1);
+    ++pair_counts_[PairKey(i, j)];
     ++total_pairs_;
   }
 
   /// Builds P from the current window, applying the pruning thresholds.
   SparseProbMatrix BuildMatrix(const DependencyConfig& config) const;
-
-  // --- Per-cycle delta tracking (ClosureMode::kIncremental) -------------
-  //
-  // With tracking enabled, Add/Remove record which rows' pair or
-  // occurrence counts changed (a row's probabilities are a pure function
-  // of its pair counts and its occurrence denominator, so these are
-  // exactly the P rows that can differ from the previous BuildMatrix), and
-  // a per-row column index is maintained so single rows can be rebuilt
-  // without walking the whole pair table.
-
-  /// Turns on delta tracking. Call before the first Add; tracking is off
-  /// by default so batch estimation pays nothing for it.
-  void EnableRowTracking();
-  bool row_tracking() const { return track_rows_; }
-
-  /// Rows touched since the last drain, ascending and unique; clears the
-  /// dirty set.
-  std::vector<trace::DocumentId> DrainDirtyRows();
-
-  /// Rebuilds row `i` of P into `*out` (cleared first) with exactly the
-  /// arithmetic, pruning and entry order of BuildMatrix, using the per-row
-  /// column index. Requires row tracking; compacts the index as it goes.
-  void RebuildRow(trace::DocumentId i, const DependencyConfig& config,
-                  std::vector<SparseProbMatrix::Entry>* out);
 
   size_t num_docs() const { return num_docs_; }
   uint64_t total_pairs() const { return total_pairs_; }
@@ -319,43 +284,10 @@ class WindowedCounts {
   }
 
  private:
-  void MarkDirty(trace::DocumentId row) {
-    if (!track_rows_) return;
-    if (row >= dirty_flag_.size()) dirty_flag_.resize(row + 1, 0);
-    if (dirty_flag_[row]) return;
-    dirty_flag_[row] = 1;
-    dirty_rows_.push_back(row);
-  }
-  /// Adds `n` to a pair counter, maintaining the dirty set and the per-row
-  /// column index (a 0 -> positive transition may append a duplicate
-  /// column after a remove/re-add cycle; RebuildRow dedups).
-  void RecordPair(trace::DocumentId row, uint64_t key, int64_t n) {
-    int64_t& count = pair_counts_[key];
-    if (track_rows_) {
-      MarkDirty(row);
-      if (count == 0) {
-        if (row >= row_cols_.size()) row_cols_.resize(row + 1);
-        row_cols_[row].push_back(
-            static_cast<trace::DocumentId>(key & 0xffffffffu));
-      }
-    }
-    count += n;
-  }
-
   size_t num_docs_;
   PairTable<int64_t> pair_counts_;
   std::vector<int64_t> occurrences_;
   uint64_t total_pairs_ = 0;
-
-  bool track_rows_ = false;
-  /// Columns ever populated per row; may hold stale (count == 0) or
-  /// duplicate ids until RebuildRow compacts them.
-  std::vector<std::vector<trace::DocumentId>> row_cols_;
-  std::vector<trace::DocumentId> dirty_rows_;
-  std::vector<uint8_t> dirty_flag_;
-  /// Epoch-stamped per-column scratch for RebuildRow dedup.
-  std::vector<uint32_t> col_stamp_;
-  uint32_t col_epoch_ = 0;
 };
 
 /// \brief One-shot estimation of P over a whole trace interval

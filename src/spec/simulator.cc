@@ -148,11 +148,6 @@ SpeculationModel::SpeculationModel(size_t num_docs,
     return;
   }
   counts_.emplace(num_docs);
-  if (config.closure_mode == ClosureMode::kIncremental) {
-    SDS_CHECK(!keep_epochs) << "an incremental model is private";
-    counts_->EnableRowTracking();
-    delta_ = std::make_unique<DeltaClosure>(config.closure);
-  }
 }
 
 size_t SpeculationModel::epochs_built() const {
@@ -174,27 +169,13 @@ void SpeculationModel::FoldDay(long day) {
 }
 
 std::unique_ptr<const ClosureEpoch> SpeculationModel::BuildNext() {
-  const bool first = day_ == 0;
   do {
     FoldDay(day_++);
   } while (!RebuildsOn(day_, config_.update_cycle_days));
-  if (decayed_) {
-    return std::make_unique<ClosureEpoch>(
-        decayed_->BuildMatrix(config_.dependency), config_.closure);
-  }
-  if (delta_ == nullptr) {
-    return std::make_unique<ClosureEpoch>(
-        counts_->BuildMatrix(config_.dependency), config_.closure);
-  }
-  if (first) {
-    // Draining the dirty set makes the next ApplyDelta start from a clean
-    // slate that matches the matrix just built.
-    counts_->DrainDirtyRows();
-    delta_->Rebuild(counts_->BuildMatrix(config_.dependency));
-  } else {
-    delta_->ApplyDelta(&*counts_, config_.dependency);
-  }
-  return nullptr;
+  return std::make_unique<ClosureEpoch>(
+      decayed_ ? decayed_->BuildMatrix(config_.dependency)
+               : counts_->BuildMatrix(config_.dependency),
+      config_.closure);
 }
 
 const ClosureEpoch* SpeculationModel::Epoch(size_t k) {
@@ -282,8 +263,7 @@ SpeculationReplay::SpeculationReplay(
                        config.mode == ServiceMode::kHybrid;
   if (NeedsModel(config.mode)) {
     SDS_CHECK(model_ != nullptr) << "speculative modes need a model";
-    delta_ = model_->delta();
-    if (delta_ == nullptr) row_stamp_.assign(corpus->size(), 0);
+    row_stamp_.assign(corpus->size(), 0);
   } else {
     model_.reset();
   }
@@ -332,9 +312,6 @@ void SpeculationReplay::RollDay(uint32_t day) {
 }
 
 SparseProbMatrix::RowView SpeculationReplay::ModelRow(trace::DocumentId doc) {
-  if (delta_ != nullptr) {
-    return config_->use_closure ? delta_->ClosureRow(doc) : delta_->PRow(doc);
-  }
   if (!config_->use_closure) return epoch_->PRow(doc);
   // Stamps start at 0 and the first epoch consumed is 1.
   const uint32_t stamp = static_cast<uint32_t>(epochs_consumed_);
@@ -635,29 +612,12 @@ RunTotals SpeculationReplay::Finish() {
                static_cast<double>(totals_.shed_speculative_docs));
     obs::Count("spec.breaker_fast_fails",
                static_cast<double>(totals_.breaker_fast_fails));
-    // An epoch model's run consumed one full build per epoch and computed
-    // (or found shared) each row it looked up once per epoch.
-    DeltaClosure::Stats cs;
-    if (delta_ != nullptr) {
-      cs = delta_->stats();
-    } else {
-      cs.full_rebuilds = epochs_consumed_;
-      cs.closure_rows_computed = rows_looked_up_;
-    }
+    // The run consumed one full build per epoch and computed (or found
+    // shared) each row it looked up once per epoch.
     obs::Count("spec.closure.full_rebuilds",
-               static_cast<double>(cs.full_rebuilds));
-    obs::Count("spec.closure.delta_cycles",
-               static_cast<double>(cs.delta_cycles));
-    obs::Count("spec.closure.rows_rebuilt",
-               static_cast<double>(cs.rows_rebuilt));
-    obs::Count("spec.closure.rows_changed",
-               static_cast<double>(cs.rows_changed));
-    obs::Count("spec.closure.rows_dropped",
-               static_cast<double>(cs.closure_rows_dropped));
-    obs::Count("spec.closure.rows_kept",
-               static_cast<double>(cs.closure_rows_kept));
+               static_cast<double>(epochs_consumed_));
     obs::Count("spec.closure.rows_computed",
-               static_cast<double>(cs.closure_rows_computed));
+               static_cast<double>(rows_looked_up_));
     run_span_.AddBytes(totals_.bytes_sent);
   }
   return totals_;
@@ -734,10 +694,7 @@ SpeculationSimulator::ModelKey SpeculationSimulator::MakeModelKey(
 
 std::shared_ptr<SpeculationModel> SpeculationSimulator::AcquireModel(
     const SpeculationConfig& config) {
-  const bool incremental =
-      config.closure_mode == ClosureMode::kIncremental &&
-      config.estimator != SpeculationConfig::EstimatorKind::kExponentialDecay;
-  if (!NeedsModel(config.mode) || incremental) return nullptr;
+  if (!NeedsModel(config.mode)) return nullptr;
   const std::vector<DayCounts>* deltas = &DailyDeltas(config.dependency);
   const ModelKey key = MakeModelKey(config);
   std::lock_guard<std::mutex> lock(model_mutex_);
@@ -759,14 +716,8 @@ uint64_t SpeculationSimulator::model_builds() const {
 
 RunTotals SpeculationSimulator::Run(const SpeculationConfig& config,
                                     std::vector<ServerEvent>* server_events) {
-  std::shared_ptr<SpeculationModel> model = AcquireModel(config);
-  if (model == nullptr && NeedsModel(config.mode)) {
-    // kIncremental: a private model over the cached day counts.
-    model = PrivateModel(corpus_, config,
-                         VectorSource(&DailyDeltas(config.dependency)));
-  }
   SpeculationReplay replay(corpus_, trace_->num_clients, trace_->num_servers,
-                           config, std::move(model), server_events);
+                           config, AcquireModel(config), server_events);
   // Replay the prepared flat arrays (kDocument/kAlias requests only, with
   // sizes and day indices resolved at construction).
   const PreparedSpecTrace& pt = prepared_;

@@ -74,9 +74,8 @@ struct SpeculationConfig {
   /// If false, the policy consults the raw P instead of the closure P*.
   bool use_closure = true;
   /// How P and the cached P* rows are maintained across update cycles.
-  /// kIncremental is observably bit-identical to kBatch (pinned by
-  /// tests/spec/incremental_equivalence_test.cc); it falls back to full
-  /// rebuilds under kExponentialDecay, where every counter changes daily.
+  /// kBatch is the only mode and nothing reads this field; it is not part
+  /// of the model key.
   ClosureMode closure_mode = ClosureMode::kBatch;
   /// How past observations are weighted when estimating P.
   enum class EstimatorKind : uint8_t {
@@ -196,15 +195,12 @@ using DayCountsSource = std::function<const DayCounts*(long day)>;
 /// are at different days (SpeculationSimulator shares one per key among its
 /// in-flight runs); Epoch is thread-safe and epoch pointers stay valid for
 /// the model's lifetime. A private model keeps only the newest epoch: the
-/// previous one is freed when the next is built. Under
-/// ClosureMode::kIncremental (sliding window only) the model instead keeps
-/// one DeltaClosure, patched in place each cycle; such a model is always
-/// private.
+/// previous one is freed when the next is built.
 class SpeculationModel {
  public:
   /// `num_docs` bounds the document ids; `deltas` supplies the finished
   /// day counts and must be thread-safe if runs share the model. `config`
-  /// is copied; only its model-key fields and closure_mode are read.
+  /// is copied; only its model-key fields are read.
   SpeculationModel(size_t num_docs, const SpeculationConfig& config,
                    DayCountsSource deltas, bool keep_epochs);
 
@@ -213,12 +209,8 @@ class SpeculationModel {
     return day == 1 || day % update_cycle_days == 0;
   }
 
-  /// The k-th epoch, building every epoch up to it first. Returns nullptr
-  /// under kIncremental, where delta() holds the model as of epoch k.
+  /// The k-th epoch, building every epoch up to it first.
   const ClosureEpoch* Epoch(size_t k);
-
-  /// The incrementally maintained model (kIncremental only, else null).
-  DeltaClosure* delta() { return delta_.get(); }
 
   /// Epochs built so far.
   size_t epochs_built() const;
@@ -238,7 +230,6 @@ class SpeculationModel {
   long day_ = 0;
   std::optional<WindowedCounts> counts_;
   std::optional<DecayedCounts> decayed_;
-  std::unique_ptr<DeltaClosure> delta_;
 
   /// Built epochs (null once a private model moved past them), guarded by
   /// epochs_mutex_ so readers never wait for a build in progress.
@@ -334,9 +325,7 @@ class SpeculationReplay {
   bool admission_armed_ = false;
 
   std::shared_ptr<SpeculationModel> model_;
-  /// kIncremental: the private model's DeltaClosure; else null.
-  DeltaClosure* delta_ = nullptr;
-  /// The epoch the run reads (epoch modes), and how many it consumed.
+  /// The epoch the run reads, and how many it consumed.
   const ClosureEpoch* epoch_ = nullptr;
   size_t epochs_consumed_ = 0;
   bool model_ready_ = false;
@@ -396,11 +385,10 @@ class SpeculationSimulator {
   SpeculationMetrics Evaluate(const SpeculationConfig& config);
 
   /// The model `config` reads: the one an in-flight run with the same model
-  /// key holds, else a new one. Null when the run builds no shared model
-  /// (modes without one, and ClosureMode::kIncremental, whose model is
-  /// private). Holding the handle keeps the model, and with it every epoch
-  /// built so far, alive for later runs; Run holds it for its duration
-  /// only, so runs share a model exactly while they overlap.
+  /// key holds, else a new one. Null for modes that need no model. Holding
+  /// the handle keeps the model, and with it every epoch built so far,
+  /// alive for later runs; Run holds it for its duration only, so runs
+  /// share a model exactly while they overlap.
   std::shared_ptr<SpeculationModel> AcquireModel(
       const SpeculationConfig& config);
 

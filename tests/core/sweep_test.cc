@@ -510,50 +510,28 @@ TEST_F(SweepExperimentsTest, GoldenFig6Grid) {
   }
 }
 
-TEST_F(SweepExperimentsTest, GoldenFig6GridIncrementalClosure) {
-  // ClosureMode::kIncremental must reproduce the batch goldens above to
-  // the bit — same tolerance, same expected values.
-  const Fig5Result result =
-      RunFig5(*workload_, {1.0, 0.5, 0.2}, {.workers = 0},
-              spec::ClosureMode::kIncremental);
-  ASSERT_EQ(result.points.size(), 3u);
-  const struct {
-    double bw, load, time, miss;
-  } expected[] = {
-      {1.0041881918724975, 0.96365539934190847, 0.95258184119938183,
-       0.94146243872170432},
-      {1.0634609410122278, 0.69383787017648824, 0.64808137762783535,
-       0.60213545400809099},
-      {1.2877901684453081, 0.5937780436733473, 0.5725091738996323,
-       0.55115225138066248},
-  };
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(result.points[i].metrics.bandwidth_ratio, expected[i].bw, 1e-9)
-        << "tp point " << i;
-    EXPECT_NEAR(result.points[i].metrics.server_load_ratio, expected[i].load,
-                1e-9);
-    EXPECT_NEAR(result.points[i].metrics.service_time_ratio, expected[i].time,
-                1e-9);
-    EXPECT_NEAR(result.points[i].metrics.miss_rate_ratio, expected[i].miss,
-                1e-9);
-  }
-}
-
-TEST_F(SweepExperimentsTest, UpdateCycleTableIdenticalUnderIncremental) {
+TEST_F(SweepExperimentsTest, GoldenUpdateCycleTable) {
   // RunExpUpdateCycle exercises every (D, D') combination of the §3.4
-  // stability grid; the rendered tables must agree byte-for-byte across
-  // closure modes.
-  const std::string batch =
-      RunExpUpdateCycle(*workload_, 0.25, {.workers = 2},
-                        spec::ClosureMode::kBatch)
+  // stability grid.
+  const std::string table =
+      RunExpUpdateCycle(*workload_, 0.25, {.workers = 2})
           .ToTable()
           .ToAlignedString();
-  const std::string incremental =
-      RunExpUpdateCycle(*workload_, 0.25, {.workers = 2},
-                        spec::ClosureMode::kIncremental)
-          .ToTable()
-          .ToAlignedString();
-  EXPECT_EQ(batch, incremental);
+  EXPECT_EQ(table,
+            "update_cycle_D  history_D'  load_ratio  time_ratio  miss_ratio  "
+            "extra_traffic  degradation_vs_D1\n"
+            "------------------------------------------------------------------"
+            "------------------------------\n"
+            "             1          60      0.6102      0.5840      0.5577   "
+            "       23.7%              0.00%\n"
+            "             7          60      0.6327      0.6054      0.5780   "
+            "       23.7%              2.14%\n"
+            "            60          60      0.6621      0.6334      0.6045   "
+            "       20.5%              4.93%\n"
+            "             1          30      0.6102      0.5840      0.5577   "
+            "       23.7%              0.00%\n"
+            "             7          30      0.6327      0.6054      0.5780   "
+            "       23.7%              2.14%\n");
 }
 
 TEST_F(SweepExperimentsTest, GoldenFig3Savings) {

@@ -177,189 +177,5 @@ TEST(ClosureTest, FullClosureMatchesPerRow) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// DeltaClosure adversarial edge cases
-// ---------------------------------------------------------------------------
-
-DayCounts MakeDayCounts(
-    const std::vector<std::tuple<trace::DocumentId, trace::DocumentId,
-                                 uint32_t>>& pairs,
-    const std::vector<std::pair<trace::DocumentId, uint32_t>>& occs) {
-  DayCounts day;
-  for (const auto& [i, j, n] : pairs) {
-    day.pair_counts.push_back({PairKey(i, j), n});
-  }
-  for (const auto& [doc, n] : occs) day.occurrences.push_back({doc, n});
-  day.Normalize();
-  return day;
-}
-
-DependencyConfig DepConfig() {
-  DependencyConfig dep;
-  dep.min_support = 1;
-  dep.min_probability = 0.02;
-  return dep;
-}
-
-/// P and every P* row of `delta` (cached or computed on demand here) equal
-/// a batch rebuild bit for bit; a stale cached closure row fails this.
-void ExpectSameAsBatch(DeltaClosure& delta, const WindowedCounts& counts,
-                       const DependencyConfig& dep,
-                       const ClosureConfig& closure_cfg) {
-  const SparseProbMatrix batch = counts.BuildMatrix(dep);
-  ASSERT_EQ(batch.num_docs(), delta.matrix().num_docs());
-  for (trace::DocumentId i = 0; i < batch.num_docs(); ++i) {
-    const auto a = batch.Row(i);
-    const auto b = delta.matrix().Row(i);
-    ASSERT_EQ(a.size(), b.size()) << "row " << i;
-    for (size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].doc, b[k].doc) << "row " << i;
-      EXPECT_EQ(a[k].probability, b[k].probability) << "row " << i;
-    }
-    const auto want = ComputeClosureRow(batch, i, closure_cfg);
-    const auto got = delta.ClosureRow(i);
-    ASSERT_EQ(want.size(), got.size()) << "closure row " << i;
-    for (size_t k = 0; k < want.size(); ++k) {
-      EXPECT_EQ(want[k].doc, got[k].doc) << "closure row " << i;
-      EXPECT_EQ(want[k].probability, got[k].probability)
-          << "closure row " << i;
-    }
-  }
-}
-
-TEST(DeltaClosureTest, EmptyDeltaCycleKeepsEveryCachedRow) {
-  WindowedCounts counts(4);
-  counts.EnableRowTracking();
-  counts.Add(MakeDayCounts({{0, 1, 4}, {1, 2, 2}}, {{0, 4}, {1, 4}}));
-  counts.DrainDirtyRows();
-  DeltaClosure delta(Config());
-  delta.Rebuild(counts.BuildMatrix(DepConfig()));
-  EXPECT_FALSE(delta.ClosureRow(0).empty());
-  delta.ClosureRow(3);  // empty row, also cached
-  EXPECT_EQ(delta.CachedRows(), 2u);
-
-  delta.ApplyDelta(&counts, DepConfig());  // nothing dirty
-  EXPECT_EQ(delta.CachedRows(), 2u);
-  EXPECT_EQ(delta.stats().rows_rebuilt, 0u);
-  EXPECT_EQ(delta.stats().rows_changed, 0u);
-  EXPECT_EQ(delta.stats().closure_rows_kept, 2u);
-  ExpectSameAsBatch(delta, counts, DepConfig(), Config());
-}
-
-TEST(DeltaClosureTest, DirtyButUnchangedRowsKeepCache) {
-  // Add-then-remove of one day leaves the window identical: rows are
-  // rebuilt but none change, so no cached closure row may be dropped.
-  WindowedCounts counts(4);
-  counts.EnableRowTracking();
-  counts.Add(MakeDayCounts({{0, 1, 4}}, {{0, 4}, {1, 4}}));
-  counts.DrainDirtyRows();
-  DeltaClosure delta(Config());
-  delta.Rebuild(counts.BuildMatrix(DepConfig()));
-  delta.ClosureRow(0);
-
-  const DayCounts blip = MakeDayCounts({{0, 1, 2}, {2, 3, 1}}, {{2, 2}});
-  counts.Add(blip);
-  counts.Remove(blip);
-  delta.ApplyDelta(&counts, DepConfig());
-  EXPECT_GT(delta.stats().rows_rebuilt, 0u);
-  EXPECT_EQ(delta.stats().rows_changed, 0u);
-  EXPECT_EQ(delta.stats().closure_rows_dropped, 0u);
-  EXPECT_EQ(delta.CachedRows(), 1u);
-  ExpectSameAsBatch(delta, counts, DepConfig(), Config());
-}
-
-TEST(DeltaClosureTest, RowWhoseEntireSupportVanishes) {
-  WindowedCounts counts(4);
-  counts.EnableRowTracking();
-  const DayCounts day =
-      MakeDayCounts({{0, 1, 5}, {1, 2, 3}}, {{0, 5}, {1, 5}});
-  counts.Add(day);
-  counts.DrainDirtyRows();
-  DeltaClosure delta(Config());
-  delta.Rebuild(counts.BuildMatrix(DepConfig()));
-  EXPECT_FALSE(delta.ClosureRow(0).empty());
-  EXPECT_FALSE(delta.PRow(0).empty());
-
-  counts.Remove(day);  // the whole window slides out
-  delta.ApplyDelta(&counts, DepConfig());
-  EXPECT_TRUE(delta.PRow(0).empty());
-  EXPECT_TRUE(delta.PRow(1).empty());
-  EXPECT_TRUE(delta.ClosureRow(0).empty());
-  EXPECT_TRUE(delta.ClosureRow(1).empty());
-  ExpectSameAsBatch(delta, counts, DepConfig(), Config());
-}
-
-TEST(DeltaClosureTest, SelfDependencyCycleInvalidatesAroundTheLoop) {
-  // 0 <-> 1 cycle feeding 1 -> 2: a change on row 1 must invalidate the
-  // cached closure row of 0 (reachable through the cycle) and the new
-  // rows must equal a batch rebuild despite the loop.
-  WindowedCounts counts(4);
-  counts.EnableRowTracking();
-  counts.Add(MakeDayCounts({{0, 1, 8}, {1, 0, 8}, {1, 2, 2}},
-                           {{0, 10}, {1, 10}}));
-  counts.DrainDirtyRows();
-  DeltaClosure delta(Config());
-  delta.Rebuild(counts.BuildMatrix(DepConfig()));
-  const auto before = delta.ClosureRow(0);
-  double p02_before = 0.0;
-  for (const auto& e : before) {
-    if (e.doc == 2) p02_before = e.probability;
-  }
-
-  // Strengthen 1 -> 2.
-  counts.Add(MakeDayCounts({{1, 2, 6}}, {}));
-  delta.ApplyDelta(&counts, DepConfig());
-  EXPECT_GE(delta.stats().closure_rows_dropped, 1u);
-  double p02_after = 0.0;
-  for (const auto& e : delta.ClosureRow(0)) {
-    if (e.doc == 2) p02_after = e.probability;
-  }
-  EXPECT_GT(p02_after, p02_before);
-  ExpectSameAsBatch(delta, counts, DepConfig(), Config());
-}
-
-TEST(DeltaClosureTest, ThresholdStraddlingBothDirections) {
-  // p*[0, 1] starts above a T_p of 0.5, is pushed below it by extra
-  // occurrences of 0 (denominator growth), then back above it by extra
-  // 0 -> 1 pairs. The incremental values must straddle exactly like a
-  // batch rebuild at each step.
-  const double tp = 0.5;
-  WindowedCounts counts(3);
-  counts.EnableRowTracking();
-  counts.Add(MakeDayCounts({{0, 1, 6}}, {{0, 10}}));  // p = 0.6
-  counts.DrainDirtyRows();
-  DeltaClosure delta(Config());
-  delta.Rebuild(counts.BuildMatrix(DepConfig()));
-  ASSERT_FALSE(delta.ClosureRow(0).empty());
-  EXPECT_GE(delta.ClosureRow(0)[0].probability, tp);
-
-  counts.Add(MakeDayCounts({}, {{0, 5}}));  // p = 6/15 = 0.4
-  delta.ApplyDelta(&counts, DepConfig());
-  ASSERT_FALSE(delta.ClosureRow(0).empty());
-  EXPECT_LT(delta.ClosureRow(0)[0].probability, tp);
-  ExpectSameAsBatch(delta, counts, DepConfig(), Config());
-
-  counts.Add(MakeDayCounts({{0, 1, 6}}, {}));  // p = 12/15 = 0.8
-  delta.ApplyDelta(&counts, DepConfig());
-  ASSERT_FALSE(delta.ClosureRow(0).empty());
-  EXPECT_GE(delta.ClosureRow(0)[0].probability, tp);
-  ExpectSameAsBatch(delta, counts, DepConfig(), Config());
-}
-
-TEST(DeltaClosureTest, RebuildDropsAllCachedRows) {
-  WindowedCounts counts(3);
-  counts.EnableRowTracking();
-  counts.Add(MakeDayCounts({{0, 1, 3}}, {{0, 3}}));
-  counts.DrainDirtyRows();
-  DeltaClosure delta(Config());
-  delta.Rebuild(counts.BuildMatrix(DepConfig()));
-  delta.ClosureRow(0);
-  delta.ClosureRow(1);
-  EXPECT_EQ(delta.CachedRows(), 2u);
-  delta.Rebuild(counts.BuildMatrix(DepConfig()));
-  EXPECT_EQ(delta.CachedRows(), 0u);
-  EXPECT_EQ(delta.stats().full_rebuilds, 2u);
-}
-
 }  // namespace
 }  // namespace sds::spec

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+
 #include "core/workload.h"
+#include "spec/closure.h"
+#include "util/rng.h"
 
 namespace sds::spec {
 namespace {
@@ -160,6 +165,182 @@ TEST(WindowedCountsTest, DailySumMatchesOneShot) {
   const auto one_shot =
       EstimateDependencies(w.clean(), w.corpus().size(), config);
   EXPECT_EQ(summed.NumEntries(), one_shot.NumEntries());
+}
+
+// ---------------------------------------------------------------------------
+// Sliding-window maintenance under adversarial day streams: a window slid
+// one day at a time (Add the new day, Remove the expired one) must build
+// the same P, bit for bit, as the same days aggregated from scratch, and
+// so the same closure rows. Scenarios are seeded; every assertion names
+// the scenario, seed and day.
+// ---------------------------------------------------------------------------
+
+// How one synthetic day of pair/occurrence observations is skewed.
+enum class Scenario {
+  kPopularityChurn,  // hot set rotates slowly through the doc space
+  kFlashCrowd,       // some days concentrate most mass on one document
+  kInsertRetire,     // active doc range grows, then the oldest retire
+  kWindowSlide,      // steady stream; the window slide does the churning
+};
+
+const char* ScenarioName(Scenario s) {
+  switch (s) {
+    case Scenario::kPopularityChurn:
+      return "popularity-churn";
+    case Scenario::kFlashCrowd:
+      return "flash-crowd";
+    case Scenario::kInsertRetire:
+      return "insert-retire";
+    case Scenario::kWindowSlide:
+      return "window-slide";
+  }
+  return "?";
+}
+
+// One synthetic day: raw pair/occurrence observations, Normalize()d like
+// CountDailyDependencies output.
+DayCounts MakeDay(Scenario scenario, uint32_t day, size_t num_docs,
+                  Rng* rng) {
+  DayCounts out;
+  size_t lo = 0, hi = num_docs;
+  trace::DocumentId crowd_doc = 0;
+  bool crowd = false;
+  switch (scenario) {
+    case Scenario::kPopularityChurn:
+      // A window of ~1/4 of the doc space that advances a little each day.
+      lo = (day * 3) % num_docs;
+      hi = std::min(num_docs, lo + num_docs / 4 + 2);
+      break;
+    case Scenario::kFlashCrowd:
+      crowd = day % 5 == 2;  // every fifth day is a crowd day
+      crowd_doc = static_cast<trace::DocumentId>(rng->NextBounded(num_docs));
+      break;
+    case Scenario::kInsertRetire:
+      // Docs "exist" in a moving band: new ids appear as days pass and
+      // the earliest ids stop being referenced entirely.
+      lo = std::min<size_t>(num_docs - 2, day / 2);
+      hi = std::min(num_docs, lo + num_docs / 3 + 2);
+      break;
+    case Scenario::kWindowSlide:
+      break;
+  }
+  const size_t span = hi - lo;
+  const size_t events = 20 + rng->NextBounded(60);
+  for (size_t e = 0; e < events; ++e) {
+    trace::DocumentId i =
+        static_cast<trace::DocumentId>(lo + rng->NextBounded(span));
+    trace::DocumentId j =
+        static_cast<trace::DocumentId>(lo + rng->NextBounded(span));
+    if (crowd && rng->NextBernoulli(0.7)) i = crowd_doc;
+    if (i == j) continue;
+    const uint32_t n = 1 + static_cast<uint32_t>(rng->NextBounded(4));
+    out.pair_counts.push_back({PairKey(i, j), n});
+    // Occurrences at least as large as the pair count keeps p <= 1 on
+    // most rows; occasionally skip them so the p = min(1, n/occ) clamp
+    // and the occ == 0 pruning both get exercised.
+    if (!rng->NextBernoulli(0.05)) {
+      out.occurrences.push_back(
+          {i, n + static_cast<uint32_t>(rng->NextBounded(3))});
+    }
+  }
+  // A few occurrence-only docs (rows with no pair support).
+  for (size_t e = 0; e < 4; ++e) {
+    out.occurrences.push_back(
+        {static_cast<trace::DocumentId>(rng->NextBounded(num_docs)), 1});
+  }
+  out.Normalize();
+  return out;
+}
+
+void ExpectRowsEq(SparseProbMatrix::RowView want,
+                  SparseProbMatrix::RowView got, const std::string& ctx) {
+  ASSERT_EQ(want.size(), got.size()) << ctx;
+  for (size_t k = 0; k < want.size(); ++k) {
+    ASSERT_EQ(want[k].doc, got[k].doc) << ctx << " entry " << k;
+    // Bit-identical, not approximately equal.
+    ASSERT_EQ(want[k].probability, got[k].probability)
+        << ctx << " entry " << k;
+  }
+}
+
+void RunSlidingWindowScenario(Scenario scenario, uint64_t seed) {
+  const std::string ctx_base =
+      std::string(ScenarioName(scenario)) + " seed=" + std::to_string(seed);
+  Rng rng(seed);
+  const size_t num_docs = 24 + rng.NextBounded(40);
+  const uint32_t days = 30;
+  const uint32_t history = 6 + static_cast<uint32_t>(rng.NextBounded(6));
+
+  DependencyConfig dep;
+  dep.min_support = 1 + static_cast<uint32_t>(rng.NextBounded(3));
+  dep.min_probability = 0.02;
+  ClosureConfig closure_cfg;
+  closure_cfg.min_probability = 0.02;
+  closure_cfg.max_depth = 1 + static_cast<uint32_t>(rng.NextBounded(4));
+  if (rng.NextBernoulli(0.3)) {
+    closure_cfg.semantics = ClosureSemantics::kSumProductCapped;
+  }
+
+  WindowedCounts slid(num_docs);
+  std::deque<DayCounts> window;
+  ClosureScratch slid_scratch;
+  ClosureScratch fresh_scratch;
+  for (uint32_t day = 0; day < days; ++day) {
+    const std::string ctx = ctx_base + " day=" + std::to_string(day);
+    const DayCounts dc = MakeDay(scenario, day, num_docs, &rng);
+    slid.Add(dc);
+    window.push_back(dc);
+    if (window.size() > history) {
+      slid.Remove(window.front());
+      window.pop_front();
+    }
+    WindowedCounts fresh(num_docs);
+    for (const DayCounts& d : window) fresh.Add(d);
+
+    const SparseProbMatrix want = fresh.BuildMatrix(dep);
+    const SparseProbMatrix got = slid.BuildMatrix(dep);
+    ASSERT_EQ(want.num_docs(), got.num_docs()) << ctx;
+    ASSERT_EQ(want.NumEntries(), got.NumEntries()) << ctx;
+    for (trace::DocumentId s = 0; s < num_docs; ++s) {
+      ExpectRowsEq(want.Row(s), got.Row(s),
+                   ctx + " P row " + std::to_string(s));
+      const auto want_closure =
+          ComputeClosureRow(want, s, closure_cfg, &fresh_scratch);
+      const auto got_closure =
+          ComputeClosureRow(got, s, closure_cfg, &slid_scratch);
+      ExpectRowsEq(want_closure, got_closure,
+                   ctx + " closure row " + std::to_string(s));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(WindowedCountsTest, SlidWindowMatchesFreshUnderPopularityChurn) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    RunSlidingWindowScenario(Scenario::kPopularityChurn, seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(WindowedCountsTest, SlidWindowMatchesFreshUnderFlashCrowd) {
+  for (uint64_t seed = 101; seed <= 108; ++seed) {
+    RunSlidingWindowScenario(Scenario::kFlashCrowd, seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(WindowedCountsTest, SlidWindowMatchesFreshUnderInsertRetire) {
+  for (uint64_t seed = 201; seed <= 208; ++seed) {
+    RunSlidingWindowScenario(Scenario::kInsertRetire, seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(WindowedCountsTest, SlidWindowMatchesFreshUnderWindowSlide) {
+  for (uint64_t seed = 301; seed <= 308; ++seed) {
+    RunSlidingWindowScenario(Scenario::kWindowSlide, seed);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(DependencyTest, ProbabilitiesAreValid) {

@@ -217,11 +217,11 @@ TEST_F(SharedModelTest, ModesWithoutASharedModel) {
   SpeculationConfig none = KeyBase();
   none.mode = ServiceMode::kNone;
   EXPECT_EQ(sim->AcquireModel(none), nullptr);
-  SpeculationConfig incremental = KeyBase();
-  incremental.closure_mode = ClosureMode::kIncremental;
-  EXPECT_EQ(sim->AcquireModel(incremental), nullptr);
-  ExpectTotalsEq(sim->Run(incremental), PrivateReplay(*sim, incremental),
-                 "incremental");
+  SpeculationConfig prefetch = KeyBase();
+  prefetch.mode = ServiceMode::kClientPrefetch;
+  EXPECT_EQ(sim->AcquireModel(prefetch), nullptr);
+  ExpectTotalsEq(sim->Run(prefetch), PrivateReplay(*sim, prefetch),
+                 "prefetch");
   EXPECT_EQ(sim->model_builds(), 0u);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/experiments.h"
 #include "core/workload.h"
 
@@ -315,6 +317,109 @@ TEST_F(SpecSimTest, BreakersFailFastDuringOutages) {
   // Fast-failed misses skip the timeout ladder entirely.
   EXPECT_LT(on.retry_attempts, off.retry_attempts);
   EXPECT_LT(on.retry_wait_seconds, off.retry_wait_seconds);
+}
+
+// --- Goldens for the model configurations (update cycle, history,
+// estimator, raw P) at core::SmallConfig(): every RunTotals field, by bit
+// pattern.
+
+/// FNV-1a over the bit patterns of every RunTotals field.
+uint64_t TotalsDigest(const RunTotals& t) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto real = [&mix](double v) { mix(std::bit_cast<uint64_t>(v)); };
+  real(t.bytes_sent);
+  mix(t.server_requests);
+  mix(t.client_requests);
+  real(t.total_latency);
+  real(t.miss_bytes);
+  real(t.requested_bytes);
+  mix(t.speculative_docs_sent);
+  real(t.speculative_bytes);
+  mix(t.speculative_hits);
+  real(t.wasted_speculative_bytes);
+  mix(t.prefetch_requests);
+  mix(t.cache_hits);
+  mix(t.demand_server_responses);
+  real(t.demand_bytes_sent);
+  mix(t.wasted_speculative_docs);
+  mix(t.unused_resident_speculative_docs);
+  mix(t.unavailable_requests);
+  mix(t.retry_attempts);
+  real(t.retry_wait_seconds);
+  mix(t.brownout_responses);
+  mix(t.suppressed_speculative_docs);
+  mix(t.emergent_brownouts);
+  mix(t.breaker_open_transitions);
+  mix(t.retries_suppressed_by_budget);
+  mix(t.shed_speculative_docs);
+  mix(t.breaker_fast_fails);
+  return h;
+}
+
+// The model rolls its counting window one day at a time (Add the new day,
+// Remove the expired one) and builds one epoch per update cycle; these
+// configurations vary the cycle, the history, the estimator and the use
+// of P*, each pinned at T_p = 0.25.
+class IncrementalSimTest : public SpecSimTest {
+ protected:
+  static void ExpectGolden(const SpeculationConfig& config, const char* name,
+                           uint64_t server_requests,
+                           uint64_t speculative_docs_sent, double bytes_sent,
+                           uint64_t digest) {
+    const RunTotals t = sim_->Run(config);
+    EXPECT_EQ(t.server_requests, server_requests) << name;
+    EXPECT_EQ(t.speculative_docs_sent, speculative_docs_sent) << name;
+    EXPECT_EQ(t.bytes_sent, bytes_sent) << name;
+    EXPECT_EQ(TotalsDigest(t), digest) << name;
+  }
+};
+
+TEST_F(IncrementalSimTest, SpeculativePushDailyCycle) {
+  ExpectGolden(Baseline(0.25), "push D=1", 4080, 5002, 82379144.0,
+               0xf9cdc3d8447bb8f7);
+}
+
+TEST_F(IncrementalSimTest, SpeculativePushSlidingWindow) {
+  // Short history forces days to leave the window mid-run (removal path).
+  SpeculationConfig config = Baseline(0.25);
+  config.history_days = 5;
+  ExpectGolden(config, "push D'=5", 4111, 4892, 82199889.0,
+               0x22c1f9c53140ac27);
+}
+
+TEST_F(IncrementalSimTest, WeeklyUpdateCycle) {
+  SpeculationConfig config = Baseline(0.25);
+  config.update_cycle_days = 7;
+  ExpectGolden(config, "push D=7", 4230, 4761, 82355446.0,
+               0x8d7d2b862856e3da);
+}
+
+TEST_F(IncrementalSimTest, ServerHints) {
+  SpeculationConfig config = Baseline(0.25);
+  config.mode = ServiceMode::kServerHints;
+  ExpectGolden(config, "server hints", 7208, 3128, 72607713.0,
+               0x39fd67b7d28af8d8);
+}
+
+TEST_F(IncrementalSimTest, RawPWithoutClosure) {
+  SpeculationConfig config = Baseline(0.25);
+  config.use_closure = false;
+  ExpectGolden(config, "raw P", 4115, 4713, 78509162.0, 0x40f9374f3dac8746);
+}
+
+TEST_F(IncrementalSimTest, DecayEstimatorFallsBackToBatch) {
+  // The decay estimator has no window to roll; its epochs are rebuilt
+  // from the decayed totals.
+  SpeculationConfig config = Baseline(0.25);
+  config.estimator = SpeculationConfig::EstimatorKind::kExponentialDecay;
+  ExpectGolden(config, "exponential decay", 4132, 4791, 81666182.0,
+               0x5f5c525cc37dfa8b);
 }
 
 TEST(SpecMetricsTest, DegenerateBaselinesYieldUnitRatios) {

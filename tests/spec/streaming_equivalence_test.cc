@@ -222,13 +222,6 @@ TEST(StreamingSimulatorTest, PushWithoutClosureMatchesBatch) {
   ExpectRunEquivalence(config);
 }
 
-TEST(StreamingSimulatorTest, IncrementalClosureMatchesBatch) {
-  SpeculationConfig config = SmallHistoryBase();
-  config.mode = ServiceMode::kSpeculativePush;
-  config.closure_mode = ClosureMode::kIncremental;
-  ExpectRunEquivalence(config);
-}
-
 TEST(StreamingSimulatorTest, ExponentialDecayMatchesBatch) {
   SpeculationConfig config;
   config.mode = ServiceMode::kSpeculativePush;
