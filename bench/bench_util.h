@@ -277,10 +277,12 @@ inline bool FinishObsReport(BenchReport* report, const BenchArgs& args) {
   return ok;
 }
 
-/// Standard bench epilogue: attaches the observability outputs and writes
-/// the BENCH_<name>.json report. Returns the process exit code — non-zero
-/// when any requested output file failed to write.
+/// Standard bench epilogue: records the trace mode (`stream`: 1 under
+/// `--stream`, else 0), attaches the observability outputs and writes the
+/// BENCH_<name>.json report. Returns the process exit code — non-zero when
+/// any requested output file failed to write.
 inline int FinishBench(BenchReport* report, const BenchArgs& args) {
+  report->Metric("stream", args.stream ? 1.0 : 0.0);
   const bool obs_ok = FinishObsReport(report, args);
   const bool report_ok = report->Write();
   return obs_ok && report_ok ? 0 : 1;

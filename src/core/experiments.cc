@@ -355,18 +355,17 @@ Fig5Result RunFig5(const Workload& workload, const std::vector<double>& tps,
   const spec::SpeculationConfig base = BaselineSpecConfig();
 
   if (workload.streaming()) {
-    // Streaming path: the kNone baseline needs no dependency model, so it
-    // runs once up front from a lone replay cursor; each sweep point then
-    // replays from its own pair of fresh cursors (dependency counting is
-    // pumped just ahead of the replay day, so resident state stays
-    // O(history window) instead of O(trace)).
+    // Streaming path: the kNone baseline runs once up front; each sweep
+    // point then replays its own fresh cursor once (dependency counting
+    // reads that cursor just ahead of the replay day, so resident state
+    // stays O(history window) instead of O(trace)).
     Fig5Result result;
     const spec::RunTotals baseline = [&] {
       spec::SpeculationConfig b = base;
       b.mode = spec::ServiceMode::kNone;
       const auto replay = workload.NewCleanCursor();
       spec::StreamingSpeculationSimulator sim(&workload.corpus(),
-                                              replay.get(), nullptr);
+                                              replay.get());
       return sim.Run(b);
     }();
     result.points = SweepMap(
@@ -376,9 +375,8 @@ Fig5Result RunFig5(const Workload& workload, const std::vector<double>& tps,
           config.policy.threshold = grid[index];
           config.closure.min_probability = std::min(0.02, grid[index]);
           const auto replay = workload.NewCleanCursor();
-          const auto deps = workload.NewCleanCursor();
           spec::StreamingSpeculationSimulator sim(&workload.corpus(),
-                                                  replay.get(), deps.get());
+                                                  replay.get());
           SpecSweepPoint point;
           point.tp = grid[index];
           point.metrics = spec::ComputeMetrics(sim.Run(config), baseline);

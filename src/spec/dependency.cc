@@ -181,6 +181,13 @@ DailyDependencyAccumulator::DailyDependencyAccumulator(
     const DependencyConfig& config, uint32_t num_clients)
     : config_(config), clients_(num_clients) {}
 
+DayCounts& DailyDependencyAccumulator::Staging(uint32_t day) {
+  SDS_CHECK(day >= floor_) << "day " << day
+                           << " is below the DropBefore floor " << floor_;
+  while (day - floor_ >= days_.size()) days_.emplace_back();
+  return days_[day - floor_].counts;
+}
+
 void DailyDependencyAccumulator::OnRequest(const trace::Request& r) {
   SDS_CHECK(r.time >= last_time_) << "dependency stream not time-ordered";
   last_time_ = r.time;
@@ -207,16 +214,27 @@ void DailyDependencyAccumulator::OnRequest(const trace::Request& r) {
     cs.leaders.erase(cs.leaders.begin(), cs.leaders.begin() + expired);
   }
   const uint32_t day_now = static_cast<uint32_t>(DayOfTime(r.time));
-  for (Leader& a : cs.leaders) {
-    if (a.doc == r.doc) continue;
-    if (std::find(a.seen.begin(), a.seen.end(), r.doc) != a.seen.end()) {
+  DayCounts& today = Staging(day_now);
+  // The oldest leader has the earliest day; Staging checked day_now.
+  SDS_CHECK(cs.leaders.empty() || cs.leaders.front().day >= floor_)
+      << "pair led on day " << cs.leaders.front().day
+      << ", below the DropBefore floor " << floor_;
+  // Newest to oldest: r pairs with a leader unless r's doc is the leader's
+  // own or already followed it, i.e. is the doc of a later leader.
+  bool followed = false;
+  for (size_t k = cs.leaders.size(); k-- > 0;) {
+    const Leader& a = cs.leaders[k];
+    if (a.doc == r.doc) {
+      followed = true;
       continue;
     }
-    a.seen.push_back(r.doc);
-    ++Open(a.day).pairs[PairKey(a.doc, r.doc)];
+    if (followed) continue;
+    DayCounts& lead_day =
+        a.day == day_now ? today : days_[a.day - floor_].counts;
+    lead_day.pair_counts.push_back({PairKey(a.doc, r.doc), 1});
   }
-  ++Open(day_now).occurrences[r.doc];
-  cs.leaders.push_back({r.time, day_now, r.doc, {}});
+  today.occurrences.push_back({r.doc, 1});
+  cs.leaders.push_back({r.time, day_now, r.doc});
   cs.last = r.time;
 }
 
@@ -224,27 +242,25 @@ void DailyDependencyAccumulator::FinishStream() { finished_ = true; }
 
 const DayCounts* DailyDependencyAccumulator::Counts(uint32_t day) {
   SDS_CHECK(DayFinal(day)) << "day " << day << " not final yet";
-  auto fit = final_.find(day);
-  if (fit != final_.end()) return &fit->second;
-  auto oit = open_.find(day);
-  if (oit == open_.end()) {
+  if (day < floor_ || day - floor_ >= days_.size()) {
     static const DayCounts kEmpty;
     return &kEmpty;
   }
-  DayCounts counts;
-  counts.pair_counts.assign(oit->second.pairs.begin(),
-                            oit->second.pairs.end());
-  counts.occurrences.assign(oit->second.occurrences.begin(),
-                            oit->second.occurrences.end());
-  std::sort(counts.pair_counts.begin(), counts.pair_counts.end());
-  std::sort(counts.occurrences.begin(), counts.occurrences.end());
-  open_.erase(oit);
-  return &final_.emplace(day, std::move(counts)).first->second;
+  Day& d = days_[day - floor_];
+  if (!d.final) {
+    d.counts.Normalize();
+    d.counts.pair_counts.shrink_to_fit();
+    d.counts.occurrences.shrink_to_fit();
+    d.final = true;
+  }
+  return &d.counts;
 }
 
 void DailyDependencyAccumulator::DropBefore(uint32_t day) {
-  final_.erase(final_.begin(), final_.lower_bound(day));
-  open_.erase(open_.begin(), open_.lower_bound(day));
+  if (day <= floor_) return;
+  const size_t n = std::min<size_t>(day - floor_, days_.size());
+  days_.erase(days_.begin(), days_.begin() + n);
+  floor_ = day;
 }
 
 std::vector<DayCounts> CountDailyDependenciesStream(

@@ -3,9 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "spec/pair_table.h"
@@ -180,13 +179,19 @@ std::vector<DayCounts> CountDailyDependencies(const trace::Trace& trace,
 /// finalised day yields are the same key -> count multiset the batch scan
 /// produces for that day (runs here are sorted by key; batch runs are in
 /// first-seen order — every consumer of DayCounts is order-independent).
+///
+/// Flat layout: each retained day stages its raw observations as (key, 1)
+/// runs, and Counts() merges a day once with DayCounts::Normalize. There is
+/// no map or hash lookup per request.
 class DailyDependencyAccumulator {
  public:
   DailyDependencyAccumulator(const DependencyConfig& config,
                              uint32_t num_clients);
 
   /// Ingests one request (any kind; non-kDocument/kAlias records only
-  /// advance the finality clock). Requests must arrive in time order.
+  /// advance the finality clock). Requests must arrive in time order, and
+  /// none may lead a pair or count an occurrence on a day DropBefore()
+  /// already released.
   void OnRequest(const trace::Request& r);
 
   /// Marks the stream exhausted: every day becomes final.
@@ -200,40 +205,46 @@ class DailyDependencyAccumulator {
   }
 
   /// The finalised counts of `day` (an empty DayCounts if the day saw no
-  /// qualifying traffic). Requires DayFinal(day). The returned pointer
-  /// stays valid until DropBefore() passes the day.
+  /// qualifying traffic or was released by DropBefore()). Requires
+  /// DayFinal(day). The returned pointer stays valid until DropBefore()
+  /// passes the day.
   const DayCounts* Counts(uint32_t day);
 
   /// Releases every retained day strictly before `day`.
   void DropBefore(uint32_t day);
 
  private:
-  /// An in-window request still collecting followers.
+  /// An in-window request still collecting followers. The distinct
+  /// followers already paired with it are exactly the docs of the later
+  /// leaders of its client (every follower within T_w and the stride is
+  /// itself a leader that outlives it), so none are stored.
   struct Leader {
     SimTime time = 0.0;
     uint32_t day = 0;
     trace::DocumentId doc = trace::kInvalidDocument;
-    /// Distinct followers already paired with this leader.
-    std::vector<trace::DocumentId> seen;
   };
   struct ClientState {
     SimTime last = 0.0;
     std::vector<Leader> leaders;
   };
-  /// Aggregation of a day still inside the finality horizon.
-  struct OpenDay {
-    std::unordered_map<uint64_t, uint32_t> pairs;
-    std::unordered_map<trace::DocumentId, uint32_t> occurrences;
+  /// A retained day: raw (key, 1) observations until Counts() merges them
+  /// in place.
+  struct Day {
+    DayCounts counts;
+    bool final = false;
   };
 
-  OpenDay& Open(uint32_t day) { return open_[day]; }
+  /// The staging runs of `day`, appending empty days up to it.
+  DayCounts& Staging(uint32_t day);
 
   DependencyConfig config_;
   std::vector<ClientState> clients_;
   SimTime last_time_ = 0.0;
   bool finished_ = false;
-  std::map<uint32_t, OpenDay> open_;
-  std::map<uint32_t, DayCounts> final_;
+  /// Retained days [floor_, floor_ + days_.size()). A deque, so the
+  /// pointers Counts() returns survive appends and front drops.
+  uint32_t floor_ = 0;
+  std::deque<Day> days_;
 };
 
 /// \brief Drives a DailyDependencyAccumulator over a whole cursor and

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <span>
 
 #include "obs/audit.h"
 #include "obs/flightrec.h"
@@ -743,10 +745,89 @@ SpeculationMetrics SpeculationSimulator::Evaluate(
   return ComputeMetrics(with_spec, without_spec);
 }
 
+namespace {
+
+/// One pass over a replay cursor that also feeds the run's dependency
+/// accumulator (null when the mode needs no model). The replay pulls
+/// chunks through Next(); the day-roll calls PumpUntilFinal, which pulls
+/// further chunks ahead of the replay and parks them until Next() hands
+/// them out. A pull invalidates the cursor's previous chunk, so a pump
+/// first copies the chunk the replay is still reading.
+class SinglePass {
+ public:
+  using Lookahead = StreamingSpeculationSimulator::Lookahead;
+
+  SinglePass(trace::RequestCursor* cursor, DailyDependencyAccumulator* acc)
+      : cursor_(cursor), acc_(acc) {}
+
+  /// The next chunk to replay; empty once the stream is exhausted.
+  std::span<const trace::Request> Next() {
+    if (parked_.empty()) {
+      current_ = Pull();
+      live_ = true;
+    } else {
+      held_.swap(parked_);
+      parked_.clear();
+      current_ = held_;
+      live_ = false;
+    }
+    return current_;
+  }
+
+  /// The chunk Next() returned last. A pump may move it to storage of the
+  /// pass (same requests, same indices), so the replay re-reads it after
+  /// every request it hands to the day-roll.
+  std::span<const trace::Request> current() const { return current_; }
+
+  /// Reads ahead until the accumulator holds `day` final.
+  void PumpUntilFinal(uint32_t day) {
+    size_t chunks = 0;
+    while (!done_ && !acc_->DayFinal(day)) {
+      if (live_) {
+        held_.assign(current_.begin(), current_.end());
+        current_ = held_;
+        live_ = false;
+      }
+      const std::span<const trace::Request> chunk = Pull();
+      parked_.insert(parked_.end(), chunk.begin(), chunk.end());
+      if (!chunk.empty()) ++chunks;
+    }
+    lookahead_.chunks = std::max(lookahead_.chunks, chunks);
+    lookahead_.requests = std::max(lookahead_.requests, parked_.size());
+  }
+
+  const Lookahead& lookahead() const { return lookahead_; }
+
+ private:
+  std::span<const trace::Request> Pull() {
+    if (done_) return {};
+    const std::span<const trace::Request> chunk = cursor_->NextChunk();
+    done_ = chunk.empty();
+    if (acc_ != nullptr) {
+      for (const trace::Request& r : chunk) acc_->OnRequest(r);
+      if (done_) acc_->FinishStream();
+    }
+    return chunk;
+  }
+
+  trace::RequestCursor* cursor_;
+  DailyDependencyAccumulator* acc_;
+  bool done_ = false;
+  /// current_ is cursor storage (else it is held_).
+  bool live_ = false;
+  std::span<const trace::Request> current_;
+  std::vector<trace::Request> held_;
+  /// Requests pulled ahead of the replay, in stream order.
+  std::vector<trace::Request> parked_;
+  Lookahead lookahead_;
+};
+
+}  // namespace
+
 StreamingSpeculationSimulator::StreamingSpeculationSimulator(
     const trace::Corpus* corpus, trace::RequestCursor* replay,
-    trace::RequestCursor* deps)
-    : corpus_(corpus), replay_(replay), deps_(deps) {
+    trace::RequestCursor* /*deps*/)
+    : corpus_(corpus), replay_(replay) {
   SDS_CHECK(corpus != nullptr);
   SDS_CHECK(replay != nullptr);
 }
@@ -755,32 +836,21 @@ RunTotals StreamingSpeculationSimulator::Run(
     const SpeculationConfig& config,
     std::vector<ServerEvent>* server_events) {
   replay_->Rewind();
-  const bool needs_model = NeedsModel(config.mode);
-  std::unique_ptr<DailyDependencyAccumulator> acc;
-  bool deps_done = false;
+  std::optional<DailyDependencyAccumulator> acc;
+  if (NeedsModel(config.mode)) {
+    acc.emplace(config.dependency, replay_->num_clients());
+  }
+  SinglePass pass(replay_, acc ? &*acc : nullptr);
   DayCountsSource source;
-  if (needs_model) {
-    SDS_CHECK(deps_ != nullptr)
-        << "speculative modes need a dependency cursor";
-    deps_->Rewind();
-    acc = std::make_unique<DailyDependencyAccumulator>(
-        config.dependency, replay_->num_clients());
-    // Pump the dependency cursor just far enough to finalise the requested
-    // day, then release days the sliding window can never consult again.
-    source = [this, a = acc.get(), &deps_done,
+  if (acc) {
+    // Finalise the requested day, then release days the sliding window can
+    // never consult again.
+    source = [&pass, a = &*acc,
               history = static_cast<long>(config.history_days)](
                  long day) -> const DayCounts* {
       if (day < 0) return nullptr;
       const uint32_t d = static_cast<uint32_t>(day);
-      while (!deps_done && !a->DayFinal(d)) {
-        const auto chunk = deps_->NextChunk();
-        if (chunk.empty()) {
-          a->FinishStream();
-          deps_done = true;
-          break;
-        }
-        for (const auto& r : chunk) a->OnRequest(r);
-      }
+      pass.PumpUntilFinal(d);
       const DayCounts* counts = a->Counts(d);
       if (day > history) a->DropBefore(static_cast<uint32_t>(day - history));
       return counts;
@@ -791,9 +861,9 @@ RunTotals StreamingSpeculationSimulator::Run(
                        server_events);
   size_t i = 0;
   SpeculationReplay::Record rec;
-  for (auto chunk = replay_->NextChunk(); !chunk.empty();
-       chunk = replay_->NextChunk()) {
-    for (const auto& r : chunk) {
+  for (auto chunk = pass.Next(); !chunk.empty(); chunk = pass.Next()) {
+    for (size_t k = 0; k < chunk.size(); ++k) {
+      const trace::Request& r = pass.current()[k];
       if (r.kind != trace::RequestKind::kDocument &&
           r.kind != trace::RequestKind::kAlias) {
         continue;
@@ -807,6 +877,7 @@ RunTotals StreamingSpeculationSimulator::Run(
       sr.OnRequest(i++, rec);
     }
   }
+  lookahead_ = pass.lookahead();
   return sr.Finish();
 }
 

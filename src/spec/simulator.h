@@ -176,8 +176,9 @@ struct UserProfile {
 /// \brief Source of finished per-day dependency counts for the replay's
 /// day-roll. Called with a day index >= 0; returns nullptr when the day is
 /// outside the counted range (equivalent to an empty day). The batch path
-/// wraps the cached CountDailyDependencies vector; the streaming path pumps
-/// a DailyDependencyAccumulator just far enough to finalise the day.
+/// wraps the cached CountDailyDependencies vector; the streaming path reads
+/// the replay's own cursor ahead, through a DailyDependencyAccumulator,
+/// just far enough to finalise the day.
 using DayCountsSource = std::function<const DayCounts*(long day)>;
 
 /// \brief P and P* across a replay's update cycles, as a sequence of
@@ -445,20 +446,21 @@ class SpeculationSimulator {
 /// time-ordered request cursor with O(clients + model + lookahead)
 /// resident state instead of materializing the trace.
 ///
-/// Two independent cursors over the same stream are required: `replay`
-/// drives the simulation; `deps` is pumped at most one dependency window
-/// past each finished day boundary to finalise that day's pair counts
-/// before the day-roll consumes them. Results are bit-identical to the
-/// batch simulator on the materialized trace (pinned by
+/// Each run reads the cursor once. Every chunk the replay pulls also feeds
+/// the run's DailyDependencyAccumulator. When the day-roll asks for a day
+/// that is not final yet, the run pulls further chunks ahead of the replay
+/// (a day is final one dependency window past its end), counts them and
+/// parks copies until the replay reaches them. Results are bit-identical
+/// to the batch simulator on the materialized trace (pinned by
 /// tests/spec/streaming_equivalence_test.cc).
 class StreamingSpeculationSimulator {
  public:
-  /// `corpus` and the cursors must outlive the simulator. `deps` may be
-  /// null when every run's mode is kNone (no model is ever built). Both
-  /// cursors are Rewind()-ed at the start of each run.
+  /// `corpus` and `replay` must outlive the simulator; `replay` is
+  /// Rewind()-ed at the start of each run. `deps` is unused: runs count
+  /// dependencies from `replay`. It stays for existing callers.
   StreamingSpeculationSimulator(const trace::Corpus* corpus,
                                 trace::RequestCursor* replay,
-                                trace::RequestCursor* deps);
+                                trace::RequestCursor* deps = nullptr);
 
   RunTotals Run(const SpeculationConfig& config,
                 std::vector<ServerEvent>* server_events = nullptr);
@@ -466,10 +468,18 @@ class StreamingSpeculationSimulator {
   /// Runs `config` and its mode-kNone twin and computes the four ratios.
   SpeculationMetrics Evaluate(const SpeculationConfig& config);
 
+  /// How far the last Run read ahead of its replay: the most cursor chunks
+  /// and requests it held parked at once.
+  struct Lookahead {
+    size_t chunks = 0;
+    size_t requests = 0;
+  };
+  const Lookahead& last_lookahead() const { return lookahead_; }
+
  private:
   const trace::Corpus* corpus_;
   trace::RequestCursor* replay_;
-  trace::RequestCursor* deps_;
+  Lookahead lookahead_;
 };
 
 }  // namespace sds::spec

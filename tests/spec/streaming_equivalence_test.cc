@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/workload.h"
@@ -123,6 +125,63 @@ TEST(StreamingDependencyTest, EmptyStream) {
   EXPECT_TRUE(days[0].occurrences.empty());
 }
 
+// A final day the accumulator no longer (or never) holds reads as the empty
+// DayCounts, as a day without traffic does.
+TEST(StreamingDependencyTest, DroppedAndUnseenFinalDaysAreEmpty) {
+  const DependencyConfig config;
+  const auto batch = NormalizedBatchCounts(config);
+  ASSERT_GE(batch.size(), 3u);
+  ASSERT_FALSE(batch[0].occurrences.empty());
+
+  DailyDependencyAccumulator acc(config,
+                                 SharedWorkload().clean().num_clients);
+  const auto cursor = SharedWorkload().NewCleanCursor();
+  for (auto chunk = cursor->NextChunk(); !chunk.empty();
+       chunk = cursor->NextChunk()) {
+    for (const auto& r : chunk) acc.OnRequest(r);
+  }
+  acc.FinishStream();
+  EXPECT_EQ(acc.Counts(0)->occurrences, batch[0].occurrences);
+  acc.DropBefore(2);
+  for (const uint32_t day :
+       {0u, 1u, static_cast<uint32_t>(batch.size()) + 5}) {
+    const DayCounts* counts = acc.Counts(day);
+    ASSERT_NE(counts, nullptr);
+    EXPECT_TRUE(counts->pair_counts.empty()) << "day " << day;
+    EXPECT_TRUE(counts->occurrences.empty()) << "day " << day;
+  }
+  EXPECT_EQ(acc.Counts(2)->pair_counts, batch[2].pair_counts);
+  EXPECT_EQ(acc.Counts(2)->occurrences, batch[2].occurrences);
+}
+
+// Neither an occurrence nor a pair may count toward a day DropBefore
+// already released.
+TEST(StreamingDependencyDeathTest, CountBelowTheFloorAborts) {
+  const DependencyConfig config;
+  trace::Request late_leader;
+  late_leader.client = 0;
+  late_leader.doc = 1;
+  late_leader.time = kDay - 1.0;
+  trace::Request follower = late_leader;
+  follower.doc = 2;
+  follower.time = kDay + 1.0;  // pairs with the day-0 leader
+  EXPECT_DEATH(
+      {
+        DailyDependencyAccumulator acc(config, 1);
+        acc.DropBefore(1);
+        acc.OnRequest(late_leader);
+      },
+      "day 0 is below the DropBefore floor 1");
+  EXPECT_DEATH(
+      {
+        DailyDependencyAccumulator acc(config, 1);
+        acc.OnRequest(late_leader);
+        acc.DropBefore(1);
+        acc.OnRequest(follower);
+      },
+      "pair led on day 0, below the DropBefore floor 1");
+}
+
 // ---------------------------------------------------------------------------
 // Speculation replay
 // ---------------------------------------------------------------------------
@@ -157,6 +216,16 @@ void ExpectTotalsEq(const RunTotals& a, const RunTotals& b) {
   EXPECT_EQ(a.breaker_fast_fails, b.breaker_fast_fails);
 }
 
+void ExpectEventsEq(const std::vector<ServerEvent>& batch,
+                    const std::vector<ServerEvent>& stream) {
+  ASSERT_EQ(batch.size(), stream.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch[i].time, stream[i].time) << "event " << i;
+    EXPECT_EQ(batch[i].response_bytes, stream[i].response_bytes)
+        << "event " << i;
+  }
+}
+
 // Runs `config` through both paths and requires bit-identical totals and
 // server-event streams.
 void ExpectRunEquivalence(const SpeculationConfig& config) {
@@ -166,20 +235,12 @@ void ExpectRunEquivalence(const SpeculationConfig& config) {
   const RunTotals batch_totals = batch.Run(config, &batch_events);
 
   const auto replay = w.NewCleanCursor();
-  const auto deps = w.NewCleanCursor();
-  StreamingSpeculationSimulator stream(&w.corpus(), replay.get(),
-                                       deps.get());
+  StreamingSpeculationSimulator stream(&w.corpus(), replay.get());
   std::vector<ServerEvent> stream_events;
   const RunTotals stream_totals = stream.Run(config, &stream_events);
 
   ExpectTotalsEq(batch_totals, stream_totals);
-  ASSERT_EQ(batch_events.size(), stream_events.size());
-  for (size_t i = 0; i < batch_events.size(); ++i) {
-    EXPECT_EQ(batch_events[i].time, stream_events[i].time) << "event " << i;
-    EXPECT_EQ(batch_events[i].response_bytes,
-              stream_events[i].response_bytes)
-        << "event " << i;
-  }
+  ExpectEventsEq(batch_events, stream_events);
 }
 
 SpeculationConfig SmallHistoryBase() {
@@ -198,8 +259,8 @@ TEST(StreamingSimulatorTest, NoneModeMatchesBatch) {
 }
 
 TEST(StreamingSimulatorTest, NoneModeNeedsNoDepsCursor) {
-  // The deps cursor may be null when no model is ever built (fig5 runs the
-  // baseline this way before the sweep).
+  // An explicit null deps cursor is accepted; runs read only the replay
+  // cursor (fig5 runs the baseline this way before the sweep).
   const core::Workload& w = SharedWorkload();
   SpeculationConfig config;
   config.mode = ServiceMode::kNone;
@@ -255,6 +316,15 @@ TEST(StreamingSimulatorTest, ShortHistoryMultiDayCycleMatchesBatch) {
   ExpectRunEquivalence(config);
 }
 
+TEST(StreamingSimulatorTest, OneDayHistoryMatchesBatch) {
+  // D' = 1: the window holds a single day, so every fold both adds the
+  // finished day and removes the one before it, right at the floor.
+  SpeculationConfig config;
+  config.mode = ServiceMode::kSpeculativePush;
+  config.history_days = 1;
+  ExpectRunEquivalence(config);
+}
+
 TEST(StreamingSimulatorTest, EvaluateMatchesBatchEvaluate) {
   const core::Workload& w = SharedWorkload();
   SpeculationConfig config;
@@ -264,9 +334,7 @@ TEST(StreamingSimulatorTest, EvaluateMatchesBatchEvaluate) {
   const SpeculationMetrics bm = batch.Evaluate(config);
 
   const auto replay = w.NewCleanCursor();
-  const auto deps = w.NewCleanCursor();
-  StreamingSpeculationSimulator stream(&w.corpus(), replay.get(),
-                                       deps.get());
+  StreamingSpeculationSimulator stream(&w.corpus(), replay.get());
   const SpeculationMetrics sm = stream.Evaluate(config);
 
   EXPECT_EQ(bm.bandwidth_ratio, sm.bandwidth_ratio);
@@ -276,6 +344,137 @@ TEST(StreamingSimulatorTest, EvaluateMatchesBatchEvaluate) {
   EXPECT_EQ(bm.extra_traffic, sm.extra_traffic);
   ExpectTotalsEq(bm.with_speculation, sm.with_speculation);
   ExpectTotalsEq(bm.without_speculation, sm.without_speculation);
+}
+
+// ---------------------------------------------------------------------------
+// Chunk boundaries of the single-pass pump
+// ---------------------------------------------------------------------------
+
+// Re-slices a materialized trace into chunks of `chunk_size` requests,
+// copied into storage the next call overwrites (as real cursors do), and
+// counts how it is driven.
+class ResliceCursor : public trace::RequestCursor {
+ public:
+  ResliceCursor(const trace::Trace* trace, size_t chunk_size)
+      : trace_(trace), chunk_size_(chunk_size) {}
+
+  std::span<const trace::Request> NextChunk() override {
+    ++calls;
+    const size_t n = std::min(chunk_size_, trace_->size() - pos_);
+    if (n == 0) ++empty_returns;
+    chunk_.assign(trace_->requests.begin() + pos_,
+                  trace_->requests.begin() + pos_ + n);
+    pos_ += n;
+    requests += n;
+    return chunk_;
+  }
+  void Rewind() override {
+    ++rewinds;
+    pos_ = 0;
+  }
+  uint32_t num_clients() const override { return trace_->num_clients; }
+  uint32_t num_servers() const override { return trace_->num_servers; }
+
+  size_t calls = 0;
+  size_t rewinds = 0;
+  size_t empty_returns = 0;
+  size_t requests = 0;
+
+ private:
+  const trace::Trace* trace_;
+  size_t chunk_size_;
+  size_t pos_ = 0;
+  std::vector<trace::Request> chunk_;
+};
+
+// Requests of `trace` less than `window` seconds past each midnight, by
+// day. A run parks at most one day's count plus one chunk when it pumps a
+// day final.
+std::vector<size_t> RequestsPastMidnight(const trace::Trace& trace,
+                                         SimTime window) {
+  std::vector<size_t> per_day(
+      static_cast<size_t>(DayOfTime(trace.Span())) + 1, 0);
+  for (const trace::Request& r : trace.requests) {
+    const size_t day = static_cast<size_t>(DayOfTime(r.time));
+    if (r.time - static_cast<SimTime>(day) * kDay < window) ++per_day[day];
+  }
+  return per_day;
+}
+
+// Every chunking of the same stream, down to one request per chunk, yields
+// the batch results bit for bit. Each run rewinds and drains its replay
+// cursor exactly once, never reads the deps cursor, and parks only what
+// finalising a day needs. The small trace is quiet in the seconds after
+// midnight, so a one-hour T_w is what makes the runs read ahead; a copy
+// cut half an hour into its busiest early morning makes a pump reach the
+// end of the stream.
+TEST(StreamingSimulatorTest, AnyChunkingMatchesBatchInOnePass) {
+  const core::Workload& w = SharedWorkload();
+  const trace::Trace& clean = w.clean();
+  const std::vector<size_t> early = RequestsPastMidnight(clean, 1800.0);
+  const SimTime cut_time =
+      static_cast<SimTime>(std::max_element(early.begin(), early.end()) -
+                           early.begin()) *
+          kDay +
+      1800.0;
+  trace::Trace cut = clean;
+  std::erase_if(cut.requests, [cut_time](const trace::Request& r) {
+    return r.time >= cut_time;
+  });
+
+  SpeculationConfig push;
+  push.mode = ServiceMode::kSpeculativePush;
+  SpeculationConfig hybrid;
+  hybrid.mode = ServiceMode::kHybrid;
+  SpeculationConfig decay = push;
+  decay.estimator = SpeculationConfig::EstimatorKind::kExponentialDecay;
+  decay.decay_per_day = 0.9;
+  SpeculationConfig small_history = SmallHistoryBase();
+  small_history.mode = ServiceMode::kSpeculativePush;
+
+  const trace::Trace* const traces[] = {&clean, &cut};
+  for (const trace::Trace* stream_trace : traces) {
+    SpeculationSimulator batch(&w.corpus(), stream_trace);
+    for (SpeculationConfig config : {push, hybrid, decay, small_history}) {
+      for (const SimTime window : {5.0, 3600.0}) {
+        config.dependency.window = window;
+        std::vector<ServerEvent> batch_events;
+        const RunTotals batch_totals = batch.Run(config, &batch_events);
+        const std::vector<size_t> past_midnight =
+            RequestsPastMidnight(*stream_trace, window);
+        const size_t window_requests =
+            *std::max_element(past_midnight.begin(), past_midnight.end());
+        for (const size_t chunk_size :
+             {size_t{1}, size_t{7}, size_t{4096}, stream_trace->size()}) {
+          SCOPED_TRACE(testing::Message()
+                       << ServiceModeToString(config.mode) << " history "
+                       << config.history_days << " window " << window
+                       << " chunk " << chunk_size << " requests "
+                       << stream_trace->size());
+          ResliceCursor replay(stream_trace, chunk_size);
+          ResliceCursor deps(stream_trace, chunk_size);
+          StreamingSpeculationSimulator stream(&w.corpus(), &replay, &deps);
+          std::vector<ServerEvent> stream_events;
+          ExpectTotalsEq(batch_totals, stream.Run(config, &stream_events));
+          ExpectEventsEq(batch_events, stream_events);
+
+          EXPECT_EQ(replay.rewinds, 1u);
+          EXPECT_EQ(replay.empty_returns, 1u);
+          EXPECT_EQ(replay.requests, stream_trace->size());
+          EXPECT_EQ(deps.calls, 0u);
+          EXPECT_EQ(deps.rewinds, 0u);
+
+          const auto& ahead = stream.last_lookahead();
+          EXPECT_LE(ahead.requests, window_requests + chunk_size);
+          if (chunk_size >= 4096) {
+            EXPECT_LE(ahead.chunks, 2u);
+          } else if (window_requests > 0) {
+            EXPECT_GE(ahead.chunks, 1u);
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@
 // For each input report it extracts the headline numbers — wall (sum of the
 // top-level *_s stage timings), requests_replayed, throughput_rps and
 // peak_rss_bytes — and appends one entry per report to the `runs` array of
-// the output file, creating it if absent. Existing entries are preserved
-// verbatim as parsed values, so the file only ever grows.
+// the output file, creating it if absent. A report written with `--stream`
+// (its `stream` key is non-zero) is named `<bench>+stream`, so rows of the
+// two trace modes never mix. Existing entries are preserved verbatim as
+// parsed values, so the file only ever grows.
 //
 // Exit codes: 0 = appended, 2 = usage or I/O error.
 
@@ -115,6 +117,11 @@ bool ExtractEntry(const std::string& path, const std::string& label,
     entry->bench = v->AsString();
   } else {
     entry->bench = path;
+  }
+  if (const JsonValue* v = report.Find("stream");
+      v != nullptr && v->kind() == JsonValue::Kind::kNumber &&
+      v->AsNumber() != 0.0) {
+    entry->bench += "+stream";
   }
   // Wall = the top-level total_s stage timing when present; otherwise the
   // sum of the disjoint per-stage *_s keys (workload_s, run_s, ...).
