@@ -16,10 +16,13 @@
 ///   sdsim --protocol=dissemination --proxies=8 --fraction=0.04
 ///   sdsim --scale=paper --protocol=both --cooperative
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/experiments.h"
 #include "core/workload.h"
@@ -63,19 +66,75 @@ class Args {
     return it == values_.end() ? fallback : it->second;
   }
 
+  /// Checks every flag given with a value that must be a number or one of
+  /// a few words. A number must parse in full, be finite and lie in its
+  /// range. Returns the first problem, or "" when all flags are valid.
+  std::string Validate() const {
+    struct Range {
+      const char* key;
+      bool integer;
+      double lo;
+      double hi;
+      const char* want;
+    };
+    constexpr double kMax = std::numeric_limits<double>::max();
+    constexpr Range kRanges[] = {
+        {"seed", true, 0, kMax, "an integer >= 0"},
+        {"tp", false, 0, 1, "a number in [0, 1]"},
+        {"maxsize", true, 0, kMax, "an integer >= 0"},
+        {"session-timeout", false, 0, kMax, "a finite number >= 0"},
+        {"proxies", true, 1, UINT32_MAX, "an integer in [1, 2^32)"},
+        {"fraction", false, 0, 1, "a number in [0, 1]"},
+    };
+    for (const Range& range : kRanges) {
+      const auto it = values_.find(range.key);
+      if (it == values_.end()) continue;
+      double value = 0.0;
+      if (range.integer) {
+        const Result<int64_t> parsed = ParseInt64(it->second);
+        if (!parsed.ok()) return Bad(range.key, range.want);
+        value = static_cast<double>(parsed.value());
+      } else {
+        const Result<double> parsed = ParseDouble(it->second);
+        if (!parsed.ok()) return Bad(range.key, range.want);
+        value = parsed.value();
+      }
+      // NaN fails both comparisons, so test for the valid range.
+      if (!(value >= range.lo && value <= range.hi)) {
+        return Bad(range.key, range.want);
+      }
+    }
+    const std::map<std::string, std::vector<std::string>> kWords = {
+        {"scale", {"small", "paper"}},
+        {"protocol", {"speculation", "dissemination", "both"}},
+        {"mode", {"push", "hints", "client", "hybrid"}},
+    };
+    for (const auto& [key, words] : kWords) {
+      const auto it = values_.find(key);
+      if (it == values_.end()) continue;
+      if (std::find(words.begin(), words.end(), it->second) == words.end()) {
+        return Bad(key, "one of " + JoinStrings(words, "|"));
+      }
+    }
+    return "";
+  }
+
+  /// Numeric flags are read only after Validate() passed.
   double GetDouble(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return ParseDouble(it->second).value_or(fallback);
+    return it == values_.end() ? fallback : ParseDouble(it->second).value();
   }
 
   int64_t GetInt(const std::string& key, int64_t fallback) const {
     const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return ParseInt64(it->second).value_or(fallback);
+    return it == values_.end() ? fallback : ParseInt64(it->second).value();
   }
 
  private:
+  std::string Bad(const std::string& key, const std::string& want) const {
+    return "--" + key + "=" + values_.at(key) + ": expected " + want;
+  }
+
   std::map<std::string, std::string> values_;
   bool ok_ = true;
 };
@@ -167,6 +226,10 @@ int main(int argc, char** argv) {
                  "  [--tailored] [--clf=FILE]\n");
     return args.Has("help") ? 0 : 2;
   }
+  if (const std::string problem = args.Validate(); !problem.empty()) {
+    std::fprintf(stderr, "error: %s\n", problem.c_str());
+    return 2;
+  }
 
   core::WorkloadConfig config = args.Get("scale", "small") == "paper"
                                     ? core::PaperScaleConfig()
@@ -198,11 +261,6 @@ int main(int argc, char** argv) {
   }
   if (protocol == "dissemination" || protocol == "both") {
     rc |= RunDissemination(workload, replay, args);
-  }
-  if (protocol != "speculation" && protocol != "dissemination" &&
-      protocol != "both") {
-    std::fprintf(stderr, "unknown --protocol=%s\n", protocol.c_str());
-    return 2;
   }
   return rc;
 }

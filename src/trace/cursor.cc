@@ -16,7 +16,6 @@
 namespace sds::trace {
 namespace {
 
-constexpr double kDaySeconds = 86400.0;
 /// Target requests handed out per NextChunk() call.
 constexpr size_t kChunkSize = 65536;
 
@@ -66,64 +65,45 @@ void GeneratorCursor::Start() {
   graph_.emplace(graph_factory_());
   rng_ = initial_rng_;
   generator_.emplace(config_, &*graph_, &rng_);
-  pending_.clear();
+  window_.clear();
   emit_pos_ = 0;
   emit_end_ = 0;
-  next_index_ = 0;
   exhausted_ = false;
 }
 
 std::span<const Request> GeneratorCursor::NextChunk() {
   while (emit_pos_ == emit_end_) {
     if (exhausted_) return {};
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<ptrdiff_t>(emit_pos_));
+    // Keep the overhang and generate the next day behind it.
+    window_.erase(window_.begin(),
+                  window_.begin() + static_cast<ptrdiff_t>(emit_pos_));
     emit_pos_ = 0;
-    emit_end_ = 0;
-    day_buffer_.clear();
-    if (generator_->NextDay(&day_buffer_)) {
-      pending_.reserve(pending_.size() + day_buffer_.size());
-      for (const Request& r : day_buffer_) {
-        pending_.push_back(Pending{r, next_index_++});
-      }
-      // Batch order is a stable sort by time over the emission sequence,
-      // i.e. order by (time, emission index). Keys are unique, so a plain
-      // sort reproduces it.
-      std::sort(pending_.begin(), pending_.end(),
-                [](const Pending& a, const Pending& b) {
-                  return std::tie(a.request.time, a.index) <
-                         std::tie(b.request.time, b.index);
-                });
-      // Everything before the next day's start is final: future emissions
-      // have both a later time (sessions only overhang forward) and a
-      // larger emission index.
-      const double boundary =
-          static_cast<double>(generator_->day()) * kDaySeconds;
-      emit_end_ = static_cast<size_t>(
-          std::lower_bound(pending_.begin(), pending_.end(), boundary,
-                           [](const Pending& p, double t) {
-                             return p.request.time < t;
-                           }) -
-          pending_.begin());
-    } else {
+    if (!generator_->NextDay(&window_)) {
       exhausted_ = true;
-      emit_end_ = pending_.size();
+      emit_end_ = window_.size();
+      continue;
     }
+    // Batch order is a stable sort by time of the emission sequence, i.e.
+    // (time, emission index). The overhang in front of the new day is in
+    // that order and was emitted earlier, so one stable sort of the buffer
+    // keeps every tie in emission order.
+    StableSortByTime(&window_, &scratch_);
+    // Everything before the next midnight is final: later emissions have
+    // both a later time (sessions only overhang forward) and a larger
+    // emission index.
+    const double boundary = static_cast<double>(generator_->day()) * kDay;
+    const auto first_pending =
+        std::lower_bound(window_.begin(), window_.end(), boundary,
+                         [](const Request& r, double t) { return r.time < t; });
+    emit_end_ = static_cast<size_t>(first_pending - window_.begin());
   }
   const size_t n = std::min(kChunkSize, emit_end_ - emit_pos_);
-  chunk_.clear();
-  chunk_.reserve(n);
-  for (size_t i = emit_pos_; i < emit_pos_ + n; ++i) {
-    chunk_.push_back(pending_[i].request);
-  }
+  const std::span<const Request> chunk(window_.data() + emit_pos_, n);
   emit_pos_ += n;
-  return chunk_;
+  return chunk;
 }
 
-void GeneratorCursor::Rewind() {
-  chunk_.clear();
-  Start();
-}
+void GeneratorCursor::Rewind() { Start(); }
 
 uint32_t GeneratorCursor::num_clients() const { return config_.num_clients; }
 

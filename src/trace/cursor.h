@@ -87,13 +87,17 @@ class VectorCursor : public RequestCursor {
 ///
 /// The batch generator emits per-day request bursts and then stable-sorts
 /// the whole trace by time; its output order is therefore (time, emission
-/// index). The cursor reproduces that order with bounded state: after
-/// generating day d it sorts the pending requests by (time, emission
-/// index) and releases those with time < (d+1) days — every future
-/// emission has a later time (sessions only overhang forward) *and* a
-/// larger emission index, so the released prefix is final. Sessions that
-/// straddle midnight stay pending into the next day. Resident state is
-/// one day of requests plus the overhang, independent of `config.days`.
+/// index). The cursor keeps plain requests in that order with bounded
+/// state. It appends each new day's emissions behind the pending overhang
+/// and stable-sorts the buffer by time in linear time (StableSortByTime);
+/// every overhang request was emitted earlier and sits in front, so a tie
+/// keeps it first, exactly as the batch sort does. It then releases the
+/// requests with time < (d+1) days: every future emission has a later
+/// time (sessions only overhang forward) *and* a larger emission index, so
+/// the released prefix is final. Sessions that straddle midnight stay
+/// pending into the next day. Chunks are spans into the buffer, not copies.
+/// Resident state is one day of requests plus the overhang, independent of
+/// `config.days`.
 ///
 /// Rewind() rebuilds the link graph via `graph_factory` and restarts from
 /// the initial RNG state, so each pass is identical.
@@ -128,16 +132,12 @@ class GeneratorCursor : public RequestCursor {
   std::optional<LinkGraph> graph_;
   Rng rng_;
   std::optional<TraceDayGenerator> generator_;
-  struct Pending {
-    Request request;
-    uint64_t index;  ///< Global emission index (stable-sort tiebreak).
-  };
-  std::vector<Pending> pending_;
-  size_t emit_pos_ = 0;  ///< Released prefix of pending_: [emit_pos_,
-  size_t emit_end_ = 0;  ///< emit_end_) is ready to hand out.
-  uint64_t next_index_ = 0;
-  std::vector<Request> day_buffer_;
-  std::vector<Request> chunk_;
+  /// Requests in (time, emission index) order: [emit_pos_, emit_end_) is
+  /// released and ready to hand out, [emit_end_, size) is the overhang.
+  std::vector<Request> window_;
+  size_t emit_pos_ = 0;
+  size_t emit_end_ = 0;
+  std::vector<Request> scratch_;  ///< Working storage of the sort.
   bool exhausted_ = false;
 };
 

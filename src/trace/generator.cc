@@ -34,56 +34,50 @@ uint64_t SamplePoisson(double mean, Rng* rng) {
   return x <= 0.0 ? 0 : static_cast<uint64_t>(std::llround(x));
 }
 
-/// Per-client LRU browser cache (document ids with byte accounting). Only
-/// membership and eviction order matter to the generator, and a cache holds
-/// at most a few dozen documents, so a flat recency-ordered vector (front =
-/// most recent) beats a map + list: 8 bytes per entry, no node allocations,
-/// and the linear scan fits in one cache line fetch for typical sizes. With
-/// millions of clients the per-entry footprint of this structure is what
-/// keeps the generator's resident set flat as simulated days grow.
+/// Per-client LRU browser cache. Only membership and eviction order matter
+/// to the generator, and a cache holds at most a few dozen documents, so a
+/// flat recency-ordered vector of document ids (front = most recent) beats
+/// a map + list: 4 bytes per entry, no node allocations, and the scan of a
+/// typical cache reads one cache line. Sizes are not stored: a document's
+/// size is immutable, so eviction looks it up in the corpus. With millions
+/// of clients the per-entry footprint of this structure is what keeps the
+/// generator's resident set flat as simulated days grow.
 class BrowserCache {
  public:
-  void SetCapacity(uint64_t bytes) { capacity_ = bytes; }
-
-  bool Contains(DocumentId doc) const {
-    for (const Entry& e : entries_) {
-      if (e.doc == doc) return true;
+  /// One view of `doc` (of `size` bytes) in a single scan: returns true
+  /// when the cache absorbs it (cached and not a forced reload) and leaves
+  /// `doc` most recent, inserting it (evicting from the back) when it was
+  /// missing and fits in `capacity` at all.
+  bool Access(DocumentId doc, uint64_t size, bool reload, uint64_t capacity,
+              const Corpus& corpus) {
+    for (size_t i = 0; i < docs_.size(); ++i) {
+      if (docs_[i] == doc) {
+        std::rotate(docs_.begin(), docs_.begin() + i, docs_.begin() + i + 1);
+        return !reload;
+      }
+    }
+    if (capacity == 0 || size > capacity) return false;
+    // Six ids fill the smallest block the allocator hands out anyway, and
+    // starting there skips the reallocations of a vector growing from one.
+    if (docs_.capacity() == 0) docs_.reserve(6);
+    docs_.insert(docs_.begin(), doc);
+    used_ += size;
+    while (used_ > capacity && !docs_.empty()) {
+      // A request carries its size as 32 bits; so does the accounting.
+      used_ -= static_cast<uint32_t>(corpus.doc(docs_.back()).size_bytes);
+      docs_.pop_back();
     }
     return false;
   }
 
-  void Insert(DocumentId doc, uint64_t size) {
-    if (capacity_ == 0 || size > capacity_) return;
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].doc == doc) {
-        // Move to front; the stored size is immutable per document.
-        std::rotate(entries_.begin(), entries_.begin() + i,
-                    entries_.begin() + i + 1);
-        return;
-      }
-    }
-    entries_.insert(entries_.begin(),
-                    Entry{doc, static_cast<uint32_t>(size)});
-    used_ += size;
-    while (used_ > capacity_ && !entries_.empty()) {
-      used_ -= entries_.back().size;
-      entries_.pop_back();
-    }
-  }
-
   void Clear() {
-    entries_.clear();
+    docs_.clear();
     used_ = 0;
   }
 
  private:
-  struct Entry {
-    DocumentId doc;
-    uint32_t size;
-  };
-  uint64_t capacity_ = 0;
   uint64_t used_ = 0;
-  std::vector<Entry> entries_;
+  std::vector<DocumentId> docs_;
 };
 
 }  // namespace
@@ -145,10 +139,7 @@ struct TraceDayGenerator::Impl {
     // the model disabled the caches are pure no-ops, so skip the
     // per-client allocation entirely (it dominates resident memory at
     // millions of clients).
-    if (cfg.browser_cache_bytes > 0) {
-      browsers.resize(cfg.num_clients);
-      for (auto& b : browsers) b.SetCapacity(cfg.browser_cache_bytes);
-    }
+    if (cfg.browser_cache_bytes > 0) browsers.resize(cfg.num_clients);
   }
 
   // Emits a request unless the client's browser cache absorbs it.
@@ -156,13 +147,10 @@ struct TraceDayGenerator::Impl {
             ServerId server, DocumentId doc, SimTime t, RequestKind kind) {
     const uint64_t size = corpus->doc(doc).size_bytes;
     const bool reload = rng->NextBernoulli(config.forced_reload_rate);
-    if (config.browser_cache_bytes > 0) {
-      BrowserCache& browser = browsers[client];
-      if (!reload && browser.Contains(doc)) {
-        browser.Insert(doc, size);  // refresh LRU position
-        return;
-      }
-      browser.Insert(doc, size);
+    if (config.browser_cache_bytes > 0 &&
+        browsers[client].Access(doc, size, reload, config.browser_cache_bytes,
+                                *corpus)) {
+      return;
     }
     Request r;
     r.time = t;
@@ -248,6 +236,9 @@ bool TraceDayGenerator::NextDay(std::vector<Request>* out) {
     // Active clients are Zipf-skewed: rank -> client id via a fixed
     // mapping (identity is fine; client ids carry no other meaning).
     const ClientId client = static_cast<ClientId>(im.client_sampler.Sample(rng));
+    // The session's first request reads the client's browser cache: start
+    // loading it while the rest of the session start is drawn.
+    if (!im.browsers.empty()) __builtin_prefetch(&im.browsers[client]);
     const bool remote = im.client_is_remote[client];
     const double continue_prob =
         remote ? im.remote_continue_prob : im.local_continue_prob;

@@ -109,7 +109,11 @@ LinkGraph::LinkGraph(const Corpus* corpus, const LinkGraphConfig& config,
       }
     }
   }
-  RebuildEntrySamplers();
+  entry_samplers_.reserve(static_cast<size_t>(num_servers) * 2);
+  for (ServerId s = 0; s < num_servers; ++s) {
+    entry_samplers_.push_back(EntrySampler(s, false));
+    entry_samplers_.push_back(EntrySampler(s, true));
+  }
 }
 
 DocumentId LinkGraph::SampleLinkTarget(ServerId server,
@@ -174,23 +178,16 @@ DocumentId LinkGraph::SampleEmbeddedTarget(ServerId server, Rng* rng) {
   return images[rng->NextBounded(images.size())];
 }
 
-void LinkGraph::RebuildEntrySamplers() {
-  const uint32_t num_servers = corpus_->num_servers();
-  entry_samplers_.clear();
-  entry_samplers_.resize(static_cast<size_t>(num_servers) * 2);
-  for (ServerId s = 0; s < num_servers; ++s) {
-    const auto& pages = server_pages_[s];
-    for (int remote = 0; remote < 2; ++remote) {
-      std::vector<double> weights(pages.size());
-      for (size_t i = 0; i < pages.size(); ++i) {
-        weights[i] =
-            entry_base_weight_[s][i] *
-            AudienceMultiplier(corpus_->doc(pages[i]).audience, remote != 0);
-      }
-      entry_samplers_[s * 2 + remote] =
-          std::make_unique<DiscreteSampler>(weights);
-    }
+DiscreteSampler LinkGraph::EntrySampler(ServerId server,
+                                        bool remote_client) const {
+  const auto& pages = server_pages_[server];
+  std::vector<double> weights(pages.size());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    weights[i] =
+        entry_base_weight_[server][i] *
+        AudienceMultiplier(corpus_->doc(pages[i]).audience, remote_client);
   }
+  return DiscreteSampler(weights);
 }
 
 DocumentId LinkGraph::SampleEntryPage(ServerId server, bool remote_client,
@@ -199,7 +196,7 @@ DocumentId LinkGraph::SampleEntryPage(ServerId server, bool remote_client,
                                     : config_.local_home_page_bias;
   if (rng->NextBernoulli(bias)) return home_page_[server];
   const auto& sampler = entry_samplers_[server * 2 + (remote_client ? 1 : 0)];
-  return server_pages_[server][sampler->Sample(rng)];
+  return server_pages_[server][sampler.Sample(rng)];
 }
 
 DocumentId LinkGraph::SampleOutLink(DocumentId page, Rng* rng) const {
@@ -209,7 +206,6 @@ DocumentId LinkGraph::SampleOutLink(DocumentId page, Rng* rng) const {
 }
 
 void LinkGraph::AdvanceDay(Rng* rng) {
-  bool entry_changed = false;
   for (ServerId s = 0; s < corpus_->num_servers(); ++s) {
     for (DocumentId page : server_pages_[s]) {
       if (rng->NextBernoulli(config_.daily_rewire_fraction) &&
@@ -235,6 +231,8 @@ void LinkGraph::AdvanceDay(Rng* rng) {
       }
     }
     // Popularity drift: swap the base entry weights of random page pairs.
+    // Only a server whose weights moved needs new samplers.
+    bool entry_changed = false;
     for (uint32_t k = 0; k < config_.daily_entry_swaps; ++k) {
       auto& weights = entry_base_weight_[s];
       if (weights.size() < 2) break;
@@ -245,8 +243,11 @@ void LinkGraph::AdvanceDay(Rng* rng) {
         entry_changed = true;
       }
     }
+    if (entry_changed) {
+      entry_samplers_[s * 2] = EntrySampler(s, false);
+      entry_samplers_[s * 2 + 1] = EntrySampler(s, true);
+    }
   }
-  if (entry_changed) RebuildEntrySamplers();
 }
 
 size_t LinkGraph::TotalOutLinks() const {

@@ -2,7 +2,6 @@
 #define SDS_TRACE_LINK_GRAPH_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "trace/corpus.h"
@@ -107,7 +106,9 @@ class LinkGraph {
   DocumentId SampleLinkTarget(ServerId server, AudienceClass source_audience,
                               Rng* rng);
   DocumentId SampleEmbeddedTarget(ServerId server, Rng* rng);
-  void RebuildEntrySamplers();
+  /// Entry sampler of `server` for one client locality, from the current
+  /// base weights.
+  DiscreteSampler EntrySampler(ServerId server, bool remote_client) const;
 
   const Corpus* corpus_;
   LinkGraphConfig config_;
@@ -121,7 +122,7 @@ class LinkGraph {
   std::vector<std::vector<double>> entry_base_weight_;
   std::vector<DocumentId> home_page_;  ///< Per-server session entry root.
   /// Entry samplers indexed [server * 2 + (remote ? 1 : 0)].
-  std::vector<std::unique_ptr<DiscreteSampler>> entry_samplers_;
+  std::vector<DiscreteSampler> entry_samplers_;
 };
 
 }  // namespace sds::trace

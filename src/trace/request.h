@@ -47,6 +47,15 @@ struct Trace {
   uint64_t TotalBytes() const;
 };
 
+/// \brief Stable-sorts `*requests` by time: exactly the order of
+/// std::stable_sort with `a.time < b.time`, in linear time when the times
+/// are spread out. A counting sort on a bucket index that never decreases
+/// with time groups the requests, then an insertion sort orders each bucket;
+/// it falls back to std::stable_sort when the buckets are too crowded.
+/// `*scratch` is working storage (its contents are discarded).
+void StableSortByTime(std::vector<Request>* requests,
+                      std::vector<Request>* scratch);
+
 /// \brief One document update (used for the mutability analysis of §2).
 struct UpdateEvent {
   uint32_t day = 0;

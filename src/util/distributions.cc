@@ -192,8 +192,7 @@ DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {
   }
   assert(total > 0.0);
 
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
+  columns_.assign(n, Column{});
   std::vector<double> scaled(n);
   std::vector<uint32_t> small, large;
   small.reserve(n);
@@ -206,21 +205,15 @@ DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {
     const uint32_t s = small.back();
     small.pop_back();
     const uint32_t l = large.back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
+    columns_[s] = Column{scaled[s], l};
     scaled[l] = scaled[l] + scaled[s] - 1.0;
     if (scaled[l] < 1.0) {
       large.pop_back();
       small.push_back(l);
     }
   }
-  for (uint32_t i : large) prob_[i] = 1.0;
-  for (uint32_t i : small) prob_[i] = 1.0;
-}
-
-uint64_t DiscreteSampler::Sample(Rng* rng) const {
-  const uint64_t column = rng->NextBounded(prob_.size());
-  return rng->NextDouble() < prob_[column] ? column : alias_[column];
+  for (uint32_t i : large) columns_[i].prob = 1.0;
+  for (uint32_t i : small) columns_[i].prob = 1.0;
 }
 
 }  // namespace sds

@@ -123,12 +123,20 @@ class DiscreteSampler {
   /// positive sum.
   explicit DiscreteSampler(const std::vector<double>& weights);
 
-  uint64_t Sample(Rng* rng) const;
-  size_t size() const { return prob_.size(); }
+  uint64_t Sample(Rng* rng) const {
+    const uint64_t column = rng->NextBounded(columns_.size());
+    const Column& c = columns_[column];
+    return rng->NextDouble() < c.prob ? column : c.alias;
+  }
+  size_t size() const { return columns_.size(); }
 
  private:
-  std::vector<double> prob_;
-  std::vector<uint32_t> alias_;
+  /// One alias-table column; probability and alias share a cache line.
+  struct Column {
+    double prob = 0.0;
+    uint32_t alias = 0;
+  };
+  std::vector<Column> columns_;
 };
 
 }  // namespace sds

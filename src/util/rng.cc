@@ -3,8 +3,6 @@
 namespace sds {
 namespace {
 
-inline uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 inline uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -19,48 +17,9 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) s = SplitMix64(&sm);
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = RotL(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = RotL(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> uniform double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-uint64_t Rng::NextBounded(uint64_t bound) {
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  uint64_t l = static_cast<uint64_t>(m);
-  if (l < bound) {
-    uint64_t threshold = -bound % bound;
-    while (l < threshold) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
-}
-
 int64_t Rng::NextInt(int64_t lo, int64_t hi) {
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(NextBounded(span));
-}
-
-bool Rng::NextBernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
 }
 
 Rng Rng::Fork() { return Rng(Next()); }

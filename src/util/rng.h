@@ -29,20 +29,51 @@ class Rng {
 
   /// Returns the next 64 random bits.
   uint64_t operator()() { return Next(); }
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = RotL(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = RotL(s_[3], 45);
+    return result;
+  }
 
   /// Returns a uniformly distributed double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 high bits -> uniform double in [0, 1).
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Returns a uniformly distributed integer in [0, bound). bound must be
   /// positive. Uses Lemire's multiply-shift rejection method (unbiased).
-  uint64_t NextBounded(uint64_t bound);
+  uint64_t NextBounded(uint64_t bound) {
+    uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    uint64_t l = static_cast<uint64_t>(m);
+    if (l < bound) {
+      const uint64_t threshold = -bound % bound;
+      while (l < threshold) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Returns a uniformly distributed integer in [lo, hi] (inclusive).
   int64_t NextInt(int64_t lo, int64_t hi);
 
-  /// Returns true with probability p (clamped to [0, 1]).
-  bool NextBernoulli(double p);
+  /// Returns true with probability p (clamped to [0, 1]). p <= 0 and
+  /// p >= 1 consume no draw; NaN consumes one and returns false.
+  bool NextBernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
 
   /// Returns a new generator whose stream is statistically independent of
   /// this one. Used to give each simulated entity (client, server, ...) its
@@ -54,6 +85,10 @@ class Rng {
   static uint64_t Mix(uint64_t x);
 
  private:
+  static uint64_t RotL(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
 };
 

@@ -136,6 +136,88 @@ TEST(GeneratorCursorTest, RewindReproducesStream) {
   EXPECT_EQ(cursor.num_sessions(), f.batch.num_sessions);
 }
 
+TEST(GeneratorCursorTest, TiesKeepEmissionOrder) {
+  // With no spread, a page's inline objects all arrive 0.05 s after it, so
+  // the stream is full of equal timestamps; the cursor must order each tie
+  // by emission index exactly as GenerateTrace's stable sort does.
+  TraceGeneratorConfig config = SmallTraceConfig(4);
+  config.embedded_spread_seconds = 0.0;
+  const GenFixture f(11, config);
+  size_t ties = 0;
+  for (size_t i = 1; i < f.batch.trace.size(); ++i) {
+    ties += f.batch.trace.requests[i].time ==
+            f.batch.trace.requests[i - 1].time;
+  }
+  EXPECT_GT(ties, 100u);
+  ExpectCursorMatchesBatch(f);
+}
+
+TEST(GeneratorCursorTest, DayLargerThanAChunkMatchesBatch) {
+  TraceGeneratorConfig config = SmallTraceConfig(2);
+  config.num_clients = 4000;
+  config.sessions_per_client_per_day = 6.0;
+  const GenFixture f(5, config);
+  size_t first_day = 0;
+  for (const Request& r : f.batch.trace.requests) first_day += r.time < kDay;
+  ASSERT_GT(first_day, 65536u);
+
+  GeneratorCursor cursor = f.MakeCursor();
+  size_t chunks = 0;
+  size_t offset = 0;
+  for (auto chunk = cursor.NextChunk(); !chunk.empty();
+       chunk = cursor.NextChunk()) {
+    ++chunks;
+    ASSERT_LE(chunk.size(), 65536u);
+    ASSERT_LE(offset + chunk.size(), f.batch.trace.size());
+    ExpectSameRequests(
+        std::vector<Request>(chunk.begin(), chunk.end()),
+        std::vector<Request>(f.batch.trace.requests.begin() + offset,
+                             f.batch.trace.requests.begin() + offset +
+                                 chunk.size()));
+    offset += chunk.size();
+  }
+  EXPECT_EQ(offset, f.batch.trace.size());
+  EXPECT_GE(chunks, 4u);
+}
+
+TEST(GeneratorCursorTest, ChunkStaysValidUntilTheNextCall) {
+  // Chunks are views into the cursor's own buffer. Between two NextChunk
+  // calls nothing else may touch it: not the metadata accessors and not
+  // another cursor's pulls.
+  TraceGeneratorConfig config = SmallTraceConfig(3);
+  config.num_clients = 2000;
+  config.sessions_per_client_per_day = 6.0;
+  const GenFixture f(9, config);
+  GeneratorCursor cursor = f.MakeCursor();
+  GeneratorCursor other = f.MakeCursor();
+  size_t offset = 0;
+  for (auto chunk = cursor.NextChunk(); !chunk.empty();
+       chunk = cursor.NextChunk()) {
+    const std::vector<Request> copy(chunk.begin(), chunk.end());
+    other.NextChunk();
+    EXPECT_GT(cursor.num_sessions(), 0u);
+    EXPECT_FALSE(cursor.client_is_remote().empty());
+    EXPECT_EQ(cursor.num_clients(), config.num_clients);
+    ExpectSameRequests(std::vector<Request>(chunk.begin(), chunk.end()), copy);
+    ExpectSameRequests(
+        copy, std::vector<Request>(
+                  f.batch.trace.requests.begin() + offset,
+                  f.batch.trace.requests.begin() + offset + copy.size()));
+    offset += copy.size();
+  }
+  EXPECT_EQ(offset, f.batch.trace.size());
+  // Rewind mid-stream: the first chunk after it is the stream's start.
+  cursor.Rewind();
+  cursor.NextChunk();
+  cursor.Rewind();
+  const auto restart = cursor.NextChunk();
+  ASSERT_FALSE(restart.empty());
+  ExpectSameRequests(
+      std::vector<Request>(restart.begin(), restart.end()),
+      std::vector<Request>(f.batch.trace.requests.begin(),
+                           f.batch.trace.requests.begin() + restart.size()));
+}
+
 // ---------------------------------------------------------------------------
 // ClfCursor vs ReadClfFile
 

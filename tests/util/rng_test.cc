@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -106,6 +107,50 @@ TEST(RngTest, ForkProducesIndependentStream) {
 TEST(RngTest, MixIsDeterministicAndSpreads) {
   EXPECT_EQ(Rng::Mix(123), Rng::Mix(123));
   EXPECT_NE(Rng::Mix(1), Rng::Mix(2));
+}
+
+// Golden raw stream. Every workload is a function of these draws, so the
+// values pin the generator and its helpers exactly (recorded before the hot
+// path moved inline into the header).
+TEST(RngTest, GoldenSequence) {
+  Rng next(2024);
+  EXPECT_EQ(next.Next(), 0x0e48715a13d7772eull);
+  EXPECT_EQ(next.Next(), 0xc837f3ee8a7a1065ull);
+  EXPECT_EQ(next.Next(), 0x1272314b15ee5001ull);
+  EXPECT_EQ(next.Next(), 0x28e323a6abe2a46bull);
+
+  Rng unit(2024);
+  EXPECT_EQ(unit.NextDouble(), 0x1.c90e2b427aeep-5);
+  EXPECT_EQ(unit.NextDouble(), 0x1.906fe7dd14f42p-1);
+  EXPECT_EQ(unit.NextDouble(), 0x1.272314b15ee5p-4);
+
+  Rng bounded(2024);
+  EXPECT_EQ(bounded.NextBounded(1000), 55u);
+  EXPECT_EQ(bounded.NextBounded(1000), 782u);
+  EXPECT_EQ(bounded.NextBounded(1000), 72u);
+  EXPECT_EQ(bounded.NextBounded(1000), 159u);
+  // A bound just above 2^63 rejects almost half of all draws: these four
+  // values take 11 draws, so the rejection loop runs.
+  const uint64_t big = (1ull << 63) + 1;
+  EXPECT_EQ(bounded.NextBounded(big), 2258546705306200698ull);
+  EXPECT_EQ(bounded.NextBounded(big), 6644008486317064688ull);
+  EXPECT_EQ(bounded.NextBounded(big), 8134989128028724035ull);
+  EXPECT_EQ(bounded.NextBounded(big), 3378749892732358586ull);
+  EXPECT_EQ(bounded.Next(), 0xc5fe2bd783c51d0full);
+
+  // p <= 0 and p >= 1 consume no draw; NaN consumes one and returns false.
+  Rng coin(2024);
+  EXPECT_FALSE(coin.NextBernoulli(0.0));
+  EXPECT_TRUE(coin.NextBernoulli(1.0));
+  EXPECT_FALSE(coin.NextBernoulli(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_FALSE(coin.NextBernoulli(0.5));
+  EXPECT_TRUE(coin.NextBernoulli(0.5));
+  EXPECT_TRUE(coin.NextBernoulli(0.5));
+  EXPECT_FALSE(coin.NextBernoulli(0.5));
+  EXPECT_EQ(coin.Next(), 0x3eaff0863ccf54f5ull);
+  Rng fresh(2024);
+  for (int i = 0; i < 5; ++i) fresh.Next();
+  EXPECT_EQ(fresh.Next(), 0x3eaff0863ccf54f5ull);
 }
 
 TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
