@@ -105,22 +105,6 @@ void BM_DependencyCountFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_DependencyCountFlat)->Unit(benchmark::kMillisecond);
 
-/// Floor for the counting kernels: the dependency scan with no-op sinks
-/// (isolates aggregation cost from the shared pair-walk cost).
-void BM_DependencyScanOnly(benchmark::State& state) {
-  const auto& w = SharedWorkload();
-  spec::DependencyConfig config;
-  for (auto _ : state) {
-    uint64_t n = 0;
-    spec::ScanDependencies(
-        w.clean(), config, 0.0, kInfiniteTime,
-        [&](uint32_t, trace::DocumentId) { ++n; },
-        [&](uint32_t, trace::DocumentId, trace::DocumentId) { ++n; });
-    benchmark::DoNotOptimize(n);
-  }
-}
-BENCHMARK(BM_DependencyScanOnly)->Unit(benchmark::kMillisecond);
-
 void BM_ExponentialAllocation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::vector<dissem::ServerDemand> servers;
@@ -311,12 +295,10 @@ void BM_PathUp(benchmark::State& state) {
 }
 BENCHMARK(BM_PathUp)->Arg(0)->Arg(1);
 
-// --- CLF line scanning: allocating getline reader vs mmap cursor --------
+// --- CLF line scanning: the mmap cursor (ReadClfFile drains the same) ---
 //
-// The before/after pair of the streaming-pipeline work: ReadClfFile is the
-// materializing reader (std::getline into per-line strings, whole trace in
-// memory), ClfCursor maps the file and parses string_views in place with a
-// bounded reorder heap. Same grammar, same acceptance, same output order.
+// ClfCursor maps the file and parses string_views in place with a bounded
+// reorder heap; this measures one full pass of a raw CLF log.
 
 const std::string& ClfScanFixture() {
   static const std::string* path = [] {
@@ -330,20 +312,6 @@ const std::string& ClfScanFixture() {
   }();
   return *path;
 }
-
-void BM_ClfScanGetline(benchmark::State& state) {
-  const std::string& path = ClfScanFixture();
-  const core::Workload& w = SharedWorkload();
-  for (auto _ : state) {
-    auto result = trace::ReadClfFile(path, w.corpus());
-    benchmark::DoNotOptimize(result.ok());
-    benchmark::DoNotOptimize(result.value().requests.size());
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(w.generated().trace.requests.size()));
-}
-BENCHMARK(BM_ClfScanGetline)->Unit(benchmark::kMillisecond);
 
 void BM_ClfScanMmap(benchmark::State& state) {
   const std::string& path = ClfScanFixture();

@@ -23,30 +23,6 @@ const trace::Trace& Workload::clean() const {
   return *clean_;
 }
 
-const std::vector<trace::UpdateEvent>& Workload::updates() const {
-  return streaming_ ? updates_ : generated_->updates;
-}
-
-const std::vector<bool>& Workload::client_is_remote() const {
-  return streaming_ ? client_is_remote_ : generated_->client_is_remote;
-}
-
-uint64_t Workload::num_sessions() const {
-  return streaming_ ? num_sessions_ : generated_->num_sessions;
-}
-
-SimTime Workload::clean_span() const {
-  return streaming_ ? clean_span_ : clean_->Span();
-}
-
-uint32_t Workload::num_clients() const {
-  return streaming_ ? num_clients_ : clean_->num_clients;
-}
-
-uint32_t Workload::num_servers() const {
-  return streaming_ ? num_servers_ : clean_->num_servers;
-}
-
 std::unique_ptr<trace::RequestCursor> Workload::NewRawCursor() const {
   if (!streaming_) {
     return std::make_unique<trace::VectorCursor>(&generated_->trace);
@@ -90,46 +66,31 @@ Workload MakeWorkload(const WorkloadConfig& config) {
     auto* gen = static_cast<trace::GeneratorCursor*>(raw.get());
     for (auto chunk = raw->NextChunk(); !chunk.empty();
          chunk = raw->NextChunk()) {
-      for (const auto& r : chunk) {
-        switch (r.kind) {
-          case trace::RequestKind::kNotFound:
-            ++w.filter_stats_.dropped_not_found;
-            break;
-          case trace::RequestKind::kScript:
-            ++w.filter_stats_.dropped_script;
-            break;
-          case trace::RequestKind::kAlias:
-            ++w.filter_stats_.canonicalized_alias;
-            ++w.filter_stats_.kept;
-            w.clean_span_ = r.time;
-            break;
-          case trace::RequestKind::kDocument:
-            ++w.filter_stats_.kept;
-            w.clean_span_ = r.time;
-            break;
-        }
+      for (trace::Request r : chunk) {
+        if (trace::CleanRequest(&r, &w.filter_stats_)) w.clean_span_ = r.time;
       }
     }
-    w.updates_ = gen->updates();
-    w.client_is_remote_ = gen->client_is_remote();
-    w.num_sessions_ = gen->num_sessions();
+    // The generated metadata without the trace itself.
+    w.generated_ = std::make_unique<trace::GeneratedTrace>();
+    w.generated_->updates = gen->updates();
+    w.generated_->client_is_remote = gen->client_is_remote();
+    w.generated_->num_sessions = gen->num_sessions();
     w.num_clients_ = gen->num_clients();
     w.num_servers_ = gen->num_servers();
-    w.topology_ = std::make_unique<net::Topology>(net::Topology::Generate(
-        config.topology, config.tracegen.num_clients, w.client_is_remote_,
-        config.corpus.num_servers, &topo_rng));
-    return w;
+  } else {
+    w.graph_ = std::make_unique<trace::LinkGraph>(w.corpus_.get(),
+                                                  config.links, &graph_rng);
+    w.generated_ = std::make_unique<trace::GeneratedTrace>(
+        GenerateTrace(config.tracegen, w.graph_.get(), &trace_rng));
+    w.clean_ = std::make_unique<trace::Trace>(
+        FilterTrace(w.generated_->trace, &w.filter_stats_));
+    w.clean_span_ = w.clean_->Span();
+    w.num_clients_ = w.clean_->num_clients;
+    w.num_servers_ = w.clean_->num_servers;
   }
-
-  w.graph_ = std::make_unique<trace::LinkGraph>(w.corpus_.get(),
-                                                config.links, &graph_rng);
-  w.generated_ = std::make_unique<trace::GeneratedTrace>(
-      GenerateTrace(config.tracegen, w.graph_.get(), &trace_rng));
-  w.clean_ = std::make_unique<trace::Trace>(
-      FilterTrace(w.generated_->trace, &w.filter_stats_));
   w.topology_ = std::make_unique<net::Topology>(net::Topology::Generate(
-      config.topology, config.tracegen.num_clients,
-      w.generated_->client_is_remote, config.corpus.num_servers, &topo_rng));
+      config.topology, config.tracegen.num_clients, w.client_is_remote(),
+      config.corpus.num_servers, &topo_rng));
   return w;
 }
 

@@ -58,17 +58,21 @@ class Workload {
 
   // --- Unified trace metadata, valid in both modes --------------------
   /// Document update events (matches generated().updates).
-  const std::vector<trace::UpdateEvent>& updates() const;
+  const std::vector<trace::UpdateEvent>& updates() const {
+    return generated_->updates;
+  }
   /// Per-client remote flag (matches generated().client_is_remote).
-  const std::vector<bool>& client_is_remote() const;
+  const std::vector<bool>& client_is_remote() const {
+    return generated_->client_is_remote;
+  }
   /// Sessions generated (matches generated().num_sessions).
-  uint64_t num_sessions() const;
+  uint64_t num_sessions() const { return generated_->num_sessions; }
   /// Time of the last request of the filtered trace (matches
   /// clean().Span()).
-  SimTime clean_span() const;
+  SimTime clean_span() const { return clean_span_; }
   /// Matches clean().num_clients / num_servers.
-  uint32_t num_clients() const;
-  uint32_t num_servers() const;
+  uint32_t num_clients() const { return num_clients_; }
+  uint32_t num_servers() const { return num_servers_; }
 
   // --- Cursor factories -----------------------------------------------
   /// Fresh single-pass cursor over the raw generated request stream. In
@@ -85,6 +89,8 @@ class Workload {
 
   std::unique_ptr<trace::Corpus> corpus_;
   std::unique_ptr<trace::LinkGraph> graph_;
+  /// Both modes; its trace stays empty when streaming, so the generator
+  /// metadata (updates, remote flags, sessions) is stored here once.
   std::unique_ptr<trace::GeneratedTrace> generated_;
   std::unique_ptr<trace::Trace> clean_;
   std::unique_ptr<net::Topology> topology_;
@@ -92,15 +98,14 @@ class Workload {
 
   // Streaming-mode state: the generator parameters plus the captured fork
   // points of the graph and trace RNG streams (so every cursor replays the
-  // exact batch draw sequence), and the metadata from the drain pass.
+  // exact batch draw sequence).
   bool streaming_ = false;
   trace::TraceGeneratorConfig tracegen_;
   trace::LinkGraphConfig links_;
   Rng graph_rng_{0};
   Rng trace_rng_{0};
-  std::vector<trace::UpdateEvent> updates_;
-  std::vector<bool> client_is_remote_;
-  uint64_t num_sessions_ = 0;
+  // Metadata of the clean trace in both modes (from the materialised trace,
+  // or from the construction drain pass when streaming).
   SimTime clean_span_ = 0.0;
   uint32_t num_clients_ = 0;
   uint32_t num_servers_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <utility>
 
 #include "util/logging.h"
@@ -9,48 +11,11 @@
 namespace sds::spec {
 namespace {
 
-/// Byte-wise stable LSD radix sort of `*v` by `extract(element)`. Keys
-/// here are document ids / packed id pairs / day numbers, so the occupied
-/// width is far below 64 bits and constant digits get skipped; unlike a
-/// comparison sort there is no data-dependent branching, which is what
-/// made std::sort the hot spot of dependency counting.
-template <typename T, typename Extract>
-void RadixSortBy(std::vector<T>* v, std::vector<T>* tmp, Extract&& extract) {
-  uint64_t max_key = 0;
-  for (const T& e : *v) max_key = std::max(max_key, extract(e));
-  tmp->resize(v->size());
-  std::vector<T>* src = v;
-  std::vector<T>* dst = tmp;
-  for (uint32_t shift = 0; (max_key >> shift) != 0; shift += 8) {
-    uint32_t counts[256] = {};
-    for (const T& e : *src) ++counts[(extract(e) >> shift) & 0xff];
-    if (counts[(max_key >> shift) & 0xff] == src->size()) continue;
-    uint32_t offset = 0;
-    for (uint32_t b = 0; b < 256; ++b) {
-      const uint32_t n = counts[b];
-      counts[b] = offset;
-      offset += n;
-    }
-    for (const T& e : *src) {
-      (*dst)[counts[(extract(e) >> shift) & 0xff]++] = e;
-    }
-    std::swap(src, dst);
-  }
-  if (src != v) *v = std::move(*tmp);
-}
-
 /// Sorts a (key, count) run by key and merges duplicates by summing.
 template <typename Key, typename Count>
 void NormalizeRun(std::vector<std::pair<Key, Count>>* run) {
-  using Item = std::pair<Key, Count>;
-  if (run->size() < 64) {
-    std::sort(run->begin(), run->end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-  } else {
-    std::vector<Item> tmp;
-    RadixSortBy(run, &tmp,
-                [](const Item& e) { return static_cast<uint64_t>(e.first); });
-  }
+  std::sort(run->begin(), run->end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   size_t out = 0;
   for (size_t i = 0; i < run->size();) {
     Key key = (*run)[i].first;
@@ -62,6 +27,65 @@ void NormalizeRun(std::vector<std::pair<Key, Count>>* run) {
   }
   run->resize(out);
 }
+
+/// Counts raw observation keys into `*out` as unique (key, count) runs in
+/// first-seen order, allocated once at their exact size. `count_of(key)` is
+/// the key's scratch counter, zero on entry and zeroed again on return;
+/// `order` is scratch for the first-seen keys.
+template <typename Key, typename CountOf>
+void CountKeys(const std::vector<Key>& raw, CountOf&& count_of,
+               std::vector<uint64_t>* order,
+               std::vector<std::pair<Key, uint32_t>>* out) {
+  order->clear();
+  for (const Key key : raw) {
+    if (count_of(key)++ == 0) order->push_back(key);
+  }
+  out->reserve(order->size());
+  for (const uint64_t key : *order) {
+    uint32_t& n = count_of(static_cast<Key>(key));
+    out->push_back({static_cast<Key>(key), n});
+    n = 0;
+  }
+}
+
+/// Runs a DailyDependencyAccumulator over a time-ordered request stream
+/// and hands every day's final counts to `on_day` in day order, releasing
+/// each day from the accumulator as soon as it is final, so only the days
+/// still open stay staged.
+template <typename OnDay>
+class DayPump {
+ public:
+  DayPump(const DependencyConfig& config, uint32_t num_clients, OnDay on_day)
+      : acc_(config, num_clients), on_day_(std::move(on_day)) {}
+
+  void Feed(std::span<const trace::Request> requests) {
+    for (const trace::Request& r : requests) {
+      acc_.OnRequest(r);
+      last_time_ = r.time;
+      if (acc_.DayFinal(next_day_)) Release(UINT32_MAX);
+    }
+  }
+
+  /// Ends the stream and releases the days up to the last request's (day 0
+  /// for an empty stream).
+  void Finish() {
+    acc_.FinishStream();
+    Release(static_cast<uint32_t>(DayOfTime(last_time_)) + 1);
+  }
+
+ private:
+  void Release(uint32_t end_day) {
+    for (; next_day_ < end_day && acc_.DayFinal(next_day_); ++next_day_) {
+      on_day_(acc_.TakeCounts(next_day_));
+      acc_.DropBefore(next_day_ + 1);
+    }
+  }
+
+  DailyDependencyAccumulator acc_;
+  OnDay on_day_;
+  SimTime last_time_ = 0.0;
+  uint32_t next_day_ = 0;
+};
 
 }  // namespace
 
@@ -121,71 +145,16 @@ void DayCounts::Normalize() {
   NormalizeRun(&occurrences);
 }
 
-std::vector<DayCounts> CountDailyDependencies(const trace::Trace& trace,
-                                              const DependencyConfig& config) {
-  const uint32_t days =
-      trace.empty() ? 1
-                    : static_cast<uint32_t>(DayOfTime(trace.Span())) + 1;
-  std::vector<DayCounts> out(days);
-  // Stage raw emissions per day, then aggregate day-by-day through shared
-  // presized flat scratch: an open-addressing table for pair keys and a
-  // dense per-document count array for occurrences. Presizing from the
-  // staged emission counts means no rehash growth, and the emitted runs
-  // keep the deterministic first-seen key order (downstream consumers
-  // never depend on run order beyond determinism), so no comparison sort
-  // runs anywhere on this path.
-  std::vector<std::vector<uint64_t>> staged_pairs(days);
-  std::vector<std::vector<trace::DocumentId>> staged_occs(days);
-  trace::DocumentId max_doc = 0;
-  ScanDependencies(
-      trace, config, 0.0, kInfiniteTime,
-      [&](uint32_t day, trace::DocumentId doc) {
-        staged_occs[day].push_back(doc);
-        max_doc = std::max(max_doc, doc);
-      },
-      [&](uint32_t day, trace::DocumentId i, trace::DocumentId j) {
-        staged_pairs[day].push_back(PairKey(i, j));
-      });
-  PairTable<uint32_t> pair_scratch;
-  std::vector<uint64_t> pair_order;
-  std::vector<uint32_t> occ_counts(static_cast<size_t>(max_doc) + 1, 0);
-  std::vector<trace::DocumentId> occ_order;
-  for (uint32_t d = 0; d < days; ++d) {
-    pair_scratch.Reset(staged_pairs[d].size());
-    pair_order.clear();
-    for (const uint64_t key : staged_pairs[d]) {
-      uint32_t& n = pair_scratch[key];
-      if (n == 0) pair_order.push_back(key);
-      ++n;
-    }
-    out[d].pair_counts.reserve(pair_order.size());
-    for (const uint64_t key : pair_order) {
-      out[d].pair_counts.push_back({key, *pair_scratch.Find(key)});
-    }
-    occ_order.clear();
-    for (const trace::DocumentId doc : staged_occs[d]) {
-      uint32_t& n = occ_counts[doc];
-      if (n == 0) occ_order.push_back(doc);
-      ++n;
-    }
-    out[d].occurrences.reserve(occ_order.size());
-    for (const trace::DocumentId doc : occ_order) {
-      out[d].occurrences.push_back({doc, occ_counts[doc]});
-      occ_counts[doc] = 0;  // scratch stays zeroed for the next day
-    }
-  }
-  return out;
-}
-
 DailyDependencyAccumulator::DailyDependencyAccumulator(
     const DependencyConfig& config, uint32_t num_clients)
     : config_(config), clients_(num_clients) {}
 
-DayCounts& DailyDependencyAccumulator::Staging(uint32_t day) {
+DailyDependencyAccumulator::Day& DailyDependencyAccumulator::Staging(
+    uint32_t day) {
   SDS_CHECK(day >= floor_) << "day " << day
                            << " is below the DropBefore floor " << floor_;
   while (day - floor_ >= days_.size()) days_.emplace_back();
-  return days_[day - floor_].counts;
+  return days_[day - floor_];
 }
 
 void DailyDependencyAccumulator::OnRequest(const trace::Request& r) {
@@ -195,11 +164,10 @@ void DailyDependencyAccumulator::OnRequest(const trace::Request& r) {
       r.kind != trace::RequestKind::kAlias) {
     return;
   }
-  SDS_CHECK(r.client < clients_.size()) << "client id out of range";
+  if (r.client >= clients_.size()) clients_.resize(r.client + 1);
   ClientState& cs = clients_[r.client];
-  // Stride break: the batch scan stops pairing every active leader at the
-  // first consecutive gap >= StrideTimeout, and that gap is shared by all
-  // of them, so the whole buffer clears at once.
+  // Stride break: a gap >= StrideTimeout ends the stride of every active
+  // leader (they all share the gap), so the whole buffer clears at once.
   if (!cs.leaders.empty() && r.time - cs.last >= config_.stride_timeout) {
     cs.leaders.clear();
   }
@@ -214,7 +182,11 @@ void DailyDependencyAccumulator::OnRequest(const trace::Request& r) {
     cs.leaders.erase(cs.leaders.begin(), cs.leaders.begin() + expired);
   }
   const uint32_t day_now = static_cast<uint32_t>(DayOfTime(r.time));
-  DayCounts& today = Staging(day_now);
+  if (today_ == nullptr || day_now != today_index_) {
+    today_ = &Staging(day_now);
+    today_index_ = day_now;
+  }
+  Day& today = *today_;
   // The oldest leader has the earliest day; Staging checked day_now.
   SDS_CHECK(cs.leaders.empty() || cs.leaders.front().day >= floor_)
       << "pair led on day " << cs.leaders.front().day
@@ -229,11 +201,10 @@ void DailyDependencyAccumulator::OnRequest(const trace::Request& r) {
       continue;
     }
     if (followed) continue;
-    DayCounts& lead_day =
-        a.day == day_now ? today : days_[a.day - floor_].counts;
-    lead_day.pair_counts.push_back({PairKey(a.doc, r.doc), 1});
+    Day& lead_day = a.day == day_now ? today : days_[a.day - floor_];
+    lead_day.pair_keys.push_back(PairKey(a.doc, r.doc));
   }
-  today.occurrences.push_back({r.doc, 1});
+  today.docs.push_back(r.doc);
   cs.leaders.push_back({r.time, day_now, r.doc});
   cs.last = r.time;
 }
@@ -248,12 +219,31 @@ const DayCounts* DailyDependencyAccumulator::Counts(uint32_t day) {
   }
   Day& d = days_[day - floor_];
   if (!d.final) {
-    d.counts.Normalize();
-    d.counts.pair_counts.shrink_to_fit();
-    d.counts.occurrences.shrink_to_fit();
+    // One probe per observation: a flat table presized for the day's pair
+    // keys, and a dense per-document array.
+    pair_slots_.Reset(d.pair_keys.size());
+    CountKeys(
+        d.pair_keys,
+        [&](uint64_t key) -> uint32_t& { return pair_slots_[key]; },
+        &order_, &d.counts.pair_counts);
+    CountKeys(
+        d.docs,
+        [&](trace::DocumentId doc) -> uint32_t& {
+          if (doc >= doc_slots_.size()) doc_slots_.resize(doc + 1, 0);
+          return doc_slots_[doc];
+        },
+        &order_, &d.counts.occurrences);
+    std::vector<uint64_t>().swap(d.pair_keys);
+    std::vector<trace::DocumentId>().swap(d.docs);
     d.final = true;
   }
   return &d.counts;
+}
+
+DayCounts DailyDependencyAccumulator::TakeCounts(uint32_t day) {
+  Counts(day);
+  if (day < floor_ || day - floor_ >= days_.size()) return {};
+  return std::move(days_[day - floor_].counts);
 }
 
 void DailyDependencyAccumulator::DropBefore(uint32_t day) {
@@ -261,26 +251,29 @@ void DailyDependencyAccumulator::DropBefore(uint32_t day) {
   const size_t n = std::min<size_t>(day - floor_, days_.size());
   days_.erase(days_.begin(), days_.begin() + n);
   floor_ = day;
+  today_ = nullptr;
 }
 
-std::vector<DayCounts> CountDailyDependenciesStream(
-    trace::RequestCursor* cursor, const DependencyConfig& config) {
-  DailyDependencyAccumulator acc(config, cursor->num_clients());
-  SimTime span = 0.0;
-  bool any = false;
+std::vector<DayCounts> CountDailyDependencies(const trace::Trace& trace,
+                                              const DependencyConfig& config) {
+  std::vector<DayCounts> out;
+  DayPump pump(config, trace.num_clients,
+               [&](DayCounts day) { out.push_back(std::move(day)); });
+  pump.Feed(trace.requests);
+  pump.Finish();
+  return out;
+}
+
+std::vector<DayCounts> CountDailyDependencies(trace::RequestCursor* cursor,
+                                              const DependencyConfig& config) {
+  std::vector<DayCounts> out;
+  DayPump pump(config, cursor->num_clients(),
+               [&](DayCounts day) { out.push_back(std::move(day)); });
   for (auto chunk = cursor->NextChunk(); !chunk.empty();
        chunk = cursor->NextChunk()) {
-    for (const auto& r : chunk) {
-      acc.OnRequest(r);
-      span = r.time;
-      any = true;
-    }
+    pump.Feed(chunk);
   }
-  acc.FinishStream();
-  const uint32_t days =
-      any ? static_cast<uint32_t>(DayOfTime(span)) + 1 : 1;
-  std::vector<DayCounts> out(days);
-  for (uint32_t d = 0; d < days; ++d) out[d] = *acc.Counts(d);
+  pump.Finish();
   return out;
 }
 
@@ -332,13 +325,18 @@ SparseProbMatrix EstimateDependencies(const trace::Trace& trace,
                                       size_t num_docs,
                                       const DependencyConfig& config,
                                       SimTime t_begin, SimTime t_end) {
+  const auto& requests = trace.requests;
+  const auto before = [](SimTime t) {
+    return [t](const trace::Request& r) { return r.time < t; };
+  };
+  const auto begin =
+      std::partition_point(requests.begin(), requests.end(), before(t_begin));
+  const auto end = std::partition_point(begin, requests.end(), before(t_end));
   WindowedCounts window(num_docs);
-  ScanDependencies(
-      trace, config, t_begin, t_end,
-      [&](uint32_t, trace::DocumentId doc) { window.AddOccurrence(doc); },
-      [&](uint32_t, trace::DocumentId i, trace::DocumentId j) {
-        window.AddPair(i, j);
-      });
+  DayPump pump(config, trace.num_clients,
+               [&](DayCounts day) { window.Add(day); });
+  pump.Feed(std::span<const trace::Request>(begin, end));
+  pump.Finish();
   return window.BuildMatrix(config);
 }
 

@@ -1,7 +1,6 @@
 #ifndef SDS_SPEC_DEPENDENCY_H_
 #define SDS_SPEC_DEPENDENCY_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -10,7 +9,6 @@
 #include "spec/pair_table.h"
 #include "trace/cursor.h"
 #include "trace/request.h"
-#include "trace/sessionizer.h"
 #include "util/sim_time.h"
 
 namespace sds::spec {
@@ -86,15 +84,13 @@ class SparseProbMatrix {
 /// \brief Pair/occurrence counters for one day of trace; the building block
 /// of the sliding HistoryLength window.
 ///
-/// Flat layout: both counters are sorted unique (key, count) runs. Build by
-/// appending raw observations, then call Normalize() once to sort and
-/// merge-sum duplicates.
+/// Flat layout: both counters are unique (key, count) runs. The counters
+/// emit them in first-seen order; Normalize() sorts a run by key (merging
+/// duplicate keys by summing), which gives a canonical form to compare.
 struct DayCounts {
-  /// PairKey(i, j) -> occurrences of i followed by j within T_w. Sorted by
-  /// key, unique, after Normalize().
+  /// PairKey(i, j) -> occurrences of i followed by j within T_w.
   std::vector<std::pair<uint64_t, uint32_t>> pair_counts;
-  /// doc -> occurrences (the denominator of p[i, j]). Sorted, unique,
-  /// after Normalize().
+  /// doc -> occurrences (the denominator of p[i, j]).
   std::vector<std::pair<trace::DocumentId, uint32_t>> occurrences;
 
   /// Sorts both runs by key and merges duplicates by summing counts.
@@ -116,82 +112,53 @@ struct DependencyConfig {
   uint32_t min_support = 3;
 };
 
-/// \brief Walks every (occurrence, following-document) dependency pair of
-/// the trace within [t_begin, t_end). `on_occurrence(day, doc)` fires once
-/// per qualifying kDocument/kAlias request; `on_pair(day, i, j)` fires once
-/// per occurrence of i for each distinct j that follows i within T_w inside
-/// the same stride. Exposed (as an inlineable template) so tests and
-/// benchmarks can drive reference aggregators over the identical scan.
-template <typename OccurrenceFn, typename PairFn>
-void ScanDependencies(const trace::Trace& trace,
-                      const DependencyConfig& config, SimTime t_begin,
-                      SimTime t_end, OccurrenceFn&& on_occurrence,
-                      PairFn&& on_pair) {
-  const auto by_client = trace::GroupByClient(trace);
-  std::vector<SimTime> times;
-  std::vector<trace::DocumentId> docs;
-  std::vector<trace::DocumentId> seen;
-  for (const auto& stream : by_client) {
-    times.clear();
-    docs.clear();
-    for (const uint32_t idx : stream) {
-      const auto& r = trace.requests[idx];
-      if (r.time < t_begin || r.time >= t_end) continue;
-      if (r.kind != trace::RequestKind::kDocument &&
-          r.kind != trace::RequestKind::kAlias) {
-        continue;
-      }
-      times.push_back(r.time);
-      docs.push_back(r.doc);
-    }
-    for (size_t a = 0; a < docs.size(); ++a) {
-      const uint32_t day = static_cast<uint32_t>(DayOfTime(times[a]));
-      on_occurrence(day, docs[a]);
-      seen.clear();
-      for (size_t b = a + 1; b < docs.size(); ++b) {
-        if (times[b] - times[b - 1] >= config.stride_timeout) break;
-        if (times[b] - times[a] > config.window) break;
-        if (docs[b] == docs[a]) continue;
-        if (std::find(seen.begin(), seen.end(), docs[b]) != seen.end()) {
-          continue;
-        }
-        seen.push_back(docs[b]);
-        on_pair(day, docs[a], docs[b]);
-      }
-    }
-  }
-}
-
-/// \brief Splits the trace into per-day pair/occurrence counts. Day d
-/// covers [d * kDay, (d+1) * kDay). Only kDocument/kAlias accesses count.
+/// \brief Counts, per day, how often each document was requested and how
+/// often each ordered pair (D_i, D_j) occurred: D_j requested by the same
+/// client within T_w after D_i, inside one traversal stride (paper §3.1).
+///
+/// Day d covers [d * kDay, (d+1) * kDay) and a pair belongs to the day of
+/// its leading request. Only kDocument/kAlias records count; the others
+/// only advance time. The trace must be in time order (as every Trace is).
+/// Returns DayOfTime(Span()) + 1 days (1 for an empty trace), each run in
+/// first-seen order. This is a loop of a DailyDependencyAccumulator over
+/// `trace.requests`; each day is merged and released from the accumulator
+/// as soon as it is final.
 std::vector<DayCounts> CountDailyDependencies(const trace::Trace& trace,
                                               const DependencyConfig& config);
 
-/// \brief Streaming counterpart of CountDailyDependencies: feed the
-/// globally time-ordered request stream once and read each day's counts as
-/// soon as it is final, with only O(active clients + retained days)
-/// resident state instead of the whole trace.
+/// \brief CountDailyDependencies over a whole cursor: the same per-day
+/// counts for the same request stream, with the day count taken from the
+/// last request the cursor yields. Callers check `cursor->status()`
+/// afterwards when the backend can fail.
+std::vector<DayCounts> CountDailyDependencies(trace::RequestCursor* cursor,
+                                              const DependencyConfig& config);
+
+/// \brief The one dependency counter: feed the time-ordered request stream
+/// once and read each day's counts as soon as it is final, with only
+/// O(active clients + retained days) resident state. The trace and cursor
+/// forms of CountDailyDependencies and EstimateDependencies drive it, and
+/// the streaming simulator pumps it lazily from its own replay cursor.
 ///
 /// A pair is attributed to the day of its *leading* request, so day d can
 /// still gain pairs from followers up to T_w seconds past the day
 /// boundary; DayFinal(d) becomes true once the ingested stream has moved
-/// past (d + 1) * kDay + T_w (or the stream ended). The per-day counts a
-/// finalised day yields are the same key -> count multiset the batch scan
-/// produces for that day (runs here are sorted by key; batch runs are in
-/// first-seen order — every consumer of DayCounts is order-independent).
+/// past (d + 1) * kDay + T_w (or the stream ended).
 ///
-/// Flat layout: each retained day stages its raw observations as (key, 1)
-/// runs, and Counts() merges a day once with DayCounts::Normalize. There is
-/// no map or hash lookup per request.
+/// Flat layout: each retained day stages its raw observations as plain
+/// keys, and Counts() counts a day once, with one flat-table probe per
+/// observation. Runs come out in first-seen order (deterministic for a
+/// given stream); every consumer of DayCounts is order-independent.
 class DailyDependencyAccumulator {
  public:
+  /// `num_clients` presizes the per-client state; a larger client id
+  /// grows it.
   DailyDependencyAccumulator(const DependencyConfig& config,
                              uint32_t num_clients);
 
   /// Ingests one request (any kind; non-kDocument/kAlias records only
-  /// advance the finality clock). Requests must arrive in time order, and
-  /// none may lead a pair or count an occurrence on a day DropBefore()
-  /// already released.
+  /// advance the finality clock). Requests must arrive in nondecreasing
+  /// time order, and none may lead a pair or count an occurrence on a day
+  /// DropBefore() already released; either violation aborts.
   void OnRequest(const trace::Request& r);
 
   /// Marks the stream exhausted: every day becomes final.
@@ -210,6 +177,10 @@ class DailyDependencyAccumulator {
   /// passes the day.
   const DayCounts* Counts(uint32_t day);
 
+  /// Moves the finalised counts of `day` out (Counts() reads the day empty
+  /// afterwards). Requires DayFinal(day).
+  DayCounts TakeCounts(uint32_t day);
+
   /// Releases every retained day strictly before `day`.
   void DropBefore(uint32_t day);
 
@@ -227,15 +198,17 @@ class DailyDependencyAccumulator {
     SimTime last = 0.0;
     std::vector<Leader> leaders;
   };
-  /// A retained day: raw (key, 1) observations until Counts() merges them
-  /// in place.
+  /// A retained day: raw observation keys until Counts() merges them into
+  /// `counts`.
   struct Day {
+    std::vector<uint64_t> pair_keys;      ///< PairKey per observed pair.
+    std::vector<trace::DocumentId> docs;  ///< Doc per occurrence.
     DayCounts counts;
     bool final = false;
   };
 
-  /// The staging runs of `day`, appending empty days up to it.
-  DayCounts& Staging(uint32_t day);
+  /// The retained day `day`, appending empty days up to it.
+  Day& Staging(uint32_t day);
 
   DependencyConfig config_;
   std::vector<ClientState> clients_;
@@ -245,15 +218,15 @@ class DailyDependencyAccumulator {
   /// pointers Counts() returns survive appends and front drops.
   uint32_t floor_ = 0;
   std::deque<Day> days_;
+  /// The day of the last request, cached (deque references survive appends).
+  Day* today_ = nullptr;
+  uint32_t today_index_ = 0;
+  /// Counts() scratch: each key's count while one day is counted, and the
+  /// day's keys in first-seen order.
+  PairTable<uint32_t> pair_slots_;
+  std::vector<uint32_t> doc_slots_;
+  std::vector<uint64_t> order_;
 };
-
-/// \brief Drives a DailyDependencyAccumulator over a whole cursor and
-/// returns the per-day counts, shaped like CountDailyDependencies (same
-/// day indexing; runs sorted by key). Convenience for tests and one-shot
-/// estimation; the streaming simulator pumps the accumulator lazily
-/// instead.
-std::vector<DayCounts> CountDailyDependenciesStream(
-    trace::RequestCursor* cursor, const DependencyConfig& config);
 
 /// \brief Aggregates day counts over a sliding window and materialises P.
 ///
@@ -268,17 +241,6 @@ class WindowedCounts {
 
   void Add(const DayCounts& day);
   void Remove(const DayCounts& day);
-
-  /// Single-emission accumulators so scans can feed the window directly
-  /// (EstimateDependencies) without materialising intermediate DayCounts.
-  void AddOccurrence(trace::DocumentId doc) {
-    if (doc >= occurrences_.size()) occurrences_.resize(doc + 1, 0);
-    ++occurrences_[doc];
-  }
-  void AddPair(trace::DocumentId i, trace::DocumentId j) {
-    ++pair_counts_[PairKey(i, j)];
-    ++total_pairs_;
-  }
 
   /// Builds P from the current window, applying the pruning thresholds.
   SparseProbMatrix BuildMatrix(const DependencyConfig& config) const;
@@ -301,8 +263,10 @@ class WindowedCounts {
   uint64_t total_pairs_ = 0;
 };
 
-/// \brief One-shot estimation of P over a whole trace interval
-/// [t_begin, t_end); convenience wrapper used by analyses and tests.
+/// \brief One-shot estimation of P over the requests of the trace interval
+/// [t_begin, t_end): those requests run through a
+/// DailyDependencyAccumulator, every day is added to one WindowedCounts,
+/// and BuildMatrix prunes the result. Used by analyses and tests.
 SparseProbMatrix EstimateDependencies(const trace::Trace& trace,
                                       size_t num_docs,
                                       const DependencyConfig& config,

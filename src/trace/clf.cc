@@ -1,11 +1,13 @@
 #include "trace/clf.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "trace/cursor.h"
 #include "util/string_util.h"
 
 namespace sds::trace {
@@ -107,9 +109,8 @@ Result<SimTime> ParseClfTimeView(std::string_view field) {
   return static_cast<SimTime>(days * 86400 + hh * 3600 + mm * 60 + ss);
 }
 
-}  // namespace
-
-Result<ClientId> ClfClientFromHost(std::string_view host, bool* remote) {
+/// The client id and locality encoded in a synthetic-trace hostname.
+Result<ClientId> ClientFromHost(std::string_view host, bool* remote) {
   if (host.size() < 2 || host[0] != 'h') {
     return Status::ParseError("unrecognized host: " + std::string(host));
   }
@@ -125,6 +126,8 @@ Result<ClientId> ClfClientFromHost(std::string_view host, bool* remote) {
   *remote = !EndsWith(host, ".cs.bu.edu");
   return static_cast<ClientId>(id);
 }
+
+}  // namespace
 
 std::string FormatClfTime(SimTime t) {
   const int64_t total_seconds = static_cast<int64_t>(t);
@@ -155,6 +158,20 @@ std::string FormatClfLine(const ClfRecord& record) {
   return buf;
 }
 
+namespace {
+
+/// Zero-copy form of ClfRecord: the string fields are views into the
+/// parsed line and live only as long as it does.
+struct ClfRecordView {
+  std::string_view host;
+  SimTime time = 0.0;
+  std::string_view method;
+  std::string_view path;
+  int status = 0;
+  uint64_t bytes = 0;
+};
+
+/// The CLF grammar; `out->host` etc. reference `line`.
 Status ParseClfLineView(std::string_view line, ClfRecordView* out) {
   ClfRecordView record;
   // host ident user [date] "request" status bytes
@@ -218,6 +235,8 @@ Status ParseClfLineView(std::string_view line, ClfRecordView* out) {
   return Status::OK();
 }
 
+}  // namespace
+
 Result<ClfRecord> ParseClfLine(const std::string& line) {
   ClfRecordView view;
   const Status status = ParseClfLineView(line, &view);
@@ -265,9 +284,12 @@ std::vector<std::string> TraceToClf(const Trace& trace, const Corpus& corpus) {
   return lines;
 }
 
-Request ClfRecordToRequest(const ClfRecordView& record, ClientId client,
-                           bool remote, const Corpus& corpus,
-                           std::string* path_scratch) {
+namespace {
+
+/// Converts a parsed record into a Request (the rules of ClfLineReader).
+Request RecordToRequest(const ClfRecordView& record, ClientId client,
+                        bool remote, const Corpus& corpus,
+                        std::string* path_scratch) {
   Request r;
   r.client = client;
   r.remote_client = remote;
@@ -296,56 +318,66 @@ Request ClfRecordToRequest(const ClfRecordView& record, ClientId client,
   return r;
 }
 
+}  // namespace
+
+ClfLineReader::ClfLineReader(const Corpus* corpus,
+                             const ClfReadOptions& options)
+    : corpus_(corpus), options_(options) {}
+
+bool ClfLineReader::Read(std::string_view line, size_t line_number,
+                         Request* out) {
+  if (StripWhitespace(line).empty()) return false;  // Blank: not counted.
+  ++stats_.lines;
+  const auto fail = [&](const Status& status) {
+    if (options_.lenient) {
+      ++stats_.skipped_lines;
+    } else {
+      error_ = Status::ParseError("line " + std::to_string(line_number) +
+                                  ": " + status.message());
+    }
+    return false;
+  };
+  ClfRecordView record;
+  if (const Status parsed = ParseClfLineView(line, &record); !parsed.ok()) {
+    return fail(parsed);
+  }
+  bool remote = false;
+  const Result<ClientId> client = ClientFromHost(record.host, &remote);
+  if (!client.ok()) return fail(client.status());
+  num_clients_ = std::max(num_clients_, client.value() + 1);
+  *out = RecordToRequest(record, client.value(), remote, *corpus_,
+                         &path_scratch_);
+  return true;
+}
+
+void ClfLineReader::CountMetrics() const {
+  if (!obs::Enabled()) return;
+  obs::Count("trace.clf_lines", static_cast<double>(stats_.lines));
+  obs::Count("trace.clf_skipped_lines",
+             static_cast<double>(stats_.skipped_lines));
+  obs::Count("trace.clf_requests",
+             static_cast<double>(stats_.lines - stats_.skipped_lines));
+}
+
 Result<Trace> ClfToTrace(const std::vector<std::string>& lines,
                          const Corpus& corpus, const ClfReadOptions& options,
                          ClfReadStats* stats) {
   obs::SpanGuard span("trace.clf_to_trace");
+  ClfLineReader reader(&corpus, options);
   Trace trace;
   trace.requests.reserve(lines.size());
-  uint32_t max_client = 0;
-  ClfReadStats local_stats;
-  ClfReadStats& st = stats != nullptr ? *stats : local_stats;
-  st = ClfReadStats{};
-  std::string path_scratch;
-  // Records a skip (lenient) or surfaces the parse error with its 1-based
-  // line number (strict); callers `continue` on OK.
-  const auto fail = [&](size_t line_number, const Status& status) -> Status {
-    if (options.lenient) {
-      ++st.skipped_lines;
-      return Status::OK();
+  Request request;
+  for (size_t i = 0; i < lines.size() && reader.error().ok(); ++i) {
+    if (reader.Read(lines[i], i + 1, &request)) {
+      trace.requests.push_back(request);
     }
-    return Status::ParseError("line " + std::to_string(line_number) + ": " +
-                              status.message());
-  };
-  for (size_t i = 0; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    if (StripWhitespace(line).empty()) continue;
-    ++st.lines;
-    ClfRecordView rec;
-    const Status parsed = ParseClfLineView(line, &rec);
-    if (!parsed.ok()) {
-      SDS_RETURN_IF_ERROR(fail(i + 1, parsed));
-      continue;
-    }
-    bool remote = false;
-    const Result<ClientId> client = ClfClientFromHost(rec.host, &remote);
-    if (!client.ok()) {
-      SDS_RETURN_IF_ERROR(fail(i + 1, client.status()));
-      continue;
-    }
-    max_client = std::max(max_client, client.value() + 1);
-    trace.requests.push_back(ClfRecordToRequest(rec, client.value(), remote,
-                                                corpus, &path_scratch));
   }
-  trace.num_clients = max_client;
+  if (stats != nullptr) *stats = reader.stats();
+  SDS_RETURN_IF_ERROR(reader.error());
+  trace.num_clients = reader.num_clients();
   trace.num_servers = corpus.num_servers();
   trace.SortByTime();
-  if (obs::Enabled()) {
-    obs::Count("trace.clf_lines", static_cast<double>(st.lines));
-    obs::Count("trace.clf_skipped_lines", static_cast<double>(st.skipped_lines));
-    obs::Count("trace.clf_requests",
-               static_cast<double>(trace.requests.size()));
-  }
+  reader.CountMetrics();
   return trace;
 }
 
@@ -361,16 +393,11 @@ Status WriteClfFile(const std::string& path, const Trace& trace,
 Result<Trace> ReadClfFile(const std::string& path, const Corpus& corpus,
                           const ClfReadOptions& options, ClfReadStats* stats) {
   obs::SpanGuard span("trace.read_clf_file");
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(std::move(line));
-  Result<Trace> trace = ClfToTrace(lines, corpus, options, stats);
-  if (!trace.ok()) {
-    return Status(trace.status().code(),
-                  path + ": " + trace.status().message());
-  }
+  ClfCursor cursor(path, &corpus, options,
+                   /*reorder_window=*/std::numeric_limits<size_t>::max());
+  Trace trace = Materialize(&cursor);
+  if (stats != nullptr) *stats = cursor.stats();
+  SDS_RETURN_IF_ERROR(cursor.status());
   return trace;
 }
 

@@ -41,38 +41,8 @@ Result<SimTime> ParseClfTime(const std::string& field);
 /// \brief Formats one record as a CLF line (without trailing newline).
 std::string FormatClfLine(const ClfRecord& record);
 
-/// \brief Parses one CLF line.
+/// \brief Parses one CLF line (the grammar every CLF reader uses).
 Result<ClfRecord> ParseClfLine(const std::string& line);
-
-/// \brief Zero-copy form of ClfRecord: the string fields are views into
-/// the parsed line and live only as long as it does.
-struct ClfRecordView {
-  std::string_view host;
-  SimTime time = 0.0;
-  std::string_view method;
-  std::string_view path;
-  int status = 0;
-  uint64_t bytes = 0;
-};
-
-/// \brief Zero-copy core of ParseClfLine: one grammar shared by the
-/// allocating parser and the mmap cursor, with identical acceptance and
-/// identical error messages. `out->host` etc. reference `line`.
-Status ParseClfLineView(std::string_view line, ClfRecordView* out);
-
-/// \brief Parses a synthetic-trace hostname (`hN.<domain>`) into a client
-/// id; `*remote` is set from the `.cs.bu.edu` suffix. Shared by ClfToTrace
-/// and ClfCursor.
-Result<ClientId> ClfClientFromHost(std::string_view host, bool* remote);
-
-/// \brief Converts a successfully parsed record into a Request exactly as
-/// ClfToTrace does: status 404 becomes kNotFound, `/cgi-bin/` paths become
-/// kScript, `/alias/` paths are canonicalized to the aliased document, and
-/// unresolvable paths degrade to kNotFound. `path_scratch` is reused
-/// storage for the corpus path lookup.
-Request ClfRecordToRequest(const ClfRecordView& record, ClientId client,
-                           bool remote, const Corpus& corpus,
-                           std::string* path_scratch);
 
 /// \brief Renders a trace as CLF lines. Hostnames encode the client id and
 /// locality: remote clients are `hN.orgM.example.com`, local clients
@@ -97,10 +67,46 @@ struct ClfReadStats {
   size_t skipped_lines = 0;  ///< Malformed lines dropped (lenient mode).
 };
 
-/// \brief Reconstructs a Trace from CLF lines using the corpus to resolve
-/// paths (server 0 is assumed; multi-server traces are serialized per
-/// server). Unresolvable document paths become kNotFound records, matching
-/// how the paper's preprocessing treated them.
+/// \brief The per-line step of every CLF reader (ClfToTrace and ClfCursor,
+/// hence ReadClfFile): parses one line, takes the client id and locality
+/// from the host name (`hN.<domain>`, remote unless `.cs.bu.edu`) and
+/// converts the record into a Request. Status 404 becomes kNotFound,
+/// `/cgi-bin/` paths kScript, `/alias/` paths are resolved to the aliased
+/// document as kAlias, and paths the corpus (server 0) does not know
+/// degrade to kNotFound, as the paper's preprocessing treated them.
+class ClfLineReader {
+ public:
+  /// `corpus` must outlive the reader.
+  ClfLineReader(const Corpus* corpus, const ClfReadOptions& options);
+
+  /// Reads line `line_number` (1-based). Returns true with `*out` set for
+  /// a record, false for a blank line (not counted) or a malformed one. A
+  /// malformed line is tallied in stats().skipped_lines in lenient mode; in
+  /// strict mode it sets error() to a ParseError "line N: <reason>", and
+  /// the read is over.
+  bool Read(std::string_view line, size_t line_number, Request* out);
+
+  const Status& error() const { return error_; }
+  const ClfReadStats& stats() const { return stats_; }
+  /// Largest client id read so far + 1.
+  uint32_t num_clients() const { return num_clients_; }
+
+  /// Publishes the line accounting as the trace.clf_* observability
+  /// counters (once per completed read).
+  void CountMetrics() const;
+
+ private:
+  const Corpus* corpus_;
+  ClfReadOptions options_;
+  ClfReadStats stats_;
+  Status error_;
+  uint32_t num_clients_ = 0;
+  std::string path_scratch_;  ///< Reused storage for the corpus lookup.
+};
+
+/// \brief Reconstructs a Trace from CLF lines, one ClfLineReader step per
+/// line, then stable-sorts it by time (server 0 is assumed; multi-server
+/// traces are serialized per server).
 ///
 /// In strict mode (default) the first malformed line fails the read with a
 /// `Status::ParseError` naming the 1-based line number. In lenient mode
@@ -114,9 +120,11 @@ Result<Trace> ClfToTrace(const std::vector<std::string>& lines,
 Status WriteClfFile(const std::string& path, const Trace& trace,
                     const Corpus& corpus);
 
-/// \brief Reads a CLF file into a trace. Error messages and `stats` follow
-/// the ClfToTrace contract; strict-mode errors are prefixed with the file
-/// path.
+/// \brief Reads a CLF file into a trace: drains a ClfCursor whose reorder
+/// window is unbounded, so the whole file is ordered by (time, line),
+/// which is the stable sort by time of ClfToTrace. Error messages and
+/// `stats` follow the ClfToTrace contract; errors are prefixed with the
+/// file path ("<path>: line N: <reason>").
 Result<Trace> ReadClfFile(const std::string& path, const Corpus& corpus,
                           const ClfReadOptions& options = {},
                           ClfReadStats* stats = nullptr);

@@ -7,17 +7,23 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <utility>
 
-#include "obs/metrics.h"
-#include "util/string_util.h"
+#include "trace/filter.h"
 
 namespace sds::trace {
 namespace {
 
 /// Target requests handed out per NextChunk() call.
 constexpr size_t kChunkSize = 65536;
+
+/// ClfCursor's heap order: the entry with the larger (time, line) sinks.
+template <typename Entry>
+bool LaterRecord(const Entry& a, const Entry& b) {
+  return std::tie(b.request.time, b.line) < std::tie(a.request.time, a.line);
+}
 
 }  // namespace
 
@@ -131,7 +137,8 @@ ClfCursor::ClfCursor(const std::string& path, const Corpus* corpus,
     : path_(path),
       corpus_(corpus),
       options_(options),
-      reorder_window_(std::max<size_t>(reorder_window, 1)) {
+      reorder_window_(std::max<size_t>(reorder_window, 1)),
+      reader_(corpus, options) {
   open_status_ = MapFile();
   status_ = open_status_;
 }
@@ -165,54 +172,32 @@ Status ClfCursor::MapFile() {
   return Status::OK();
 }
 
-void ClfCursor::Fail(const Status& error) {
-  if (options_.lenient) {
-    ++stats_.skipped_lines;
-    return;
-  }
-  // Message-identical to ReadClfFile: "path: line N: msg".
-  status_ = Status::ParseError(path_ + ": line " +
-                               std::to_string(line_number_) + ": " +
-                               error.message());
-}
-
 void ClfCursor::ProcessLine(std::string_view line) {
-  if (StripWhitespace(line).empty()) return;  // Blank lines are not counted.
-  ++stats_.lines;
-  ClfRecordView record;
-  const Status parsed = ParseClfLineView(line, &record);
-  if (!parsed.ok()) {
-    Fail(parsed);
-    return;
+  Request request;
+  if (reader_.Read(line, line_number_, &request)) {
+    heap_.push_back(HeapEntry{request, line_number_});
+    std::push_heap(heap_.begin(), heap_.end(), LaterRecord<HeapEntry>);
+  } else if (!reader_.error().ok()) {
+    status_ = Status(reader_.error().code(),
+                     path_ + ": " + reader_.error().message());
   }
-  bool remote = false;
-  const Result<ClientId> client = ClfClientFromHost(record.host, &remote);
-  if (!client.ok()) {
-    Fail(client.status());
-    return;
-  }
-  max_client_ = std::max(max_client_, client.value() + 1);
-  PushRecord(ClfRecordToRequest(record, client.value(), remote, *corpus_,
-                                &path_scratch_));
 }
 
-void ClfCursor::PushRecord(const Request& request) {
-  heap_.push_back(HeapEntry{request, next_index_++});
-  std::push_heap(heap_.begin(), heap_.end(),
-                 [](const HeapEntry& a, const HeapEntry& b) {
-                   return std::tie(b.request.time, b.index) <
-                          std::tie(a.request.time, a.index);
-                 });
-}
-
-void ClfCursor::PopInto(std::vector<Request>* out) {
-  std::pop_heap(heap_.begin(), heap_.end(),
-                [](const HeapEntry& a, const HeapEntry& b) {
-                  return std::tie(b.request.time, b.index) <
-                         std::tie(a.request.time, a.index);
-                });
-  out->push_back(heap_.back().request);
+bool ClfCursor::PopInto(std::vector<Request>* out) {
+  std::pop_heap(heap_.begin(), heap_.end(), LaterRecord<HeapEntry>);
+  const HeapEntry& next = heap_.back();
+  if (next.request.time < last_emitted_) {
+    status_ = Status::ParseError(
+        path_ + ": line " + std::to_string(next.line) +
+        ": out of time order: the record is earlier than one already handed "
+        "out, so the file's disorder exceeds the reorder window of " +
+        std::to_string(reorder_window_) + " records");
+    return false;
+  }
+  last_emitted_ = next.request.time;
+  out->push_back(next.request);
   heap_.pop_back();
+  return true;
 }
 
 std::span<const Request> ClfCursor::NextChunk() {
@@ -222,13 +207,7 @@ std::span<const Request> ClfCursor::NextChunk() {
     if (!scan_done_ && heap_.size() < reorder_window_) {
       if (offset_ >= size_) {
         scan_done_ = true;
-        if (obs::Enabled()) {
-          obs::Count("trace.clf_lines", static_cast<double>(stats_.lines));
-          obs::Count("trace.clf_skipped_lines",
-                     static_cast<double>(stats_.skipped_lines));
-          obs::Count("trace.clf_requests",
-                     static_cast<double>(next_index_));
-        }
+        reader_.CountMetrics();
         continue;
       }
       const char* start = data_ + offset_;
@@ -247,7 +226,10 @@ std::span<const Request> ClfCursor::NextChunk() {
       continue;
     }
     if (heap_.empty()) break;
-    PopInto(&chunk_);
+    if (!PopInto(&chunk_)) {
+      chunk_.clear();
+      return {};
+    }
   }
   if (chunk_.empty()) {
     exhausted_ = true;
@@ -259,18 +241,16 @@ std::span<const Request> ClfCursor::NextChunk() {
 void ClfCursor::Rewind() {
   offset_ = 0;
   line_number_ = 0;
+  reader_ = ClfLineReader(corpus_, options_);
   heap_.clear();
-  next_index_ = 0;
+  last_emitted_ = -kInfiniteTime;
   chunk_.clear();
-  path_scratch_.clear();
-  stats_ = ClfReadStats{};
   status_ = open_status_;
-  max_client_ = 0;
   scan_done_ = false;
   exhausted_ = false;
 }
 
-uint32_t ClfCursor::num_clients() const { return max_client_; }
+uint32_t ClfCursor::num_clients() const { return reader_.num_clients(); }
 
 uint32_t ClfCursor::num_servers() const { return corpus_->num_servers(); }
 
@@ -287,21 +267,8 @@ std::span<const Request> FilteringCursor::NextChunk() {
     const std::span<const Request> in = inner_->NextChunk();
     if (in.empty()) return {};
     chunk_.clear();
-    for (const Request& r : in) {
-      switch (r.kind) {
-        case RequestKind::kNotFound:
-        case RequestKind::kScript:
-          continue;
-        case RequestKind::kAlias: {
-          Request canonical = r;
-          canonical.kind = RequestKind::kDocument;
-          chunk_.push_back(canonical);
-          continue;
-        }
-        case RequestKind::kDocument:
-          chunk_.push_back(r);
-          continue;
-      }
+    for (Request r : in) {
+      if (CleanRequest(&r)) chunk_.push_back(r);
     }
     if (!chunk_.empty()) return chunk_;
   }

@@ -23,14 +23,14 @@ namespace sds::trace {
 /// \brief Pull-based, bounded-lookahead iterator over a time-ordered
 /// request stream.
 ///
-/// This is the streaming counterpart of `Trace`: consumers that only need
-/// a single forward pass (the dissemination and speculation replays, the
-/// queueing model, the sessionizer) can run off a cursor with O(lookahead)
-/// resident state instead of materializing the whole trace. Every backend
-/// yields *exactly* the request sequence of its batch counterpart —
-/// GeneratorCursor matches GenerateTrace + SortByTime bit-for-bit,
-/// ClfCursor matches ReadClfFile — so batch and streaming simulations
-/// produce identical results.
+/// This is the one way to read a request stream in a single forward pass
+/// (the dissemination and speculation replays, the queueing model, the
+/// dependency counter, the sessionizer): consumers hold O(lookahead)
+/// resident state instead of a whole trace. The `Trace` entry points of
+/// those analyses are drains of a cursor (or loops of the same per-request
+/// code) over the trace's requests. GeneratorCursor yields exactly the
+/// requests of GenerateTrace + SortByTime, bit for bit, so materialised and
+/// generated runs produce identical results.
 ///
 /// Cursors are single-threaded; parallel sweeps hand each worker its own
 /// cursor (see the cursor factories on core::Workload).
@@ -54,8 +54,10 @@ class RequestCursor {
   virtual uint32_t num_clients() const = 0;
   virtual uint32_t num_servers() const = 0;
 
-  /// Error state. A cursor that hits an unrecoverable error (CLF strict
-  /// mode) ends its stream early with a non-OK status; error-free backends
+  /// Error state. A cursor that hits an unrecoverable error (a malformed
+  /// CLF line in strict mode, or CLF disorder beyond the reorder window)
+  /// ends its stream early with a non-OK status, so the nondecreasing-time
+  /// promise holds for everything it handed out; error-free backends
   /// always return OK.
   virtual const Status& status() const;
 };
@@ -141,19 +143,18 @@ class GeneratorCursor : public RequestCursor {
   bool exhausted_ = false;
 };
 
-/// \brief Chunked CLF file backend: mmap + zero-copy line scanning with
-/// the lenient/strict semantics of ReadClfFile.
+/// \brief Chunked CLF file backend: mmap + zero-copy line scanning, one
+/// ClfLineReader step per line (a truncated final line is a line too).
 ///
-/// Parsing is line-at-a-time over the mapped file (no per-line string
-/// allocation); records are re-ordered into global time order through a
-/// bounded (time, line index) min-heap of `reorder_window` entries, which
-/// reproduces ReadClfFile's stable sort exactly whenever no record is
-/// preceded by more than `reorder_window` later-timestamped records —
-/// always true for time-sorted files (WriteClfFile output has zero
-/// disorder). Stats/accounting (`stats()`) and strict-mode errors
-/// (`status()`, message-identical to ReadClfFile including the 1-based
-/// line number) match the batch reader; a truncated final line is parsed
-/// like any other line, as std::getline would. num_clients() is the max
+/// Records reach time order through a (time, line) min-heap of
+/// `reorder_window` entries: the stream is the file's stable sort by time
+/// whenever no record is preceded by more than `reorder_window` later ones
+/// (always so for time-sorted files such as WriteClfFile output). Larger
+/// disorder ends the stream with a ParseError naming the line and the
+/// window, in strict and lenient mode alike, so no request is handed out
+/// of time order. ReadClfFile drains a ClfCursor with an unbounded window.
+/// A malformed line is tallied in `stats()` (lenient) or ends the stream
+/// with "<path>: line N: <reason>" (strict). num_clients() is the max
 /// client id observed so far + 1, authoritative after exhaustion.
 class ClfCursor : public RequestCursor {
  public:
@@ -172,14 +173,15 @@ class ClfCursor : public RequestCursor {
   const Status& status() const override;
 
   /// Line accounting so far (complete after exhaustion).
-  const ClfReadStats& stats() const { return stats_; }
+  const ClfReadStats& stats() const { return reader_.stats(); }
 
  private:
   Status MapFile();
+  /// Reads one line into the reorder heap (or into status_).
   void ProcessLine(std::string_view line);
-  void Fail(const Status& error);
-  void PushRecord(const Request& request);
-  void PopInto(std::vector<Request>* out);
+  /// Moves the heap's earliest record into `*out`; false (status_ set) if
+  /// it is earlier than the last record handed out.
+  bool PopInto(std::vector<Request>* out);
 
   std::string path_;
   const Corpus* corpus_;
@@ -190,25 +192,23 @@ class ClfCursor : public RequestCursor {
   size_t size_ = 0;
   size_t offset_ = 0;     ///< Scan position in the mapped file.
   size_t line_number_ = 0;  ///< 1-based number of the last line read.
+  ClfLineReader reader_;
   struct HeapEntry {
     Request request;
-    uint64_t index;  ///< Accepted-record ordinal (stable-sort tiebreak).
+    uint64_t line;  ///< Source line (stable-sort tiebreak, error message).
   };
-  std::vector<HeapEntry> heap_;  ///< Min-heap on (time, index).
-  uint64_t next_index_ = 0;
+  std::vector<HeapEntry> heap_;  ///< Min-heap on (time, line).
+  SimTime last_emitted_ = -kInfiniteTime;
   std::vector<Request> chunk_;
-  std::string path_scratch_;
-  ClfReadStats stats_;
   Status open_status_;  ///< Result of the initial mmap (reported by Rewind).
   Status status_;
-  uint32_t max_client_ = 0;
   bool scan_done_ = false;
   bool exhausted_ = false;
 };
 
-/// \brief Streaming FilterTrace: forwards the inner cursor's stream with
-/// kNotFound/kScript records dropped and kAlias canonicalized to
-/// kDocument (identical record transformation and order as FilterTrace).
+/// \brief Streaming FilterTrace: forwards the inner cursor's stream through
+/// CleanRequest (kNotFound/kScript records dropped, kAlias canonicalized
+/// to kDocument), in stream order.
 class FilteringCursor : public RequestCursor {
  public:
   explicit FilteringCursor(std::unique_ptr<RequestCursor> inner);

@@ -8,27 +8,8 @@ Trace FilterTrace(const Trace& raw, FilterStats* stats) {
   clean.num_clients = raw.num_clients;
   clean.num_servers = raw.num_servers;
   clean.requests.reserve(raw.requests.size());
-  for (const auto& r : raw.requests) {
-    switch (r.kind) {
-      case RequestKind::kNotFound:
-        ++local.dropped_not_found;
-        continue;
-      case RequestKind::kScript:
-        ++local.dropped_script;
-        continue;
-      case RequestKind::kAlias: {
-        Request canonical = r;
-        canonical.kind = RequestKind::kDocument;
-        clean.requests.push_back(canonical);
-        ++local.canonicalized_alias;
-        ++local.kept;
-        continue;
-      }
-      case RequestKind::kDocument:
-        clean.requests.push_back(r);
-        ++local.kept;
-        continue;
-    }
+  for (Request r : raw.requests) {
+    if (CleanRequest(&r, &local)) clean.requests.push_back(r);
   }
   if (stats != nullptr) *stats = local;
   return clean;

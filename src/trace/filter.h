@@ -15,11 +15,34 @@ struct FilterStats {
   uint64_t canonicalized_alias = 0;
 };
 
-/// \brief The preprocessing the paper applied before analysis (footnote 6):
-/// removes accesses to nonexistent documents and to scripts ("live"
-/// documents), and renames accesses to aliases of a document to the
-/// canonical document. Returns the cleaned trace; `stats` (optional)
-/// receives the counters.
+/// \brief The preprocessing rule the paper applied before analysis
+/// (footnote 6), for one request: accesses to nonexistent documents and to
+/// scripts ("live" documents) are dropped (returns false), and an access
+/// to an alias of a document is renamed to the canonical document (`*r`
+/// becomes kDocument). `stats` (optional) counts the outcome. FilterTrace,
+/// FilteringCursor and the streaming workload drain all apply this rule.
+inline bool CleanRequest(Request* r, FilterStats* stats = nullptr) {
+  switch (r->kind) {
+    case RequestKind::kNotFound:
+      if (stats != nullptr) ++stats->dropped_not_found;
+      return false;
+    case RequestKind::kScript:
+      if (stats != nullptr) ++stats->dropped_script;
+      return false;
+    case RequestKind::kAlias:
+      r->kind = RequestKind::kDocument;
+      if (stats != nullptr) ++stats->canonicalized_alias;
+      [[fallthrough]];
+    case RequestKind::kDocument:
+      if (stats != nullptr) ++stats->kept;
+      return true;
+  }
+  return false;
+}
+
+/// \brief Applies CleanRequest to every request of `raw` and returns the
+/// cleaned trace (same order, same metadata); `stats` (optional) receives
+/// the counters.
 Trace FilterTrace(const Trace& raw, FilterStats* stats = nullptr);
 
 }  // namespace sds::trace

@@ -1,71 +1,28 @@
 #include "trace/sessionizer.h"
 
+#include <vector>
+
 namespace sds::trace {
 
-std::vector<std::vector<uint32_t>> GroupByClient(const Trace& trace) {
-  // Two passes: size every per-client bucket first so the fill pass never
-  // reallocates (the per-push growth dominated on paper-scale traces).
-  std::vector<uint32_t> counts(trace.num_clients, 0);
-  for (const Request& r : trace.requests) {
-    if (r.client >= counts.size()) counts.resize(r.client + 1, 0);
-    ++counts[r.client];
-  }
-  std::vector<std::vector<uint32_t>> by_client(counts.size());
-  for (size_t c = 0; c < counts.size(); ++c) by_client[c].reserve(counts[c]);
-  for (uint32_t i = 0; i < trace.requests.size(); ++i) {
-    by_client[trace.requests[i].client].push_back(i);
-  }
-  return by_client;
-}
-
-std::vector<Segment> SplitByGap(const Trace& trace,
-                                const std::vector<uint32_t>& client_requests,
-                                SimTime timeout) {
-  std::vector<Segment> segments;
-  if (client_requests.empty()) return segments;
-  uint32_t begin = 0;
-  for (uint32_t i = 1; i < client_requests.size(); ++i) {
-    const SimTime gap = trace.requests[client_requests[i]].time -
-                        trace.requests[client_requests[i - 1]].time;
-    if (!(gap < timeout)) {
-      segments.push_back({begin, i});
-      begin = i;
-    }
-  }
-  segments.push_back({begin, static_cast<uint32_t>(client_requests.size())});
-  return segments;
-}
-
-uint64_t CountSegments(const Trace& trace, SimTime timeout) {
-  uint64_t total = 0;
-  for (const auto& reqs : GroupByClient(trace)) {
-    if (reqs.empty()) continue;
-    total += SplitByGap(trace, reqs, timeout).size();
-  }
-  return total;
-}
-
 uint64_t CountSegments(RequestCursor* cursor, SimTime timeout) {
-  std::vector<SimTime> last(cursor->num_clients(), 0.0);
-  std::vector<uint8_t> seen(cursor->num_clients(), 0);
+  // A client's first request sees an infinite gap, so it opens a segment
+  // for every timeout.
+  std::vector<SimTime> last(cursor->num_clients(), -kInfiniteTime);
   uint64_t total = 0;
   for (auto chunk = cursor->NextChunk(); !chunk.empty();
        chunk = cursor->NextChunk()) {
     for (const Request& r : chunk) {
-      if (r.client >= last.size()) {
-        last.resize(r.client + 1, 0.0);
-        seen.resize(r.client + 1, 0);
-      }
-      if (!seen[r.client]) {
-        seen[r.client] = 1;
-        ++total;  // the client's first segment
-      } else if (!(r.time - last[r.client] < timeout)) {
-        ++total;  // gap boundary starts a new segment
-      }
+      if (r.client >= last.size()) last.resize(r.client + 1, -kInfiniteTime);
+      if (!(r.time - last[r.client] < timeout)) ++total;
       last[r.client] = r.time;
     }
   }
   return total;
+}
+
+uint64_t CountSegments(const Trace& trace, SimTime timeout) {
+  VectorCursor cursor(&trace);
+  return CountSegments(&cursor, timeout);
 }
 
 }  // namespace sds::trace

@@ -2,7 +2,6 @@
 #define SDS_TRACE_SESSIONIZER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "trace/cursor.h"
 #include "trace/request.h"
@@ -10,39 +9,21 @@
 
 namespace sds::trace {
 
-/// \brief Per-client request streams: for each client, the indices of its
-/// requests in `trace.requests`, in time order.
-std::vector<std::vector<uint32_t>> GroupByClient(const Trace& trace);
-
-/// \brief A contiguous run [begin, end) within one client's request-index
-/// list in which consecutive requests are separated by less than a timeout.
-/// With StrideTimeout this is the paper's *traversal stride*; with
-/// SessionTimeout it is a *session stride*.
-struct Segment {
-  uint32_t begin = 0;  ///< Index into the per-client index list (inclusive).
-  uint32_t end = 0;    ///< Index into the per-client index list (exclusive).
-
-  uint32_t size() const { return end - begin; }
-};
-
-/// \brief Splits one client's ordered request indices into maximal segments
-/// where successive requests are less than `timeout` seconds apart.
-/// `timeout` = kInfiniteTime yields a single segment; `timeout` = 0 yields
-/// one segment per request.
-std::vector<Segment> SplitByGap(const Trace& trace,
-                                const std::vector<uint32_t>& client_requests,
-                                SimTime timeout);
-
-/// \brief Counts segments across all clients for a given timeout (e.g. the
-/// "20,000 sessions" statistic the paper reports for its trace).
-uint64_t CountSegments(const Trace& trace, SimTime timeout);
-
-/// \brief Streaming form of CountSegments: a single pass over a
-/// time-ordered cursor with one (last-time, seen) slot per client instead
-/// of materialized per-client index lists. A client's segment count is one
-/// (its first request) plus one per qualifying gap, which is exactly what
-/// SplitByGap produces, so both overloads agree on every stream.
+/// \brief Counts segments across all clients: maximal runs of one client's
+/// requests in which successive requests are less than `timeout` seconds
+/// apart. With StrideTimeout a segment is the paper's *traversal stride*;
+/// with SessionTimeout it is a *session stride* (e.g. the "20,000
+/// sessions" statistic the paper reports for its trace).
+///
+/// A single pass with one last-request time per client: a client's count
+/// is one (its first request) plus one per gap of at least `timeout`.
+/// `timeout` = kInfiniteTime gives one segment per client that has
+/// requests; `timeout` = 0 gives one per request.
 uint64_t CountSegments(RequestCursor* cursor, SimTime timeout);
+
+/// \brief CountSegments over a trace's requests (a VectorCursor that
+/// borrows the trace).
+uint64_t CountSegments(const Trace& trace, SimTime timeout);
 
 }  // namespace sds::trace
 

@@ -7,7 +7,9 @@
 
 #include "core/workload.h"
 #include "spec/closure.h"
+#include "trace/cursor.h"
 #include "util/rng.h"
+#include "reference_dependencies.h"
 
 namespace sds::spec {
 namespace {
@@ -197,8 +199,8 @@ const char* ScenarioName(Scenario s) {
   return "?";
 }
 
-// One synthetic day: raw pair/occurrence observations, Normalize()d like
-// CountDailyDependencies output.
+// One synthetic day: raw pair/occurrence observations, merged into unique
+// runs by Normalize().
 DayCounts MakeDay(Scenario scenario, uint32_t day, size_t num_docs,
                   Rng* rng) {
   DayCounts out;
@@ -356,6 +358,152 @@ TEST(DependencyTest, ProbabilitiesAreValid) {
       EXPECT_LT(e.doc, p.num_docs());
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Every counting entry point against the brute-force reference scan
+// (reference_dependencies.h): CountDailyDependencies on a trace and on a
+// cursor, and EstimateDependencies over a time range.
+// ---------------------------------------------------------------------------
+
+void ExpectDaysEq(const std::vector<DayCounts>& want,
+                  const std::vector<DayCounts>& got, const std::string& ctx) {
+  ASSERT_EQ(want.size(), got.size()) << ctx;
+  for (size_t d = 0; d < want.size(); ++d) {
+    EXPECT_EQ(want[d].pair_counts, got[d].pair_counts) << ctx << " day " << d;
+    EXPECT_EQ(want[d].occurrences, got[d].occurrences) << ctx << " day " << d;
+  }
+}
+
+void ExpectMatchesReference(const trace::Trace& t, size_t num_docs,
+                            const DependencyConfig& c, const std::string& ctx,
+                            SimTime t_begin = 0.0,
+                            SimTime t_end = kInfiniteTime) {
+  const auto want = reference::DailyCounts(t, c);
+  ExpectDaysEq(want, reference::Sorted(CountDailyDependencies(t, c)),
+               ctx + " (trace)");
+  trace::VectorCursor cursor(&t);
+  ExpectDaysEq(want, reference::Sorted(CountDailyDependencies(&cursor, c)),
+               ctx + " (cursor)");
+
+  const auto rows = reference::MatrixRows(t, num_docs, c, t_begin, t_end);
+  const SparseProbMatrix p =
+      EstimateDependencies(t, num_docs, c, t_begin, t_end);
+  size_t entries = 0;
+  for (trace::DocumentId i = 0; i < num_docs; ++i) {
+    ExpectRowsEq(SparseProbMatrix::RowView(rows[i]), p.Row(i),
+                 ctx + " (P) row " + std::to_string(i));
+    entries += rows[i].size();
+  }
+  EXPECT_EQ(p.NumEntries(), entries) << ctx;
+}
+
+trace::Request Access(trace::ClientId client, double time,
+                      trace::DocumentId doc,
+                      trace::RequestKind kind = trace::RequestKind::kDocument) {
+  trace::Request r;
+  r.client = client;
+  r.time = time;
+  r.doc = doc;
+  r.bytes = 100;
+  r.kind = kind;
+  return r;
+}
+
+TEST(DependencyReferenceTest, HandBuiltTraces) {
+  DependencyConfig wide = Loose();
+  wide.window = 10.0;
+  wide.stride_timeout = 5.0;
+  struct Case {
+    std::string name;
+    trace::Trace trace;
+    DependencyConfig config;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"simple", MakeTrace({{0, 0.0, 0}, {0, 1.0, 1},
+                                        {0, 100.0, 0}, {0, 101.0, 1},
+                                        {0, 200.0, 0}, {0, 300.0, 0}}),
+                   Loose()});
+  cases.push_back({"chain", MakeTrace({{0, 0.0, 0}, {0, 4.0, 1}, {0, 8.0, 2}}),
+                   wide});
+  cases.push_back({"duplicate-follower",
+                   MakeTrace({{0, 0.0, 0}, {0, 1.0, 1}, {0, 2.0, 1}}),
+                   Loose()});
+  cases.push_back({"self-pair", MakeTrace({{0, 0.0, 0}, {0, 1.0, 0}}),
+                   Loose()});
+  cases.push_back({"interleaved-clients",
+                   MakeTrace({{0, 0.0, 0}, {1, 0.5, 2}, {0, 1.0, 1},
+                              {1, 1.0, 0}, {2, 1.0, 1}, {0, 1.5, 2},
+                              {1, 3.0, 1}, {2, 4.0, 0}, {0, 7.0, 0},
+                              {1, 7.5, 2}, {0, 9.0, 1}}),
+                   wide});
+  // A pair led late on day 0 and completed after midnight belongs to
+  // day 0; day 2 has no traffic; day 3 opens with a fresh stride.
+  cases.push_back({"across-midnight",
+                   MakeTrace({{0, kDay - 2.0, 0}, {1, kDay - 1.0, 1},
+                              {0, kDay + 1.0, 1}, {1, kDay + 2.0, 2},
+                              {0, 3 * kDay, 2}, {0, 3 * kDay + 1.0, 0}}),
+                   wide});
+  // Noise kinds never count but separate nothing: the pair 0 -> 1 spans
+  // a 404 and a script request. Aliases count like documents.
+  trace::Trace noisy;
+  noisy.num_clients = 2;
+  noisy.requests = {Access(0, 0.0, 0),
+                    Access(0, 1.0, trace::kInvalidDocument,
+                           trace::RequestKind::kNotFound),
+                    Access(1, 1.5, 2, trace::RequestKind::kAlias),
+                    Access(0, 2.0, trace::kInvalidDocument,
+                           trace::RequestKind::kScript),
+                    Access(0, 3.0, 1, trace::RequestKind::kAlias),
+                    Access(1, 4.0, 1)};
+  cases.push_back({"noise-and-aliases", noisy, wide});
+  trace::Trace empty;
+  cases.push_back({"empty", empty, Loose()});
+
+  for (const Case& c : cases) {
+    ExpectMatchesReference(c.trace, 3, c.config, c.name);
+    ExpectMatchesReference(c.trace, 3, c.config, c.name + " [1 s, 2 days)",
+                           1.0, 2 * kDay);
+  }
+}
+
+TEST(DependencyReferenceTest, SmallConfigWorkload) {
+  const core::Workload w = core::MakeWorkload(core::SmallConfig());
+  DependencyConfig wide_window;
+  wide_window.window = 60.0;
+  wide_window.stride_timeout = 300.0;
+  DependencyConfig tight_stride;
+  tight_stride.window = 30.0;
+  tight_stride.stride_timeout = 2.0;
+  for (const auto& [name, config] :
+       {std::pair{"default", DependencyConfig{}},
+        std::pair{"wide-window", wide_window},
+        std::pair{"tight-stride", tight_stride}}) {
+    ExpectMatchesReference(w.clean(), w.corpus().size(), config,
+                           std::string(name) + " clean");
+    ExpectMatchesReference(w.clean(), w.corpus().size(), config,
+                           std::string(name) + " clean [2, 9) days",
+                           2 * kDay, 9 * kDay);
+    // The raw trace: noise kinds interleaved, aliases not yet renamed.
+    ExpectMatchesReference(w.generated().trace, w.corpus().size(), config,
+                           std::string(name) + " raw");
+  }
+}
+
+TEST(DependencyReferenceTest, GeneratedCursorMatchesReference) {
+  // A streaming workload's clean cursor generates the stream on the fly;
+  // its counts must equal the reference scan of the materialised trace.
+  core::WorkloadConfig config = core::SmallConfig();
+  const core::Workload batch = core::MakeWorkload(config);
+  config.streaming = true;
+  const core::Workload streaming = core::MakeWorkload(config);
+  const DependencyConfig dependency;
+  const auto cursor = streaming.NewCleanCursor();
+  ExpectDaysEq(
+      reference::DailyCounts(batch.clean(), dependency),
+      reference::Sorted(CountDailyDependencies(cursor.get(), dependency)),
+      "generated cursor");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 /// Golden equivalence suite for the flat-layout hot paths: the CSR
-/// SparseProbMatrix, the epoch-stamped closure scratch and the
-/// open-addressing dependency counters must reproduce the legacy
-/// map-based algorithms exactly — same keys, same counts, same entry
-/// order, bit-identical probabilities — on a paper-scale workload.
+/// SparseProbMatrix, the epoch-stamped closure scratch and the flat
+/// dependency counters must reproduce map-based reference algorithms
+/// exactly — same keys, same counts, same entry order, bit-identical
+/// probabilities — on a paper-scale workload. The dependency references
+/// are the brute-force scans of reference_dependencies.h.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "core/workload.h"
 #include "spec/closure.h"
 #include "spec/dependency.h"
+#include "reference_dependencies.h"
 
 namespace sds::spec {
 namespace {
@@ -116,34 +118,34 @@ TEST_F(FlatEquivalenceTest, ClosureRowsMatchLegacyMapExactly) {
 
 TEST_F(FlatEquivalenceTest, DailyPairCountsMatchLegacyMapExactly) {
   const DependencyConfig config;
-  // Reference aggregation over the identical scan, into ordered maps
+  // Reference aggregation over the brute-force scan, into ordered maps
   // (sorted by key by construction).
   struct DayMaps {
     std::map<uint64_t, uint32_t> pairs;
     std::map<trace::DocumentId, uint32_t> occurrences;
   };
-  std::vector<DayMaps> reference;
-  ScanDependencies(
+  std::vector<DayMaps> expected;
+  reference::Scan(
       workload_->clean(), config, 0.0, kInfiniteTime,
       [&](uint32_t day, trace::DocumentId doc) {
-        if (day >= reference.size()) reference.resize(day + 1);
-        ++reference[day].occurrences[doc];
+        if (day >= expected.size()) expected.resize(day + 1);
+        ++expected[day].occurrences[doc];
       },
       [&](uint32_t day, trace::DocumentId i, trace::DocumentId j) {
-        if (day >= reference.size()) reference.resize(day + 1);
-        ++reference[day].pairs[PairKey(i, j)];
+        if (day >= expected.size()) expected.resize(day + 1);
+        ++expected[day].pairs[PairKey(i, j)];
       });
 
   std::vector<DayCounts> flat =
       CountDailyDependencies(workload_->clean(), config);
-  ASSERT_GE(flat.size(), reference.size());
+  ASSERT_GE(flat.size(), expected.size());
   size_t total_pairs = 0;
   for (uint32_t d = 0; d < flat.size(); ++d) {
-    // Flat runs come out in first-seen order; Normalize sorts by key so
-    // they line up with the ordered reference maps.
+    // Runs come out in first-seen order; Normalize sorts by key so they
+    // line up with the ordered reference maps.
     flat[d].Normalize();
     const DayMaps empty;
-    const DayMaps& ref = d < reference.size() ? reference[d] : empty;
+    const DayMaps& ref = d < expected.size() ? expected[d] : empty;
     ASSERT_EQ(flat[d].pair_counts.size(), ref.pairs.size()) << "day " << d;
     size_t k = 0;
     for (const auto& [key, n] : ref.pairs) {
@@ -166,36 +168,10 @@ TEST_F(FlatEquivalenceTest, DailyPairCountsMatchLegacyMapExactly) {
 
 TEST_F(FlatEquivalenceTest, EstimatedMatrixMatchesLegacyMapPipeline) {
   const DependencyConfig config;
-  // Reference pipeline: hash-map pair counts, dense occurrences, same
-  // pruning thresholds, rows assembled per source and sorted with the
-  // library's (probability desc, doc asc) comparator.
-  std::unordered_map<uint64_t, int64_t> pair_counts;
-  std::vector<int64_t> occurrences(workload_->corpus().size(), 0);
-  ScanDependencies(
-      workload_->clean(), config, 0.0, kInfiniteTime,
-      [&](uint32_t, trace::DocumentId doc) {
-        if (doc >= occurrences.size()) occurrences.resize(doc + 1, 0);
-        ++occurrences[doc];
-      },
-      [&](uint32_t, trace::DocumentId i, trace::DocumentId j) {
-        ++pair_counts[PairKey(i, j)];
-      });
-  std::vector<std::vector<SparseProbMatrix::Entry>> rows(
-      workload_->corpus().size());
+  const auto rows = reference::MatrixRows(
+      workload_->clean(), workload_->corpus().size(), config);
   size_t reference_entries = 0;
-  for (const auto& [key, n] : pair_counts) {
-    if (n < config.min_support) continue;
-    const trace::DocumentId i = static_cast<trace::DocumentId>(key >> 32);
-    const trace::DocumentId j =
-        static_cast<trace::DocumentId>(key & 0xffffffffu);
-    if (i >= occurrences.size() || occurrences[i] == 0) continue;
-    const double p = std::min(
-        1.0, static_cast<double>(n) / static_cast<double>(occurrences[i]));
-    if (p < config.min_probability) continue;
-    rows[i].push_back({j, static_cast<float>(p)});
-    ++reference_entries;
-  }
-  for (auto& row : rows) SortByProbability(&row);
+  for (const auto& row : rows) reference_entries += row.size();
 
   const SparseProbMatrix& flat = *matrix_;
   EXPECT_EQ(flat.NumEntries(), reference_entries);

@@ -1,10 +1,11 @@
 // Differential tests for the streaming spec pipeline: the
-// DailyDependencyAccumulator, StreamingSpeculationSimulator and
-// QueueSimulator must be bit-identical to their batch counterparts on the
-// same request stream — not approximately equal; every RunTotals field,
-// every server event and every per-day count run must match exactly,
-// because the streaming classes are the batch loop bodies re-fed from
-// cursors, not re-implementations.
+// StreamingSpeculationSimulator and QueueSimulator must be bit-identical
+// to their batch counterparts on the same request stream — not
+// approximately equal; every RunTotals field and every server event must
+// match exactly, because the streaming classes are the batch loop bodies
+// re-fed from cursors, not re-implementations. The dependency counter has
+// one implementation, so its cursor form is checked against the
+// brute-force reference scan instead, run by run.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "spec/queueing.h"
 #include "spec/simulator.h"
 #include "trace/cursor.h"
+#include "reference_dependencies.h"
 
 namespace sds::spec {
 namespace {
@@ -35,30 +37,30 @@ const core::Workload& SharedWorkload() {
 // Dependency counting
 // ---------------------------------------------------------------------------
 
-// Batch emits runs in deterministic first-seen order; the accumulator
-// emits them sorted by key. Consumers are order-insensitive, so the
-// comparison normalizes the batch side.
-std::vector<DayCounts> NormalizedBatchCounts(const DependencyConfig& config) {
-  std::vector<DayCounts> batch =
-      CountDailyDependencies(SharedWorkload().clean(), config);
-  for (DayCounts& day : batch) day.Normalize();
-  return batch;
+// The independent oracle for the counter: the brute-force per-client scan
+// over the materialised clean trace (runs sorted by key).
+std::vector<DayCounts> ReferenceCounts(const DependencyConfig& config) {
+  return reference::DailyCounts(SharedWorkload().clean(), config);
+}
+
+// Compares one day's counts with the (sorted) reference run by run.
+void ExpectDayEq(const DayCounts& want, DayCounts got, size_t day) {
+  got.Normalize();
+  EXPECT_EQ(want.pair_counts, got.pair_counts) << "day " << day;
+  EXPECT_EQ(want.occurrences, got.occurrences) << "day " << day;
 }
 
 void ExpectDaysEq(const std::vector<DayCounts>& batch,
                   const std::vector<DayCounts>& stream) {
   ASSERT_EQ(batch.size(), stream.size());
-  for (size_t d = 0; d < batch.size(); ++d) {
-    EXPECT_EQ(batch[d].pair_counts, stream[d].pair_counts) << "day " << d;
-    EXPECT_EQ(batch[d].occurrences, stream[d].occurrences) << "day " << d;
-  }
+  for (size_t d = 0; d < batch.size(); ++d) ExpectDayEq(batch[d], stream[d], d);
 }
 
 TEST(StreamingDependencyTest, MatchesBatchOnDefaultConfig) {
   const DependencyConfig config;
   const auto cursor = SharedWorkload().NewCleanCursor();
-  ExpectDaysEq(NormalizedBatchCounts(config),
-               CountDailyDependenciesStream(cursor.get(), config));
+  ExpectDaysEq(ReferenceCounts(config),
+               CountDailyDependencies(cursor.get(), config));
 }
 
 TEST(StreamingDependencyTest, MatchesBatchOnWideWindow) {
@@ -66,8 +68,8 @@ TEST(StreamingDependencyTest, MatchesBatchOnWideWindow) {
   config.window = 60.0;
   config.stride_timeout = 300.0;
   const auto cursor = SharedWorkload().NewCleanCursor();
-  ExpectDaysEq(NormalizedBatchCounts(config),
-               CountDailyDependenciesStream(cursor.get(), config));
+  ExpectDaysEq(ReferenceCounts(config),
+               CountDailyDependencies(cursor.get(), config));
 }
 
 TEST(StreamingDependencyTest, MatchesBatchOnTightStride) {
@@ -75,8 +77,8 @@ TEST(StreamingDependencyTest, MatchesBatchOnTightStride) {
   config.window = 30.0;
   config.stride_timeout = 2.0;  // stride breaks dominate
   const auto cursor = SharedWorkload().NewCleanCursor();
-  ExpectDaysEq(NormalizedBatchCounts(config),
-               CountDailyDependenciesStream(cursor.get(), config));
+  ExpectDaysEq(ReferenceCounts(config),
+               CountDailyDependencies(cursor.get(), config));
 }
 
 // The pump-ahead pattern the streaming simulator uses: query each day the
@@ -85,7 +87,7 @@ TEST(StreamingDependencyTest, MatchesBatchOnTightStride) {
 // DropBefore leaving live days untouched.
 TEST(StreamingDependencyTest, IncrementalFinalityAndDropBefore) {
   const DependencyConfig config;
-  const auto batch = NormalizedBatchCounts(config);
+  const auto batch = ReferenceCounts(config);
 
   DailyDependencyAccumulator acc(config,
                                  SharedWorkload().clean().num_clients);
@@ -95,10 +97,7 @@ TEST(StreamingDependencyTest, IncrementalFinalityAndDropBefore) {
     while (next_day < batch.size() && acc.DayFinal(next_day)) {
       const DayCounts* counts = acc.Counts(next_day);
       ASSERT_NE(counts, nullptr);
-      EXPECT_EQ(batch[next_day].pair_counts, counts->pair_counts)
-          << "day " << next_day;
-      EXPECT_EQ(batch[next_day].occurrences, counts->occurrences)
-          << "day " << next_day;
+      ExpectDayEq(batch[next_day], *counts, next_day);
       ++next_day;
       if (next_day > 2) acc.DropBefore(next_day - 2);
     }
@@ -119,7 +118,7 @@ TEST(StreamingDependencyTest, EmptyStream) {
   empty.num_clients = 0;
   empty.num_servers = 1;
   trace::VectorCursor cursor(&empty);
-  const auto days = CountDailyDependenciesStream(&cursor, config);
+  const auto days = CountDailyDependencies(&cursor, config);
   ASSERT_EQ(days.size(), 1u);  // matches batch: one empty day
   EXPECT_TRUE(days[0].pair_counts.empty());
   EXPECT_TRUE(days[0].occurrences.empty());
@@ -129,7 +128,7 @@ TEST(StreamingDependencyTest, EmptyStream) {
 // DayCounts, as a day without traffic does.
 TEST(StreamingDependencyTest, DroppedAndUnseenFinalDaysAreEmpty) {
   const DependencyConfig config;
-  const auto batch = NormalizedBatchCounts(config);
+  const auto batch = ReferenceCounts(config);
   ASSERT_GE(batch.size(), 3u);
   ASSERT_FALSE(batch[0].occurrences.empty());
 
@@ -141,7 +140,7 @@ TEST(StreamingDependencyTest, DroppedAndUnseenFinalDaysAreEmpty) {
     for (const auto& r : chunk) acc.OnRequest(r);
   }
   acc.FinishStream();
-  EXPECT_EQ(acc.Counts(0)->occurrences, batch[0].occurrences);
+  ExpectDayEq(batch[0], *acc.Counts(0), 0);
   acc.DropBefore(2);
   for (const uint32_t day :
        {0u, 1u, static_cast<uint32_t>(batch.size()) + 5}) {
@@ -150,8 +149,7 @@ TEST(StreamingDependencyTest, DroppedAndUnseenFinalDaysAreEmpty) {
     EXPECT_TRUE(counts->pair_counts.empty()) << "day " << day;
     EXPECT_TRUE(counts->occurrences.empty()) << "day " << day;
   }
-  EXPECT_EQ(acc.Counts(2)->pair_counts, batch[2].pair_counts);
-  EXPECT_EQ(acc.Counts(2)->occurrences, batch[2].occurrences);
+  ExpectDayEq(batch[2], *acc.Counts(2), 2);
 }
 
 // Neither an occurrence nor a pair may count toward a day DropBefore

@@ -1,5 +1,7 @@
 #include "trace/cursor.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -219,7 +221,7 @@ TEST(GeneratorCursorTest, ChunkStaysValidUntilTheNextCall) {
 }
 
 // ---------------------------------------------------------------------------
-// ClfCursor vs ReadClfFile
+// ClfCursor (and ReadClfFile, which drains one): goldens
 
 class ClfCursorTest : public ::testing::Test {
  protected:
@@ -236,6 +238,15 @@ class ClfCursorTest : public ::testing::Test {
     tconfig.days = 3;
     tconfig.sessions_per_client_per_day = 1.0;
     trace_ = GenerateTrace(tconfig, &graph, &rng).trace;
+    // What reading the written trace back must yield: CLF timestamps have
+    // 1-second resolution, every other field survives, and the clients
+    // are those observed.
+    written_ = trace_;
+    written_.num_clients = 0;
+    for (Request& r : written_.requests) {
+      r.time = std::floor(r.time);
+      written_.num_clients = std::max(written_.num_clients, r.client + 1);
+    }
   }
 
   ~ClfCursorTest() override {
@@ -254,37 +265,67 @@ class ClfCursorTest : public ::testing::Test {
     return path;
   }
 
-  // Streams the file through a cursor and checks requests, metadata, and
-  // line accounting against ReadClfFile with the same options.
-  void ExpectCursorMatchesFile(const std::string& path,
-                               const ClfReadOptions& options,
-                               size_t reorder_window = 65536) {
-    ClfReadStats batch_stats;
-    const auto batch = ReadClfFile(path, corpus_, options, &batch_stats);
-    ASSERT_TRUE(batch.ok());
+  // The first `n` records of the written trace, as a trace of their own.
+  Trace WrittenPrefix(size_t n) const {
+    Trace out = written_;
+    out.requests.resize(n);
+    out.num_clients = 0;
+    for (const Request& r : out.requests) {
+      out.num_clients = std::max(out.num_clients, r.client + 1);
+    }
+    return out;
+  }
+
+  // Reads the file through a cursor and through ReadClfFile; both must
+  // yield `want` and the given line accounting.
+  void ExpectReads(const std::string& path, const ClfReadOptions& options,
+                   const Trace& want, size_t lines, size_t skipped,
+                   size_t reorder_window = 65536) {
     ClfCursor cursor(path, &corpus_, options, reorder_window);
     const Trace streamed = Materialize(&cursor);
     ASSERT_TRUE(cursor.status().ok()) << cursor.status().message();
-    ExpectSameRequests(streamed.requests, batch.value().requests);
-    EXPECT_EQ(cursor.num_clients(), batch.value().num_clients);
-    EXPECT_EQ(cursor.num_servers(), batch.value().num_servers);
-    EXPECT_EQ(cursor.stats().lines, batch_stats.lines);
-    EXPECT_EQ(cursor.stats().skipped_lines, batch_stats.skipped_lines);
+    ExpectSameTrace(streamed, want);
+    EXPECT_EQ(cursor.stats().lines, lines);
+    EXPECT_EQ(cursor.stats().skipped_lines, skipped);
+
+    ClfReadStats stats;
+    const auto read = ReadClfFile(path, corpus_, options, &stats);
+    ASSERT_TRUE(read.ok()) << read.status().message();
+    ExpectSameTrace(read.value(), want);
+    EXPECT_EQ(stats.lines, lines);
+    EXPECT_EQ(stats.skipped_lines, skipped);
+  }
+
+  // Both readers fail with exactly `message`.
+  void ExpectParseError(const std::string& path, const ClfReadOptions& options,
+                        const std::string& message) {
+    ClfCursor cursor(path, &corpus_, options);
+    while (!cursor.NextChunk().empty()) {
+    }
+    EXPECT_EQ(cursor.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(cursor.status().message(), message);
+    const auto read = ReadClfFile(path, corpus_, options);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(read.status().message(), message);
   }
 
   Corpus corpus_;
   Trace trace_;
+  Trace written_;
   std::vector<std::string> temp_files_;
 };
 
 TEST_F(ClfCursorTest, MatchesBatchReaderBitForBit) {
+  // WriteClfFile -> read is the identity up to the 1-second timestamps.
   const std::string path = WriteTraceFile("sds_cursor_roundtrip.log");
-  ExpectCursorMatchesFile(path, ClfReadOptions{});
+  ExpectReads(path, ClfReadOptions{}, written_, trace_.size(), 0);
 }
 
 TEST_F(ClfCursorTest, SmallReorderWindowStillMatchesSortedFile) {
   const std::string path = WriteTraceFile("sds_cursor_window.log");
-  ExpectCursorMatchesFile(path, ClfReadOptions{}, /*reorder_window=*/4);
+  ExpectReads(path, ClfReadOptions{}, written_, trace_.size(), 0,
+              /*reorder_window=*/4);
 }
 
 TEST_F(ClfCursorTest, LenientSkipAccountingMatches) {
@@ -298,7 +339,8 @@ TEST_F(ClfCursorTest, LenientSkipAccountingMatches) {
   }
   ClfReadOptions options;
   options.lenient = true;
-  ExpectCursorMatchesFile(path, options);
+  // Three malformed lines skipped; the blank one is not a line at all.
+  ExpectReads(path, options, written_, trace_.size() + 3, 3);
 }
 
 TEST_F(ClfCursorTest, StrictErrorMatchesBatchReaderExactly) {
@@ -307,19 +349,13 @@ TEST_F(ClfCursorTest, StrictErrorMatchesBatchReaderExactly) {
     std::ofstream append(path, std::ios::app);
     append << "truncated garbage\n";
   }
-  const auto batch = ReadClfFile(path, corpus_);
-  ASSERT_FALSE(batch.ok());
-  ClfCursor cursor(path, &corpus_, ClfReadOptions{});
-  while (!cursor.NextChunk().empty()) {
-  }
-  ASSERT_FALSE(cursor.status().ok());
-  EXPECT_EQ(cursor.status().code(), batch.status().code());
-  EXPECT_EQ(cursor.status().message(), batch.status().message());
+  ExpectParseError(path, ClfReadOptions{},
+                   path + ": line " + std::to_string(trace_.size() + 1) +
+                       ": no timestamp in CLF line: truncated garbage");
 }
 
 TEST_F(ClfCursorTest, TruncatedFinalLineMatchesBatchReader) {
-  // A file whose final line has no trailing newline: std::getline still
-  // yields it, and so must the mmap scanner.
+  // A file whose final line has no trailing newline: it is still a line.
   const std::string path = TempPath("sds_cursor_truncated.log");
   {
     std::ofstream out(path);
@@ -327,7 +363,7 @@ TEST_F(ClfCursorTest, TruncatedFinalLineMatchesBatchReader) {
     ASSERT_GE(lines.size(), 2u);
     out << lines[0] << '\n' << lines[1];  // no trailing '\n'
   }
-  ExpectCursorMatchesFile(path, ClfReadOptions{});
+  ExpectReads(path, ClfReadOptions{}, WrittenPrefix(2), 2, 0);
 }
 
 TEST_F(ClfCursorTest, TruncatedGarbageFinalLineLenient) {
@@ -341,16 +377,13 @@ TEST_F(ClfCursorTest, TruncatedGarbageFinalLineLenient) {
   }
   ClfReadOptions options;
   options.lenient = true;
-  ExpectCursorMatchesFile(path, options);
+  ExpectReads(path, options, WrittenPrefix(1), 2, 1);
 }
 
 TEST_F(ClfCursorTest, EmptyFileMatchesBatchReader) {
   const std::string path = TempPath("sds_cursor_empty.log");
   { std::ofstream out(path); }
-  ExpectCursorMatchesFile(path, ClfReadOptions{});
-  ClfCursor cursor(path, &corpus_, ClfReadOptions{});
-  EXPECT_TRUE(cursor.NextChunk().empty());
-  EXPECT_EQ(cursor.stats().lines, 0u);
+  ExpectReads(path, ClfReadOptions{}, WrittenPrefix(0), 0, 0);
 }
 
 TEST_F(ClfCursorTest, BlankLinesAreNotCounted) {
@@ -361,17 +394,18 @@ TEST_F(ClfCursorTest, BlankLinesAreNotCounted) {
     ASSERT_GE(lines.size(), 2u);
     out << "\n  \n" << lines[0] << "\n\n" << lines[1] << "\n\n";
   }
-  ExpectCursorMatchesFile(path, ClfReadOptions{});
+  ExpectReads(path, ClfReadOptions{}, WrittenPrefix(2), 2, 0);
 }
 
 TEST_F(ClfCursorTest, MissingFileReportsSameError) {
-  const auto batch = ReadClfFile("/no/such/file.log", corpus_);
-  ASSERT_FALSE(batch.ok());
   ClfCursor cursor("/no/such/file.log", &corpus_, ClfReadOptions{});
   EXPECT_TRUE(cursor.NextChunk().empty());
-  ASSERT_FALSE(cursor.status().ok());
-  EXPECT_EQ(cursor.status().code(), batch.status().code());
-  EXPECT_EQ(cursor.status().message(), batch.status().message());
+  EXPECT_EQ(cursor.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(cursor.status().message(), "cannot open /no/such/file.log");
+  const auto read = ReadClfFile("/no/such/file.log", corpus_);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(read.status().message(), "cannot open /no/such/file.log");
 }
 
 TEST_F(ClfCursorTest, RewindReproducesStream) {
@@ -382,6 +416,60 @@ TEST_F(ClfCursorTest, RewindReproducesStream) {
   const Trace second = Materialize(&cursor);
   ExpectSameRequests(first.requests, second.requests);
   EXPECT_EQ(first.num_clients, second.num_clients);
+}
+
+// A file whose disorder exceeds the reorder window: records at 500, 600,
+// 700 and then 100 s, read with a window of 2 records.
+std::string WriteDisorderedFile(const std::string& path, const Corpus& corpus) {
+  std::ofstream out(path);
+  for (const SimTime t : {500.0, 600.0, 700.0, 100.0}) {
+    ClfRecord record;
+    record.host = "h1.cs.bu.edu";
+    record.time = t;
+    record.method = "GET";
+    record.path = corpus.doc(0).path;
+    record.status = 200;
+    record.bytes = 10;
+    out << FormatClfLine(record) << '\n';
+  }
+  return path;
+}
+
+TEST_F(ClfCursorTest, DisorderBeyondWindowEndsWithParseError) {
+  const std::string path =
+      WriteDisorderedFile(TempPath("sds_cursor_disorder.log"), corpus_);
+  const std::string message =
+      path +
+      ": line 4: out of time order: the record is earlier than one already "
+      "handed out, so the file's disorder exceeds the reorder window of 2 "
+      "records";
+  for (const bool lenient : {false, true}) {
+    ClfReadOptions options;
+    options.lenient = lenient;
+    ClfCursor cursor(path, &corpus_, options, /*reorder_window=*/2);
+    SimTime last = -kInfiniteTime;
+    for (auto chunk = cursor.NextChunk(); !chunk.empty();
+         chunk = cursor.NextChunk()) {
+      for (const Request& r : chunk) {
+        EXPECT_GE(r.time, last) << "lenient " << lenient;
+        last = r.time;
+      }
+    }
+    EXPECT_EQ(cursor.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(cursor.status().message(), message) << "lenient " << lenient;
+  }
+}
+
+TEST_F(ClfCursorTest, ReadClfFileOrdersAnyDisorder) {
+  // ReadClfFile's reorder window is unbounded: the same file reads back
+  // as its stable sort by time.
+  const std::string path =
+      WriteDisorderedFile(TempPath("sds_cursor_disorder_read.log"), corpus_);
+  const auto read = ReadClfFile(path, corpus_);
+  ASSERT_TRUE(read.ok()) << read.status().message();
+  std::vector<SimTime> times;
+  for (const Request& r : read.value().requests) times.push_back(r.time);
+  EXPECT_EQ(times, (std::vector<SimTime>{100.0, 500.0, 600.0, 700.0}));
 }
 
 // ---------------------------------------------------------------------------

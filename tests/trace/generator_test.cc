@@ -1,11 +1,11 @@
 #include "trace/generator.h"
 
 #include <map>
+#include <vector>
 #include <gtest/gtest.h>
 
 #include "trace/corpus.h"
 #include "trace/link_graph.h"
-#include "trace/sessionizer.h"
 #include "util/rng.h"
 
 namespace sds::trace {
@@ -208,13 +208,17 @@ TEST(GeneratorTest, StridesExistWithinSessions) {
   const Fixture f;
   // With think times of a few seconds, a 5-second stride timeout must
   // produce strides spanning multiple requests.
-  const auto by_client = GroupByClient(f.generated.trace);
+  const Trace& trace = f.generated.trace;
+  std::vector<SimTime> last(trace.num_clients, -kInfiniteTime);
+  std::vector<uint32_t> run(trace.num_clients, 0);
   size_t multi = 0;
-  for (const auto& stream : by_client) {
-    if (stream.empty()) continue;
-    for (const auto& seg : SplitByGap(f.generated.trace, stream, 5.0)) {
-      if (seg.size() >= 2) ++multi;
+  for (const Request& r : trace.requests) {
+    if (r.time - last[r.client] < 5.0) {
+      if (++run[r.client] == 2) ++multi;
+    } else {
+      run[r.client] = 1;
     }
+    last[r.client] = r.time;
   }
   EXPECT_GT(multi, 50u);
 }

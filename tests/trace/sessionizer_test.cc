@@ -22,49 +22,37 @@ Trace MakeTrace(std::vector<std::pair<ClientId, SimTime>> entries) {
   return trace;
 }
 
-TEST(GroupByClientTest, SplitsStreams) {
+TEST(CountSegmentsTest, InterleavedClientsKeepSeparateStreams) {
+  // Each client's gaps are 2 s although the merged stream's are 1 s.
   const Trace trace = MakeTrace({{0, 1.0}, {1, 2.0}, {0, 3.0}, {1, 4.0}});
-  const auto by_client = GroupByClient(trace);
-  ASSERT_EQ(by_client.size(), 2u);
-  EXPECT_EQ(by_client[0].size(), 2u);
-  EXPECT_EQ(by_client[1].size(), 2u);
-  // Streams preserve time order.
-  EXPECT_LT(trace.requests[by_client[0][0]].time,
-            trace.requests[by_client[0][1]].time);
+  EXPECT_EQ(CountSegments(trace, 1.5), 4u);
+  EXPECT_EQ(CountSegments(trace, 5.0), 2u);
 }
 
-TEST(SplitByGapTest, SplitsAtTimeout) {
+TEST(CountSegmentsTest, SplitsAtTimeout) {
   const Trace trace =
       MakeTrace({{0, 0.0}, {0, 2.0}, {0, 4.0}, {0, 100.0}, {0, 101.0}});
-  const auto by_client = GroupByClient(trace);
-  const auto segments = SplitByGap(trace, by_client[0], 5.0);
-  ASSERT_EQ(segments.size(), 2u);
-  EXPECT_EQ(segments[0].size(), 3u);
-  EXPECT_EQ(segments[1].size(), 2u);
+  EXPECT_EQ(CountSegments(trace, 5.0), 2u);
 }
 
-TEST(SplitByGapTest, GapEqualToTimeoutSplits) {
+TEST(CountSegmentsTest, GapEqualToTimeoutSplits) {
   const Trace trace = MakeTrace({{0, 0.0}, {0, 5.0}});
-  const auto by_client = GroupByClient(trace);
-  EXPECT_EQ(SplitByGap(trace, by_client[0], 5.0).size(), 2u);
+  EXPECT_EQ(CountSegments(trace, 5.0), 2u);
 }
 
-TEST(SplitByGapTest, InfiniteTimeoutSingleSegment) {
+TEST(CountSegmentsTest, InfiniteTimeoutSingleSegment) {
   const Trace trace = MakeTrace({{0, 0.0}, {0, 1e6}, {0, 2e6}});
-  const auto by_client = GroupByClient(trace);
-  EXPECT_EQ(SplitByGap(trace, by_client[0], kInfiniteTime).size(), 1u);
+  EXPECT_EQ(CountSegments(trace, kInfiniteTime), 1u);
 }
 
-TEST(SplitByGapTest, ZeroTimeoutOnePerRequest) {
+TEST(CountSegmentsTest, ZeroTimeoutOnePerRequest) {
   const Trace trace = MakeTrace({{0, 0.0}, {0, 0.5}, {0, 1.0}});
-  const auto by_client = GroupByClient(trace);
-  EXPECT_EQ(SplitByGap(trace, by_client[0], 0.0).size(), 3u);
+  EXPECT_EQ(CountSegments(trace, 0.0), 3u);
 }
 
-TEST(SplitByGapTest, EmptyStream) {
-  const Trace trace = MakeTrace({{1, 0.0}});
-  const auto by_client = GroupByClient(trace);
-  EXPECT_TRUE(SplitByGap(trace, by_client[0], 5.0).empty());
+TEST(CountSegmentsTest, ClientWithoutRequestsHasNoSegments) {
+  const Trace trace = MakeTrace({{1, 0.0}});  // client 0 never requests
+  EXPECT_EQ(CountSegments(trace, 5.0), 1u);
 }
 
 TEST(CountSegmentsTest, AcrossClients) {
@@ -75,12 +63,18 @@ TEST(CountSegmentsTest, AcrossClients) {
 }
 
 TEST(CountSegmentsTest, StreamingOverloadMatchesBatch) {
+  // Per client: 0 at 0, 1, 50, 120; 1 at 0, 100; 2 at 3, 4, 200. Both
+  // overloads give the hand-counted segment counts.
   const Trace trace =
       MakeTrace({{0, 0.0}, {0, 1.0}, {0, 50.0}, {1, 0.0}, {1, 100.0},
                  {2, 3.0}, {0, 120.0}, {2, 4.0}, {2, 200.0}});
-  for (const SimTime timeout : {0.0, 5.0, 10.0, kInfiniteTime}) {
+  for (const auto& [timeout, segments] :
+       {std::pair{0.0, 9u}, std::pair{5.0, 7u}, std::pair{60.0, 6u},
+        std::pair{kInfiniteTime, 3u}}) {
     VectorCursor cursor(&trace);
-    EXPECT_EQ(CountSegments(&cursor, timeout), CountSegments(trace, timeout))
+    EXPECT_EQ(CountSegments(&cursor, timeout), segments)
+        << "timeout " << timeout;
+    EXPECT_EQ(CountSegments(trace, timeout), segments)
         << "timeout " << timeout;
   }
 }
