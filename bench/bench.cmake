@@ -44,3 +44,12 @@ target_link_libraries(micro_kernels PRIVATE sds_core sds_dissem sds_spec
 target_include_directories(micro_kernels PRIVATE ${CMAKE_SOURCE_DIR})
 set_target_properties(micro_kernels PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+
+# Streaming smokes of the figure runners that read only the trace metadata
+# both modes fill; each must exit 0 (it writes its BENCH_*.json into the
+# bench directory).
+foreach(bench fig3_dissemination_savings fig6_gains_vs_traffic)
+  add_test(NAME ${bench}_smoke_stream
+           COMMAND ${bench} --smoke --stream
+           WORKING_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+endforeach()

@@ -34,8 +34,8 @@ inline void PrintHeader(const char* experiment, const char* paper_artifact) {
 /// layer on (metrics land in the report's "metrics" section). The output
 /// flags each take a file path and imply `--obs`; one given as the last
 /// argument, with no path, is an error (exit status 2):
-///   --trace-out       stage-trace spans, legacy span JSON
-///   --chrome-trace-out  Chrome trace-event JSON (Perfetto-loadable)
+///   --chrome-trace-out  Chrome trace-event JSON (Perfetto-loadable):
+///                     stage spans, windowed counters and journeys
 ///   --timeseries-out  simulated-clock windowed counters, CSV
 ///   --journeys-out    sampled per-request journeys, JSON
 ///   --prom-out        metrics in Prometheus text exposition
@@ -51,7 +51,6 @@ struct BenchArgs {
   bool obs = false;
   bool audit = false;
   bool stream = false;
-  std::string trace_out;
   std::string chrome_trace_out;
   std::string timeseries_out;
   std::string journeys_out;
@@ -77,8 +76,7 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
     if (std::strcmp(argv[i], "--obs") == 0) args.obs = true;
     if (std::strcmp(argv[i], "--audit") == 0) args.audit = true;
     if (std::strcmp(argv[i], "--stream") == 0) args.stream = true;
-    path_flag(&i, "--trace-out", &args.trace_out) ||
-        path_flag(&i, "--chrome-trace-out", &args.chrome_trace_out) ||
+    path_flag(&i, "--chrome-trace-out", &args.chrome_trace_out) ||
         path_flag(&i, "--timeseries-out", &args.timeseries_out) ||
         path_flag(&i, "--journeys-out", &args.journeys_out) ||
         path_flag(&i, "--prom-out", &args.prom_out) ||
@@ -219,12 +217,11 @@ class BenchReport {
 
 /// Call right before `report->Write()`: when `--obs` was passed, snapshots
 /// the metrics registry into the report's "metrics" section and writes
-/// every requested observability output file (`--trace-out`,
-/// `--chrome-trace-out`, `--timeseries-out`, `--journeys-out`,
-/// `--prom-out`). No-op (and no "metrics" key emitted) when observability
-/// is off, including builds with the layer compiled out. Returns false if
-/// any requested file could not be written; each failure is reported on
-/// stderr.
+/// every requested observability output file (`--chrome-trace-out`,
+/// `--timeseries-out`, `--journeys-out`, `--prom-out`). No-op (and no
+/// "metrics" key emitted) when observability is off, including builds with
+/// the layer compiled out. Returns false if any requested file could not
+/// be written; each failure is reported on stderr.
 inline bool FinishObsReport(BenchReport* report, const BenchArgs& args) {
   if (!args.obs || !obs::Enabled()) return true;
   size_t audit_violations = 0;
@@ -249,9 +246,6 @@ inline bool FinishObsReport(BenchReport* report, const BenchArgs& args) {
       ok = false;
     }
   };
-  if (!args.trace_out.empty()) {
-    write_output(args.trace_out, obs::WriteTrace(args.trace_out));
-  }
   if (!args.chrome_trace_out.empty()) {
     write_output(args.chrome_trace_out,
                  obs::WriteChromeTrace(args.chrome_trace_out));
@@ -304,20 +298,15 @@ inline core::Workload MakeBenchWorkload(const BenchArgs& args) {
   return core::MakeWorkload(config);
 }
 
+/// Reads only the metadata both trace modes fill, so it prints the same
+/// line with and without `--stream`.
 inline void PrintWorkloadSummary(const core::Workload& workload) {
-  if (workload.streaming()) {
-    // The clean trace is never materialised in streaming mode; the
-    // unified metadata accessors carry everything but the request count.
-    std::printf("workload: %zu docs, streaming trace, %u clients, "
-                "%u days\n\n",
-                workload.corpus().size(), workload.num_clients(),
-                static_cast<unsigned>(workload.clean_span() / kDay) + 1);
-    return;
-  }
-  std::printf("workload: %zu docs, %zu clean accesses, %u clients, %u days\n\n",
-              workload.corpus().size(), workload.clean().size(),
-              workload.clean().num_clients,
-              static_cast<unsigned>(workload.clean().Span() / kDay) + 1);
+  std::printf("workload: %zu docs, %llu clean accesses, %u clients, "
+              "%u days\n\n",
+              workload.corpus().size(),
+              static_cast<unsigned long long>(workload.filter_stats().kept),
+              workload.num_clients(),
+              static_cast<unsigned>(workload.clean_span() / kDay) + 1);
 }
 
 }  // namespace sds::bench

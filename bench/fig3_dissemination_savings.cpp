@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   std::printf("saved fraction vs number of proxies\n%s\n",
               chart.Render().c_str());
   bench_report.RequestsProcessed(
-      16.0 * 3.0 * static_cast<double>(workload.clean().size()));
+      16.0 * 3.0 * static_cast<double>(workload.filter_stats().kept));
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

@@ -45,18 +45,10 @@ int main(int argc, char** argv) {
   chart.AddSeries("miss rate ratio", tps, miss);
   std::printf("ratios vs Tp (x axis: Tp)\n%s\n", chart.Render().c_str());
   // points + 1 full-trace replays (one speculative run per point plus the
-  // shared baseline). Streaming mode never materialises the clean trace,
-  // so count what the replay actually saw there.
-  const double per_run =
-      workload.streaming()
-          ? (result.points.empty()
-                 ? 0.0
-                 : static_cast<double>(result.points[0]
-                                           .metrics.with_speculation
-                                           .client_requests))
-          : static_cast<double>(workload.clean().size());
+  // shared baseline).
   bench_report.RequestsProcessed(
-      static_cast<double>(result.points.size() + 1) * per_run);
+      static_cast<double>(result.points.size() + 1) *
+      static_cast<double>(workload.filter_stats().kept));
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

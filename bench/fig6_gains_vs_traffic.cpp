@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
               chart.Render().c_str());
   bench_report.RequestsProcessed(
       static_cast<double>(sweep.points.size() + 1) *
-      static_cast<double>(workload.clean().size()));
+      static_cast<double>(workload.filter_stats().kept));
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

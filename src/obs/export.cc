@@ -1,22 +1,10 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
 #include "util/string_util.h"
 
 namespace sds::obs {
-
-namespace {
-
-void AppendNumber(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  *out += buf;
-}
-
-}  // namespace
 
 double DistQuantile(const DistData& dist, double q) {
   if (dist.count <= 0.0) return 0.0;
@@ -225,18 +213,13 @@ std::string ChromeTraceJson(const TraceSnapshot& trace,
 #ifndef SDS_OBS_DISABLED
 
 bool WritePrometheus(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << MetricsToPrometheus(SnapshotMetrics());
-  return static_cast<bool>(out);
+  return WriteStringToFile(path, MetricsToPrometheus(SnapshotMetrics()));
 }
 
 bool WriteChromeTrace(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << ChromeTraceJson(SnapshotTrace(), SnapshotTimeSeries(),
-                         SnapshotJourneys());
-  return static_cast<bool>(out);
+  return WriteStringToFile(
+      path, ChromeTraceJson(SnapshotTrace(), SnapshotTimeSeries(),
+                            SnapshotJourneys()));
 }
 
 #endif  // !SDS_OBS_DISABLED

@@ -4,24 +4,14 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <mutex>
 
 #include "obs/audit.h"
+#include "obs/shards.h"
 #include "util/string_util.h"
 
 namespace sds::obs {
-
-namespace {
-
-void AppendNumber(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  *out += buf;
-}
-
-}  // namespace
 
 std::string FlightToJson(const FlightSnapshot& snapshot) {
   std::string out = "{\n  \"events\": [";
@@ -54,73 +44,27 @@ namespace {
 /// the dump a meaningful cross-thread timeline.
 std::atomic<uint64_t> g_seq{0};
 
-struct FlightRing {
-  std::vector<FlightEvent> events;  ///< Insertion order; wraps at capacity.
-  size_t next = 0;                  ///< Overwrite cursor once full.
-  uint64_t dropped = 0;
-  int32_t tid = 0;
-
-  void Push(const FlightEvent& e) {
-    if (events.size() < kFlightRingCapacity) {
-      events.push_back(e);
-    } else {
-      events[next] = e;
-      next = (next + 1) % kFlightRingCapacity;
-      ++dropped;
-    }
+struct FlightSink {
+  using Shard = internal::Ring<FlightEvent, kFlightRingCapacity>;
+  using Retired = FlightSnapshot;
+  static void Fold(const Shard& ring, FlightSnapshot* into) {
+    ring.AppendTo(&into->events, &into->dropped);
+  }
+  static void Retire(const Shard& ring, FlightSnapshot* into) {
+    ring.AppendTo(&into->events, &into->dropped, internal::kRetiredCapacity);
+  }
+  static void Clear(FlightSnapshot* retired) {
+    retired->events.clear();
+    retired->dropped = 0;
   }
 };
+using Flight = internal::Registry<FlightSink>;
 
-struct FlightRegistry {
-  std::mutex mutex;
-  std::vector<FlightRing*> live;
-  std::vector<FlightEvent> retired;
-  uint64_t retired_dropped = 0;
-  int32_t next_tid = 0;
-};
-
-/// Leaked on purpose, like the metrics registry: thread_local ring
-/// destructors must always find it alive.
-FlightRegistry& GlobalFlightRegistry() {
-  static FlightRegistry* registry = new FlightRegistry;
-  return *registry;
-}
-
-/// Retired events are capped like the tracer's: the recorder keeps recent
-/// context, not a full log.
-constexpr size_t kRetiredCapacity = 1 << 16;
-
-struct FlightRingHandle {
-  FlightRing ring;
-  FlightRingHandle() {
-    FlightRegistry& registry = GlobalFlightRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    ring.tid = registry.next_tid++;
-    registry.live.push_back(&ring);
-  }
-  ~FlightRingHandle() {
-    FlightRegistry& registry = GlobalFlightRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    for (const FlightEvent& e : ring.events) {
-      if (registry.retired.size() < kRetiredCapacity) {
-        registry.retired.push_back(e);
-      } else {
-        ++registry.retired_dropped;
-      }
-    }
-    registry.retired_dropped += ring.dropped;
-    for (auto it = registry.live.begin(); it != registry.live.end(); ++it) {
-      if (*it == &ring) {
-        registry.live.erase(it);
-        break;
-      }
-    }
-  }
-};
-
-FlightRing& LocalFlightRing() {
-  thread_local FlightRingHandle handle;
-  return handle.ring;
+void SortBySeq(FlightSnapshot* snapshot) {
+  std::sort(snapshot->events.begin(), snapshot->events.end(),
+            [](const FlightEvent& a, const FlightEvent& b) {
+              return a.seq < b.seq;
+            });
 }
 
 /// The dump path lives in a fixed buffer so the signal handler can read it
@@ -139,33 +83,13 @@ struct DumpPathInit {
 };
 DumpPathInit g_dump_path_init;
 
-FlightSnapshot SnapshotLocked(FlightRegistry& registry) {
-  FlightSnapshot snapshot;
-  snapshot.events = registry.retired;
-  snapshot.dropped = registry.retired_dropped;
-  for (const FlightRing* ring : registry.live) {
-    snapshot.events.insert(snapshot.events.end(), ring->events.begin(),
-                           ring->events.end());
-    snapshot.dropped += ring->dropped;
-  }
-  std::sort(snapshot.events.begin(), snapshot.events.end(),
-            [](const FlightEvent& a, const FlightEvent& b) {
-              return a.seq < b.seq;
-            });
-  return snapshot;
-}
-
 void FatalSignalHandler(int sig) {
   // Best effort from a signal context: if the crashing thread holds the
   // registry lock a blocking acquire would deadlock, so bail out instead.
-  FlightRegistry& registry = GlobalFlightRegistry();
-  if (registry.mutex.try_lock()) {
-    const FlightSnapshot snapshot = SnapshotLocked(registry);
-    registry.mutex.unlock();
-    std::ofstream out(g_dump_path);
-    if (out) {
-      out << FlightToJson(snapshot);
-      out.flush();
+  FlightSnapshot snapshot;
+  if (Flight::TrySnapshot(&snapshot)) {
+    SortBySeq(&snapshot);
+    if (WriteStringToFile(g_dump_path, FlightToJson(snapshot))) {
       std::fprintf(stderr, "flightrec: fatal signal %d, dumped %zu events "
                            "to %s\n",
                    sig, snapshot.events.size(), g_dump_path);
@@ -180,36 +104,22 @@ void FatalSignalHandler(int sig) {
 void FlightRecord(uint64_t request, const char* stage, const char* decision,
                   int64_t entity, double value) {
   if (!Enabled() || !AuditEnabled()) return;
-  FlightRing& ring = LocalFlightRing();
+  FlightSink::Shard& ring = Flight::Local();
   ring.Push(FlightEvent{g_seq.fetch_add(1, std::memory_order_relaxed),
                         request, stage, decision, entity, value,
                         CurrentPoint(), ring.tid});
 }
 
 FlightSnapshot SnapshotFlight() {
-  FlightRegistry& registry = GlobalFlightRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  return SnapshotLocked(registry);
+  FlightSnapshot snapshot = Flight::Snapshot();
+  SortBySeq(&snapshot);
+  return snapshot;
 }
 
-void ResetFlight() {
-  FlightRegistry& registry = GlobalFlightRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.retired.clear();
-  registry.retired_dropped = 0;
-  for (FlightRing* ring : registry.live) {
-    ring->events.clear();
-    ring->next = 0;
-    ring->dropped = 0;
-  }
-}
+void ResetFlight() { Flight::Reset(); }
 
 bool WriteFlight(const std::string& path) {
-  if (path.empty()) return false;
-  std::ofstream out(path);
-  if (!out) return false;
-  out << FlightToJson(SnapshotFlight());
-  return static_cast<bool>(out);
+  return WriteStringToFile(path, FlightToJson(SnapshotFlight()));
 }
 
 void SetFlightDumpPath(const std::string& path) {

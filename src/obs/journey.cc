@@ -2,26 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
-#include <mutex>
 #include <vector>
 
+#include "obs/shards.h"
 #include "util/string_util.h"
 
 namespace sds::obs {
-
-namespace {
-
-void AppendNumber(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  *out += buf;
-}
-
-}  // namespace
 
 std::string JourneySnapshot::ToJson() const {
   std::string out = "{\n  \"sample_period\": ";
@@ -102,49 +90,29 @@ struct JourneyShard {
   }
 };
 
-struct JourneyRegistry {
-  std::mutex mutex;
-  std::vector<JourneyShard*> live;
-  std::vector<JourneyRecord> retired;
-  uint64_t retired_dropped = 0;
-  /// Next run ordinal per sweep point. Global (not thread-local) so the
+struct JourneyState {
+  JourneySnapshot recorded;
+  /// Next run ordinal per sweep point. Shared (not per shard) so the
   /// ordinal sequence of a point is independent of which worker ran it.
   std::map<int64_t, uint32_t> next_run;
 };
 
-/// Leaked on purpose, like the metrics registry: thread_local shard
-/// destructors must always find it alive.
-JourneyRegistry& GlobalJourneyRegistry() {
-  static JourneyRegistry* registry = new JourneyRegistry;
-  return *registry;
-}
-
-struct JourneyShardHandle {
-  JourneyShard shard;
-  JourneyShardHandle() {
-    JourneyRegistry& registry = GlobalJourneyRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    registry.live.push_back(&shard);
+struct JourneySink {
+  using Shard = JourneyShard;
+  using Retired = JourneyState;
+  static void Fold(const JourneyShard& shard, JourneyState* into) {
+    into->recorded.journeys.insert(into->recorded.journeys.end(),
+                                   shard.records.begin(),
+                                   shard.records.end());
+    into->recorded.dropped += shard.dropped;
   }
-  ~JourneyShardHandle() {
-    JourneyRegistry& registry = GlobalJourneyRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    registry.retired.insert(registry.retired.end(), shard.records.begin(),
-                            shard.records.end());
-    registry.retired_dropped += shard.dropped;
-    for (auto it = registry.live.begin(); it != registry.live.end(); ++it) {
-      if (*it == &shard) {
-        registry.live.erase(it);
-        break;
-      }
-    }
+  static void Clear(JourneyState* state) {
+    state->recorded.journeys.clear();
+    state->recorded.dropped = 0;
+    state->next_run.clear();
   }
 };
-
-JourneyShard& LocalJourneyShard() {
-  thread_local JourneyShardHandle handle;
-  return handle.shard;
-}
+using Journeys = internal::Registry<JourneySink>;
 
 }  // namespace
 
@@ -153,9 +121,8 @@ JourneyRun::JourneyRun(const char* stream)
   if (!active_) return;
   seed_ = tls_journey_seed;
   period_ = g_period.load(std::memory_order_relaxed);
-  JourneyRegistry& registry = GlobalJourneyRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  run_ = registry.next_run[point_]++;
+  run_ = Journeys::WithRetired(
+      [&](JourneyState& state) { return state.next_run[point_]++; });
 }
 
 bool JourneyRun::Sample(uint64_t request_index) const {
@@ -169,7 +136,7 @@ void JourneyRun::Record(JourneyRecord record) {
   record.stream = stream_;
   record.point = point_;
   record.run = run_;
-  JourneyShard& shard = LocalJourneyShard();
+  JourneyShard& shard = Journeys::Local();
   if (shard.records.size() < kJourneyCapacity) {
     shard.records.push_back(record);
   } else {
@@ -193,17 +160,8 @@ uint64_t JourneySamplePeriod() {
 }
 
 JourneySnapshot SnapshotJourneys() {
-  JourneyRegistry& registry = GlobalJourneyRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  JourneySnapshot snapshot;
+  JourneySnapshot snapshot = Journeys::Snapshot().recorded;
   snapshot.sample_period = g_period.load(std::memory_order_relaxed);
-  snapshot.journeys = registry.retired;
-  snapshot.dropped = registry.retired_dropped;
-  for (const JourneyShard* shard : registry.live) {
-    snapshot.journeys.insert(snapshot.journeys.end(), shard->records.begin(),
-                             shard->records.end());
-    snapshot.dropped += shard->dropped;
-  }
   // (point, run) identifies one simulator run and runs record their
   // requests in replay order, so this order is a pure function of the
   // simulated work — independent of worker count and merge order.
@@ -216,20 +174,10 @@ JourneySnapshot SnapshotJourneys() {
   return snapshot;
 }
 
-void ResetJourneys() {
-  JourneyRegistry& registry = GlobalJourneyRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.retired.clear();
-  registry.retired_dropped = 0;
-  registry.next_run.clear();
-  for (JourneyShard* shard : registry.live) shard->Clear();
-}
+void ResetJourneys() { Journeys::Reset(); }
 
 bool WriteJourneys(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << SnapshotJourneys().ToJson();
-  return static_cast<bool>(out);
+  return WriteStringToFile(path, SnapshotJourneys().ToJson());
 }
 
 #endif  // !SDS_OBS_DISABLED

@@ -2,16 +2,14 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "obs/export.h"
+#include "obs/shards.h"
 #include "util/string_util.h"
 
 namespace sds::obs {
@@ -52,12 +50,6 @@ void DistData::Merge(const DistData& other) {
 }
 
 namespace {
-
-void AppendNumber(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  *out += buf;
-}
 
 void AppendScalarMap(std::string* out, const std::map<std::string, double>& m,
                      const std::string& pad) {
@@ -178,7 +170,7 @@ struct KeyHash {
 
 /// One thread's private accumulation. Keys hold string-literal pointers;
 /// they are resolved to strings when merged into a snapshot.
-struct Shard {
+struct MetricsShard {
   std::unordered_map<Key, double, KeyHash> counters;
   std::unordered_map<Key, double, KeyHash> gauges;
   std::unordered_map<Key, DistData, KeyHash> dists;
@@ -199,19 +191,24 @@ struct PointTotals {
   std::map<NamePoint, DistData> dists;
 };
 
-void MergeShardInto(const Shard& shard, PointTotals* totals) {
-  for (const auto& [key, value] : shard.counters) {
-    totals->counters[{key.name, key.point}] += value;
+struct MetricsSink {
+  using Shard = MetricsShard;
+  using Retired = PointTotals;
+  static void Fold(const MetricsShard& shard, PointTotals* totals) {
+    for (const auto& [key, value] : shard.counters) {
+      totals->counters[{key.name, key.point}] += value;
+    }
+    for (const auto& [key, value] : shard.gauges) {
+      auto [it, inserted] = totals->gauges.emplace(
+          NamePoint{key.name, key.point}, value);
+      if (!inserted && value > it->second) it->second = value;
+    }
+    for (const auto& [key, dist] : shard.dists) {
+      totals->dists[{key.name, key.point}].Merge(dist);
+    }
   }
-  for (const auto& [key, value] : shard.gauges) {
-    auto [it, inserted] = totals->gauges.emplace(
-        NamePoint{key.name, key.point}, value);
-    if (!inserted && value > it->second) it->second = value;
-  }
-  for (const auto& [key, dist] : shard.dists) {
-    totals->dists[{key.name, key.point}].Merge(dist);
-  }
-}
+};
+using Metrics = internal::Registry<MetricsSink>;
 
 /// Rolls the per-point totals up in (name, point) order. A sweep point
 /// records on one thread, so every (name, point) total is the same at any
@@ -235,45 +232,6 @@ MetricsSnapshot FoldTotals(const PointTotals& totals) {
   return snapshot;
 }
 
-struct Registry {
-  std::mutex mutex;
-  std::vector<Shard*> live;
-  /// Accumulated shards of exited threads.
-  PointTotals retired;
-};
-
-/// Leaked on purpose: thread_local shard destructors (including the main
-/// thread's, at process exit) must always find a live registry.
-Registry& GlobalRegistry() {
-  static Registry* registry = new Registry;
-  return *registry;
-}
-
-struct ShardHandle {
-  Shard shard;
-  ShardHandle() {
-    Registry& registry = GlobalRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    registry.live.push_back(&shard);
-  }
-  ~ShardHandle() {
-    Registry& registry = GlobalRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    MergeShardInto(shard, &registry.retired);
-    for (auto it = registry.live.begin(); it != registry.live.end(); ++it) {
-      if (*it == &shard) {
-        registry.live.erase(it);
-        break;
-      }
-    }
-  }
-};
-
-Shard& LocalShard() {
-  thread_local ShardHandle handle;
-  return handle.shard;
-}
-
 }  // namespace
 
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
@@ -284,19 +242,19 @@ void SetEnabled(bool enabled) {
 
 void Count(const char* name, double delta) {
   if (!Enabled()) return;
-  LocalShard().counters[Key{name, tls_point}] += delta;
+  Metrics::Local().counters[Key{name, tls_point}] += delta;
 }
 
 void GaugeMax(const char* name, double value) {
   if (!Enabled()) return;
   auto [it, inserted] =
-      LocalShard().gauges.emplace(Key{name, tls_point}, value);
+      Metrics::Local().gauges.emplace(Key{name, tls_point}, value);
   if (!inserted && value > it->second) it->second = value;
 }
 
 void Observe(const char* name, double value) {
   if (!Enabled()) return;
-  LocalShard().dists[Key{name, tls_point}].Add(value);
+  Metrics::Local().dists[Key{name, tls_point}].Add(value);
 }
 
 ScopedPoint::ScopedPoint(int64_t point) : previous_(tls_point) {
@@ -307,20 +265,9 @@ ScopedPoint::~ScopedPoint() { tls_point = previous_; }
 
 int64_t CurrentPoint() { return tls_point; }
 
-MetricsSnapshot SnapshotMetrics() {
-  Registry& registry = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  PointTotals totals = registry.retired;
-  for (const Shard* shard : registry.live) MergeShardInto(*shard, &totals);
-  return FoldTotals(totals);
-}
+MetricsSnapshot SnapshotMetrics() { return FoldTotals(Metrics::Snapshot()); }
 
-void ResetMetrics() {
-  Registry& registry = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.retired = PointTotals{};
-  for (Shard* shard : registry.live) shard->Clear();
-}
+void ResetMetrics() { Metrics::Reset(); }
 
 #endif  // !SDS_OBS_DISABLED
 

@@ -1,7 +1,8 @@
 #include "obs/snapshot_diff.h"
 
 #include <cmath>
-#include <cstdio>
+
+#include "util/string_util.h"
 
 namespace sds::obs {
 
@@ -54,12 +55,6 @@ bool PassesOnly(const std::vector<std::string>& only,
     if (GlobMatch(pattern, key)) return true;
   }
   return false;
-}
-
-void AppendNumber(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  *out += buf;
 }
 
 }  // namespace

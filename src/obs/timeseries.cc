@@ -2,26 +2,13 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <mutex>
 #include <unordered_map>
-#include <vector>
 
+#include "obs/shards.h"
 #include "util/string_util.h"
 
 namespace sds::obs {
-
-namespace {
-
-void AppendNumber(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  *out += buf;
-}
-
-}  // namespace
 
 std::string TimeSeriesSnapshot::ToJson(const std::string& indent) const {
   std::string out = "{\n";
@@ -150,67 +137,19 @@ struct TsShard {
   void Clear() { cells.clear(); }
 };
 
-void MergeTsShardInto(const TsShard& shard, TimeSeriesSnapshot* snapshot) {
-  for (const auto& [key, value] : shard.cells) {
-    snapshot->total[key.name][key.window] += value;
-    if (key.point != kNoPoint) {
-      snapshot->by_point[key.point][key.name][key.window] += value;
-    }
-  }
-}
-
-void MergeTsSnapshotInto(const TimeSeriesSnapshot& from,
-                         TimeSeriesSnapshot* into) {
-  for (const auto& [name, windows] : from.total) {
-    auto& dest = into->total[name];
-    for (const auto& [window, value] : windows) dest[window] += value;
-  }
-  for (const auto& [point, series] : from.by_point) {
-    auto& dest_series = into->by_point[point];
-    for (const auto& [name, windows] : series) {
-      auto& dest = dest_series[name];
-      for (const auto& [window, value] : windows) dest[window] += value;
-    }
-  }
-}
-
-struct TsRegistry {
-  std::mutex mutex;
-  std::vector<TsShard*> live;
-  TimeSeriesSnapshot retired;
-};
-
-/// Leaked on purpose, like the metrics registry: thread_local shard
-/// destructors must always find it alive.
-TsRegistry& GlobalTsRegistry() {
-  static TsRegistry* registry = new TsRegistry;
-  return *registry;
-}
-
-struct TsShardHandle {
-  TsShard shard;
-  TsShardHandle() {
-    TsRegistry& registry = GlobalTsRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    registry.live.push_back(&shard);
-  }
-  ~TsShardHandle() {
-    TsRegistry& registry = GlobalTsRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    MergeTsShardInto(shard, &registry.retired);
-    for (auto it = registry.live.begin(); it != registry.live.end(); ++it) {
-      if (*it == &shard) {
-        registry.live.erase(it);
-        break;
+struct TsSink {
+  using Shard = TsShard;
+  using Retired = TimeSeriesSnapshot;
+  static void Fold(const TsShard& shard, TimeSeriesSnapshot* snapshot) {
+    for (const auto& [key, value] : shard.cells) {
+      snapshot->total[key.name][key.window] += value;
+      if (key.point != kNoPoint) {
+        snapshot->by_point[key.point][key.name][key.window] += value;
       }
     }
   }
 };
-
-TsShard& LocalTsShard() {
-  thread_local TsShardHandle handle;
-  return handle.shard;
-}
+using TimeSeries = internal::Registry<TsSink>;
 
 }  // namespace
 
@@ -219,7 +158,7 @@ void TsCount(const char* name, double sim_time_s, double delta) {
   const double window_s = g_window_s.load(std::memory_order_relaxed);
   const int64_t window =
       static_cast<int64_t>(std::floor(sim_time_s / window_s));
-  LocalTsShard().cells[TsKey{name, window, CurrentPoint()}] += delta;
+  TimeSeries::Local().cells[TsKey{name, window, CurrentPoint()}] += delta;
 }
 
 void SetTimeSeriesWindow(double seconds) {
@@ -231,29 +170,15 @@ double TimeSeriesWindow() {
 }
 
 TimeSeriesSnapshot SnapshotTimeSeries() {
-  TsRegistry& registry = GlobalTsRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  TimeSeriesSnapshot snapshot;
+  TimeSeriesSnapshot snapshot = TimeSeries::Snapshot();
   snapshot.window_s = g_window_s.load(std::memory_order_relaxed);
-  MergeTsSnapshotInto(registry.retired, &snapshot);
-  for (const TsShard* shard : registry.live) {
-    MergeTsShardInto(*shard, &snapshot);
-  }
   return snapshot;
 }
 
-void ResetTimeSeries() {
-  TsRegistry& registry = GlobalTsRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.retired = TimeSeriesSnapshot{};
-  for (TsShard* shard : registry.live) shard->Clear();
-}
+void ResetTimeSeries() { TimeSeries::Reset(); }
 
 bool WriteTimeSeriesCsv(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << SnapshotTimeSeries().ToCsv();
-  return static_cast<bool>(out);
+  return WriteStringToFile(path, SnapshotTimeSeries().ToCsv());
 }
 
 #endif  // !SDS_OBS_DISABLED

@@ -1,48 +1,13 @@
 #include "obs/trace.h"
 
+#ifndef SDS_OBS_DISABLED
+
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <mutex>
 
-#include "util/string_util.h"
+#include "obs/shards.h"
 
 namespace sds::obs {
-
-namespace {
-
-void AppendNumber(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  *out += buf;
-}
-
-}  // namespace
-
-std::string TraceToJson(const TraceSnapshot& snapshot) {
-  std::string out = "{\n  \"spans\": [";
-  bool first = true;
-  for (const TraceSpan& span : snapshot.spans) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"name\": \"";
-    AppendJsonEscaped(&out, span.name);
-    out += "\", \"start_s\": ";
-    AppendNumber(&out, span.start_s);
-    out += ", \"dur_s\": ";
-    AppendNumber(&out, span.dur_s);
-    out += ", \"bytes\": ";
-    AppendNumber(&out, span.bytes);
-    out += ", \"point\": " + std::to_string(span.point);
-    out += ", \"tid\": " + std::to_string(span.tid) + "}";
-  }
-  out += first ? "]" : "\n  ]";
-  out += ",\n  \"dropped\": " + std::to_string(snapshot.dropped) + "\n}\n";
-  return out;
-}
-
-#ifndef SDS_OBS_DISABLED
 
 namespace {
 
@@ -54,75 +19,21 @@ double NowSeconds() {
       .count();
 }
 
-struct Ring {
-  std::vector<TraceSpan> spans;  ///< Insertion order; wraps at capacity.
-  size_t next = 0;               ///< Overwrite cursor once full.
-  uint64_t dropped = 0;
-  int32_t tid = 0;
-
-  void Push(const TraceSpan& span) {
-    if (spans.size() < kSpanRingCapacity) {
-      spans.push_back(span);
-    } else {
-      spans[next] = span;
-      next = (next + 1) % kSpanRingCapacity;
-      ++dropped;
-    }
+struct SpanSink {
+  using Shard = internal::Ring<TraceSpan, kSpanRingCapacity>;
+  using Retired = TraceSnapshot;
+  static void Fold(const Shard& ring, TraceSnapshot* into) {
+    ring.AppendTo(&into->spans, &into->dropped);
+  }
+  static void Retire(const Shard& ring, TraceSnapshot* into) {
+    ring.AppendTo(&into->spans, &into->dropped, internal::kRetiredCapacity);
+  }
+  static void Clear(TraceSnapshot* retired) {
+    retired->spans.clear();
+    retired->dropped = 0;
   }
 };
-
-struct TraceRegistry {
-  std::mutex mutex;
-  std::vector<Ring*> live;
-  std::vector<TraceSpan> retired;
-  uint64_t retired_dropped = 0;
-  int32_t next_tid = 0;
-};
-
-/// Leaked on purpose, like the metrics registry: thread_local ring
-/// destructors must always find it alive.
-TraceRegistry& GlobalTraceRegistry() {
-  static TraceRegistry* registry = new TraceRegistry;
-  return *registry;
-}
-
-/// Retired spans are capped so a pathological run cannot grow without
-/// bound; beyond this the oldest threads' spans are already merged and
-/// further retirements just bump the dropped counter.
-constexpr size_t kRetiredCapacity = 1 << 16;
-
-struct RingHandle {
-  Ring ring;
-  RingHandle() {
-    TraceRegistry& registry = GlobalTraceRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    ring.tid = registry.next_tid++;
-    registry.live.push_back(&ring);
-  }
-  ~RingHandle() {
-    TraceRegistry& registry = GlobalTraceRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    for (const TraceSpan& span : ring.spans) {
-      if (registry.retired.size() < kRetiredCapacity) {
-        registry.retired.push_back(span);
-      } else {
-        ++registry.retired_dropped;
-      }
-    }
-    registry.retired_dropped += ring.dropped;
-    for (auto it = registry.live.begin(); it != registry.live.end(); ++it) {
-      if (*it == &ring) {
-        registry.live.erase(it);
-        break;
-      }
-    }
-  }
-};
-
-Ring& LocalRing() {
-  thread_local RingHandle handle;
-  return handle.ring;
-}
+using Spans = internal::Registry<SpanSink>;
 
 }  // namespace
 
@@ -133,22 +44,13 @@ SpanGuard::SpanGuard(const char* name)
 
 SpanGuard::~SpanGuard() {
   if (!active_) return;
-  Ring& ring = LocalRing();
+  SpanSink::Shard& ring = Spans::Local();
   ring.Push(TraceSpan{name_, start_s_, NowSeconds() - start_s_, bytes_,
                       CurrentPoint(), ring.tid});
 }
 
 TraceSnapshot SnapshotTrace() {
-  TraceRegistry& registry = GlobalTraceRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  TraceSnapshot snapshot;
-  snapshot.spans = registry.retired;
-  snapshot.dropped = registry.retired_dropped;
-  for (const Ring* ring : registry.live) {
-    snapshot.spans.insert(snapshot.spans.end(), ring->spans.begin(),
-                          ring->spans.end());
-    snapshot.dropped += ring->dropped;
-  }
+  TraceSnapshot snapshot = Spans::Snapshot();
   std::stable_sort(snapshot.spans.begin(), snapshot.spans.end(),
                    [](const TraceSpan& a, const TraceSpan& b) {
                      return a.start_s < b.start_s;
@@ -156,25 +58,8 @@ TraceSnapshot SnapshotTrace() {
   return snapshot;
 }
 
-void ResetTrace() {
-  TraceRegistry& registry = GlobalTraceRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.retired.clear();
-  registry.retired_dropped = 0;
-  for (Ring* ring : registry.live) {
-    ring->spans.clear();
-    ring->next = 0;
-    ring->dropped = 0;
-  }
-}
-
-bool WriteTrace(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << TraceToJson(SnapshotTrace());
-  return static_cast<bool>(out);
-}
-
-#endif  // !SDS_OBS_DISABLED
+void ResetTrace() { Spans::Reset(); }
 
 }  // namespace sds::obs
+
+#endif  // !SDS_OBS_DISABLED

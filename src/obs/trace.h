@@ -2,7 +2,6 @@
 #define SDS_OBS_TRACE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -15,10 +14,11 @@ namespace sds::obs {
 /// and duration, an optional byte count, the sweep point active on the
 /// recording thread, and a small thread id. Spans land in a per-thread
 /// ring buffer (capacity kSpanRingCapacity, oldest overwritten first)
-/// and are moved into a global retired list when the thread exits — the
-/// same join-point contract as the metrics shards. Obeys the same
-/// Enabled() runtime switch and SDS_OBS_DISABLED compile switch as the
-/// metrics registry; a disabled SpanGuard does not even read the clock.
+/// and are moved into a capped retired list when the thread exits — the
+/// recorder lifecycle every obs sink shares. Obeys the same Enabled()
+/// runtime switch and SDS_OBS_DISABLED compile switch as the metrics
+/// registry; a disabled SpanGuard does not even read the clock. The
+/// Chrome trace exporter (obs/export.h) renders the spans.
 
 /// Per-thread ring capacity; older spans are dropped (and counted) once
 /// a thread records more than this between snapshots.
@@ -40,11 +40,6 @@ struct TraceSnapshot {
   uint64_t dropped = 0;          ///< Spans lost to ring overflow.
 };
 
-/// Renders a snapshot as a standalone JSON object:
-/// `{"spans": [{"name", "start_s", "dur_s", "bytes", "point", "tid"}...],
-///   "dropped": N}`.
-std::string TraceToJson(const TraceSnapshot& snapshot);
-
 #ifdef SDS_OBS_DISABLED
 
 class SpanGuard {
@@ -56,7 +51,6 @@ class SpanGuard {
 };
 inline TraceSnapshot SnapshotTrace() { return {}; }
 inline void ResetTrace() {}
-inline bool WriteTrace(const std::string&) { return false; }
 
 #else  // SDS_OBS_DISABLED
 
@@ -83,8 +77,6 @@ class SpanGuard {
 TraceSnapshot SnapshotTrace();
 /// Clears all rings and the retired list. Only call at join points.
 void ResetTrace();
-/// Writes TraceToJson(SnapshotTrace()) to `path`; false on I/O error.
-bool WriteTrace(const std::string& path);
 
 #endif  // SDS_OBS_DISABLED
 

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 namespace sds {
 
@@ -131,6 +132,20 @@ std::string JsonEscape(std::string_view input) {
   out.reserve(input.size());
   AppendJsonEscaped(&out, input);
   return out;
+}
+
+void AppendNumber(std::string* out, double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  *out += buf;
+}
+
+bool WriteStringToFile(const std::string& path, std::string_view contents) {
+  std::ofstream out(path);
+  if (!out) return false;
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  out.close();
+  return !out.fail();
 }
 
 }  // namespace sds

@@ -45,6 +45,14 @@ void AppendJsonEscaped(std::string* out, std::string_view input);
 /// \brief Returns `input` escaped as by AppendJsonEscaped.
 std::string JsonEscape(std::string_view input);
 
+/// \brief Appends `value` formatted with `%.17g`: enough digits that the
+/// JSON, CSV and Prometheus exports round-trip every double exactly.
+void AppendNumber(std::string* out, double value);
+
+/// \brief Writes `contents` to the file at `path`, replacing it. False
+/// when the file cannot be opened or the write fails.
+bool WriteStringToFile(const std::string& path, std::string_view contents);
+
 }  // namespace sds
 
 #endif  // SDS_UTIL_STRING_UTIL_H_

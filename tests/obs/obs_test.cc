@@ -240,12 +240,6 @@ TEST_F(ObsTest, SpanGuardRecordsWallTimeBytesAndPoint) {
   EXPECT_DOUBLE_EQ(snap.spans[0].bytes, 1000.0);
   EXPECT_EQ(snap.spans[0].point, 11);
   EXPECT_EQ(snap.dropped, 0u);
-
-  const std::string json = TraceToJson(snap);
-  EXPECT_NE(json.find("\"name\": \"test.stage\""), std::string::npos);
-  EXPECT_NE(json.find("\"bytes\": 1000"), std::string::npos);
-  EXPECT_NE(json.find("\"point\": 11"), std::string::npos);
-  EXPECT_NE(json.find("\"dropped\": 0"), std::string::npos);
 }
 
 TEST_F(ObsTest, DisabledSpanGuardRecordsNothing) {
@@ -306,19 +300,6 @@ TEST_F(ObsTest, MetricsJsonEscapesHostileNames) {
             nullptr);
   EXPECT_DOUBLE_EQ(parsed.value().FindPath({"points", "0"})->Find(hostile)
                        ->AsNumber(), 4.0);
-}
-
-TEST_F(ObsTest, TraceJsonEscapesHostileSpanNames) {
-  TraceSnapshot snap;
-  snap.spans.push_back(
-      TraceSpan{"span\"with\\hostile\nname", 0.0, 1.0, 0.0, kNoPoint, 0});
-  const Result<JsonValue> parsed = ParseJson(TraceToJson(snap));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const JsonValue* spans = parsed.value().Find("spans");
-  ASSERT_NE(spans, nullptr);
-  ASSERT_EQ(spans->items().size(), 1u);
-  EXPECT_EQ(spans->items()[0].Find("name")->AsString(),
-            "span\"with\\hostile\nname");
 }
 
 // ---------------------------------------------------------------------------
@@ -388,7 +369,6 @@ TEST_F(ObsTest, CompiledOutLayerIsInert) {
   EXPECT_EQ(CurrentPoint(), kNoPoint);
   EXPECT_TRUE(SnapshotMetrics().empty());
   EXPECT_TRUE(SnapshotTrace().spans.empty());
-  EXPECT_FALSE(WriteTrace("/tmp/never_written.json"));
 
   // The second-layer recorders compile to the same inert stubs.
   TsCount("test.noop", 0.0);

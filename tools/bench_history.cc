@@ -39,25 +39,19 @@ struct RunEntry {
   double peak_rss_bytes = 0.0;
 };
 
-void AppendNumber(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  *out += buf;
-}
-
 void AppendEntryJson(std::string* out, const RunEntry& entry) {
   *out += "    {\"label\": \"";
   sds::AppendJsonEscaped(out, entry.label);
   *out += "\", \"bench\": \"";
   sds::AppendJsonEscaped(out, entry.bench);
   *out += "\", \"wall_s\": ";
-  AppendNumber(out, entry.wall_s);
+  sds::AppendNumber(out, entry.wall_s);
   *out += ", \"requests_replayed\": ";
-  AppendNumber(out, entry.requests_replayed);
+  sds::AppendNumber(out, entry.requests_replayed);
   *out += ", \"throughput_rps\": ";
-  AppendNumber(out, entry.throughput_rps);
+  sds::AppendNumber(out, entry.throughput_rps);
   *out += ", \"peak_rss_bytes\": ";
-  AppendNumber(out, entry.peak_rss_bytes);
+  sds::AppendNumber(out, entry.peak_rss_bytes);
   *out += "}";
 }
 
@@ -189,15 +183,8 @@ int main(int argc, char** argv) {
     json += i + 1 < runs.size() ? ",\n" : "\n";
   }
   json += "  ]\n}\n";
-  std::ofstream out(out_path);
-  if (!out) {
+  if (!sds::WriteStringToFile(out_path, json)) {
     std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-    return 2;
-  }
-  out << json;
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: write to %s failed\n", out_path.c_str());
     return 2;
   }
   std::printf("bench_history: %s %s with %zu entr%s (%zu total)\n",

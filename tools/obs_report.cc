@@ -1,27 +1,27 @@
 // obs_report: renders bench observability artifacts as a markdown report.
 //
 // Usage:
-//   obs_report [--out report.md] [--trace trace.json]
+//   obs_report [--out report.md] [--trace chrome_trace.json]
 //              [--journeys journeys.json] BENCH_a.json [BENCH_b.json ...]
 //
 // Reads the BENCH_<name>.json reports the bench binaries emit (flat timing
-// keys plus an optional nested "metrics" snapshot), and optionally a stage
-// trace (--trace-out format) and a journey dump (--journeys-out format),
-// and writes one markdown document: per-bench timing tables, counter and
-// distribution summaries (count / mean / p50 / p95 / p99), the costliest
-// trace stages, and a journey service-time breakdown. Exits non-zero with
-// a clear message when any input cannot be read or parsed or the output
-// cannot be written.
+// keys plus an optional nested "metrics" snapshot), and optionally a Chrome
+// trace (--chrome-trace-out format; its stage spans) and a journey dump
+// (--journeys-out format), and writes one markdown document: per-bench
+// timing tables, counter and distribution summaries (count / mean / p50 /
+// p95 / p99), the costliest trace stages, and a journey service-time
+// breakdown. Exits non-zero with a clear message when any input cannot be
+// read or parsed or the output cannot be written.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "util/json.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -108,22 +108,30 @@ void RenderBenchReport(const JsonValue& report, std::string* out) {
   }
 }
 
+/// Aggregates the wall-clock stage spans of a Chrome trace: the complete
+/// ("X") events of virtual process 0, whose `dur` is in microseconds.
 void RenderTrace(const JsonValue& trace, std::string* out) {
-  const JsonValue* spans = trace.Find("spans");
-  if (spans == nullptr || !spans->is_array()) return;
+  const JsonValue* events = trace.Find("traceEvents");
+  if (events == nullptr || !events->is_array()) return;
   struct Agg {
     double total_s = 0.0;
     double max_s = 0.0;
     uint64_t count = 0;
   };
   std::map<std::string, Agg> by_name;
-  for (const JsonValue& span : spans->items()) {
-    const JsonValue* name = span.Find("name");
-    const JsonValue* dur = span.Find("dur_s");
-    if (name == nullptr || dur == nullptr) continue;
+  for (const JsonValue& event : events->items()) {
+    const JsonValue* ph = event.Find("ph");
+    const JsonValue* pid = event.Find("pid");
+    const JsonValue* name = event.Find("name");
+    const JsonValue* dur = event.Find("dur");
+    if (ph == nullptr || ph->AsString() != "X" || pid == nullptr ||
+        pid->AsNumber(-1.0) != 0.0 || name == nullptr || dur == nullptr) {
+      continue;
+    }
+    const double dur_s = dur->AsNumber() / 1e6;
     Agg& agg = by_name[name->AsString()];
-    agg.total_s += dur->AsNumber();
-    agg.max_s = std::max(agg.max_s, dur->AsNumber());
+    agg.total_s += dur_s;
+    agg.max_s = std::max(agg.max_s, dur_s);
     ++agg.count;
   }
   if (by_name.empty()) return;
@@ -210,7 +218,7 @@ int main(int argc, char** argv) {
       journeys_path = argv[++i];
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
-          "usage: obs_report [--out report.md] [--trace trace.json]\n"
+          "usage: obs_report [--out report.md] [--trace chrome_trace.json]\n"
           "                  [--journeys journeys.json] BENCH_*.json...\n");
       return 0;
     } else {
@@ -257,8 +265,7 @@ int main(int argc, char** argv) {
     std::fputs(md.c_str(), stdout);
     return 0;
   }
-  std::ofstream out(out_path);
-  if (!out || !(out << md) || (out.close(), out.fail())) {
+  if (!sds::WriteStringToFile(out_path, md)) {
     std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
     return 1;
   }
