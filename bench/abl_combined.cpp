@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
       {"combined (8 proxies, Tp = 0.2)", 8, 0.10, 0.2},
   };
 
+  const auto prepared = core::PrepareServer0(workload);
   core::SweepStats stats;
   const auto results = core::SweepMap(
       cases.size(), core::SweepOptions{.seed = 23},
@@ -49,7 +50,8 @@ int main(int argc, char** argv) {
         config.dissemination.dissemination_fraction = cases[index].fraction;
         config.speculation = core::BaselineSpecConfig();
         config.speculation.policy.threshold = cases[index].tp;
-        return SimulateCombined(workload, config, &rng);
+        return core::SimulateCombined(prepared, config, &rng,
+                                      workload.NewCleanCursor().get());
       },
       &stats);
 

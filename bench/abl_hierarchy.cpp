@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/experiments.h"
 #include "core/sweep.h"
 #include "dissem/simulator.h"
 #include "util/table.h"
@@ -25,10 +26,9 @@ int main(int argc, char** argv) {
       "workload", [&] { return bench::MakeBenchWorkload(bench_args); });
   bench::PrintWorkloadSummary(workload);
 
+  const auto prepared = core::PrepareServer0(workload);
   auto run = [&](const dissem::DisseminationConfig& config, Rng& rng) {
-    return SimulateDissemination(workload.corpus(), workload.clean(),
-                                 workload.topology(), 0, config, &rng,
-                                 &workload.generated().updates);
+    return core::SimulateServer0(workload, prepared, config, &rng);
   };
 
   struct LevelCase {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/experiments.h"
 #include "core/sweep.h"
 #include "dissem/pull_cache.h"
 #include "dissem/simulator.h"
@@ -41,6 +42,7 @@ int main(int argc, char** argv) {
     dissem::DisseminationResult push;
     dissem::PullCacheResult pull;
   };
+  const auto prepared = core::PrepareServer0(workload);
   core::SweepStats stats;
   const auto points = core::SweepMap(
       cases.size(), core::SweepOptions{.seed = 11},
@@ -49,16 +51,14 @@ int main(int argc, char** argv) {
         dissem::DisseminationConfig push;
         push.dissemination_fraction = cases[index].fraction;
         push.num_proxies = cases[index].proxies;
-        point.push = SimulateDissemination(
-            workload.corpus(), workload.clean(), workload.topology(), 0, push,
-            &rng, &workload.generated().updates);
+        point.push = core::SimulateServer0(workload, prepared, push, &rng);
 
         dissem::PullCacheConfig pull;
         pull.storage_fraction = cases[index].fraction;
         pull.num_proxies = cases[index].proxies;
         point.pull = SimulatePullThroughCache(
-            workload.corpus(), workload.clean(), workload.topology(), 0, pull,
-            &rng, &workload.generated().updates);
+            prepared, pull, &rng, &workload.updates(),
+            workload.NewCleanCursor().get());
         return point;
       },
       &stats);

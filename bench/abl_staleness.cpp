@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/experiments.h"
 #include "core/sweep.h"
 #include "dissem/simulator.h"
 #include "util/table.h"
@@ -36,6 +37,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  const auto prepared = core::PrepareServer0(workload);
   core::SweepStats stats;
   const auto results = core::SweepMap(
       cases.size(), core::SweepOptions{.seed = 17},
@@ -44,9 +46,7 @@ int main(int argc, char** argv) {
         config.num_proxies = 4;
         config.exclude_mutable = cases[index].exclude;
         config.redisseminate_every_days = cases[index].repush;
-        return SimulateDissemination(workload.corpus(), workload.clean(),
-                                     workload.topology(), 0, config, &rng,
-                                     &workload.generated().updates);
+        return core::SimulateServer0(workload, prepared, config, &rng);
       },
       &stats);
 

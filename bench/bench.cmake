@@ -45,11 +45,28 @@ target_include_directories(micro_kernels PRIVATE ${CMAKE_SOURCE_DIR})
 set_target_properties(micro_kernels PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
-# Streaming smokes of the figure runners that read only the trace metadata
-# both modes fill; each must exit 0 (it writes its BENCH_*.json into the
-# bench directory).
-foreach(bench fig3_dissemination_savings fig6_gains_vs_traffic)
+# Streaming smokes of the runners that read the trace only through cursors
+# and the metadata both modes fill; each must exit 0 (it writes its
+# BENCH_*.json into the bench directory).
+foreach(bench abl_combined abl_hierarchy abl_push_vs_pull abl_staleness
+              fig3_dissemination_savings fig4_dependency_histogram
+              fig6_gains_vs_traffic fig9_balance)
   add_test(NAME ${bench}_smoke_stream
            COMMAND ${bench} --smoke --stream
            WORKING_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endforeach()
+
+# Bad command lines fail before any work with "error: ..." and exit status
+# exactly 2 (an abort exits 134, which WILL_FAIL would also accept).
+function(sds_add_bench_rejects name bench)
+  add_test(NAME ${name}
+           COMMAND sh -c "out=$(\"$0\" \"$@\" 2>&1); rc=$?; echo \"$out\"; \
+test $rc -eq 2 && echo \"$out\" | grep -q '^error: '"
+                   $<TARGET_FILE:${bench}> ${ARGN}
+           WORKING_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+endfunction()
+
+sds_add_bench_rejects(tab2_symmetric_cluster_rejects_unknown_flag
+                      tab2_symmetric_cluster --smoke --trace-out t.json)
+sds_add_bench_rejects(fig5_speculation_baseline_rejects_pathless_flag
+                      fig5_speculation_baseline --smoke --prom-out)

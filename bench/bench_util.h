@@ -44,8 +44,8 @@ inline void PrintHeader(const char* experiment, const char* paper_artifact) {
 /// and end of run, a violation dumps the flight recorder and fails the
 /// bench. `--flightrec-out PATH` overrides the dump path (implies
 /// `--audit`). `--stream` generates the workload trace on the fly instead
-/// of materialising it. Unknown flags, such as micro_kernels' `--json`, are
-/// ignored.
+/// of materialising it. Any other argument is an error (exit status 2);
+/// micro_kernels parses its own `--json` and `--benchmark_*` flags.
 struct BenchArgs {
   bool smoke = false;
   bool obs = false;
@@ -72,15 +72,22 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
     return true;
   };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) args.smoke = true;
-    if (std::strcmp(argv[i], "--obs") == 0) args.obs = true;
-    if (std::strcmp(argv[i], "--audit") == 0) args.audit = true;
-    if (std::strcmp(argv[i], "--stream") == 0) args.stream = true;
-    path_flag(&i, "--chrome-trace-out", &args.chrome_trace_out) ||
-        path_flag(&i, "--timeseries-out", &args.timeseries_out) ||
-        path_flag(&i, "--journeys-out", &args.journeys_out) ||
-        path_flag(&i, "--prom-out", &args.prom_out) ||
-        path_flag(&i, "--flightrec-out", &args.flightrec_out);
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      args.smoke = true;
+    } else if (std::strcmp(argv[i], "--obs") == 0) {
+      args.obs = true;
+    } else if (std::strcmp(argv[i], "--audit") == 0) {
+      args.audit = true;
+    } else if (std::strcmp(argv[i], "--stream") == 0) {
+      args.stream = true;
+    } else if (!path_flag(&i, "--chrome-trace-out", &args.chrome_trace_out) &&
+               !path_flag(&i, "--timeseries-out", &args.timeseries_out) &&
+               !path_flag(&i, "--journeys-out", &args.journeys_out) &&
+               !path_flag(&i, "--prom-out", &args.prom_out) &&
+               !path_flag(&i, "--flightrec-out", &args.flightrec_out)) {
+      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
+      std::exit(2);
+    }
   }
   if (!args.flightrec_out.empty()) args.audit = true;
   if (args.audit) args.obs = true;

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", hist.Render(56).c_str());
   bench_report.RequestsProcessed(
-      static_cast<double>(workload.clean().size()));
+      static_cast<double>(workload.filter_stats().kept));
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

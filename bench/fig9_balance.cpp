@@ -94,9 +94,7 @@ int main(int argc, char** argv) {
   // --- d=1 bit-identity: the selection_d=1 configuration must make zero
   // extra RNG draws, so running it under a *different* seed still
   // reproduces the static optimum bit for bit. ---
-  const dissem::PreparedDissemination prepared = dissem::PrepareDissemination(
-      workload.corpus(), workload.clean(), workload.topology(), 0,
-      dissem::DisseminationConfig{}.train_fraction);
+  const auto prepared = core::PrepareServer0(workload);
   dissem::DisseminationConfig static_config;
   static_config.num_proxies = 4;
   static_config.dissemination_fraction = 0.10;
@@ -104,10 +102,10 @@ int main(int argc, char** argv) {
   d1_config.selection_d = 1;
   Rng static_rng(0x51a71c);
   Rng d1_rng(0xd1d1d1);  // different stream on purpose
-  const dissem::DisseminationResult r_static = dissem::SimulateDissemination(
-      prepared, static_config, &static_rng, &workload.updates());
-  const dissem::DisseminationResult r_d1 = dissem::SimulateDissemination(
-      prepared, d1_config, &d1_rng, &workload.updates());
+  const dissem::DisseminationResult r_static =
+      core::SimulateServer0(workload, prepared, static_config, &static_rng);
+  const dissem::DisseminationResult r_d1 =
+      core::SimulateServer0(workload, prepared, d1_config, &d1_rng);
   const bool d1_identical =
       r_static.baseline_bytes_hops == r_d1.baseline_bytes_hops &&
       r_static.with_proxies_bytes_hops == r_d1.with_proxies_bytes_hops &&
@@ -151,7 +149,7 @@ int main(int argc, char** argv) {
 
   bench_report.RequestsProcessed(
       static_cast<double>(result.cells.size()) *
-      static_cast<double>(workload.clean().size()));
+      static_cast<double>(workload.filter_stats().kept));
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

@@ -144,9 +144,8 @@ BENCHMARK(BM_PopularityAnalysis)->Unit(benchmark::kMillisecond);
 
 const dissem::PreparedDissemination& SharedPrepared() {
   static const dissem::PreparedDissemination& prepared =
-      *new dissem::PreparedDissemination(dissem::PrepareDissemination(
-          SharedWorkload().corpus(), SharedWorkload().clean(),
-          SharedWorkload().topology(), 0, 0.5));
+      *new dissem::PreparedDissemination(
+          core::PrepareServer0(SharedWorkload()));
   return prepared;
 }
 

@@ -26,6 +26,7 @@
 #include <cstring>
 
 #include "bench/bench_util.h"
+#include "core/experiments.h"
 #include "core/workload.h"
 #include "dissem/simulator.h"
 #include "util/rng.h"
@@ -67,31 +68,19 @@ RowResult RunRow(uint32_t num_clients, uint32_t days,
                                      workload.filter_stats().dropped_not_found +
                                      workload.filter_stats().dropped_script);
 
-  dissem::PreparedDissemination prepared;
-  {
-    const auto cursor = workload.NewCleanCursor();
-    prepared = dissem::PrepareDisseminationStream(
-        workload.corpus(), workload.topology(), 0,
-        dissem::DisseminationConfig{}.train_fraction, workload.clean_span(),
-        cursor.get());
-  }
+  const auto prepared = core::PrepareServer0(workload);
 
   dissem::DisseminationConfig sim_config;
   sim_config.num_proxies = 4;
   sim_config.placement = dissem::PlacementStrategy::kGreedy;
   Rng rng(seed ^ 0x5ca1eu);
 
-  const auto cursor = workload.NewCleanCursor();
   sim_config.dissemination_fraction = 0.10;
   row.saved_top10 =
-      dissem::SimulateDisseminationStream(prepared, sim_config, &rng,
-                                          &workload.updates(), cursor.get())
-          .saved_fraction;
+      core::SimulateServer0(workload, prepared, sim_config, &rng).saved_fraction;
   sim_config.dissemination_fraction = 0.04;
   row.saved_top4 =
-      dissem::SimulateDisseminationStream(prepared, sim_config, &rng,
-                                          &workload.updates(), cursor.get())
-          .saved_fraction;
+      core::SimulateServer0(workload, prepared, sim_config, &rng).saved_fraction;
 
   // Four full passes over the raw stream: the construction drain, the
   // prepare pass and the two simulates.

@@ -46,10 +46,9 @@ int main(int argc, char** argv) {
     Rng rng(seed);
     dissem::DisseminationConfig dconfig;
     dconfig.num_proxies = 4;
-    fig3_saved.Add(SimulateDissemination(workload.corpus(), workload.clean(),
-                                         workload.topology(), 0, dconfig,
-                                         &rng,
-                                         &workload.generated().updates)
+    fig3_saved.Add(core::SimulateServer0(workload,
+                                         core::PrepareServer0(workload),
+                                         dconfig, &rng)
                        .saved_fraction);
 
     spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());

@@ -55,9 +55,8 @@ int main() {
   dissem::DisseminationConfig dconfig;
   dconfig.dissemination_fraction = 0.10;
   dconfig.num_proxies = 4;
-  const auto dresult = SimulateDissemination(
-      workload.corpus(), workload.clean(), workload.topology(), 0, dconfig,
-      &rng, &workload.generated().updates);
+  const auto dresult = core::SimulateServer0(
+      workload, core::PrepareServer0(workload), dconfig, &rng);
   std::printf(
       "4 proxies, top 10%% disseminated: %.1f%% of bytes x hops saved, "
       "%.1f%% of requests intercepted\n",

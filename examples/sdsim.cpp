@@ -66,10 +66,19 @@ class Args {
     return it == values_.end() ? fallback : it->second;
   }
 
-  /// Checks every flag given with a value that must be a number or one of
-  /// a few words. A number must parse in full, be finite and lie in its
+  /// Checks that every flag is known, and every flag given with a value
+  /// that must be a number or one of a few words. A number must parse in full, be finite and lie in its
   /// range. Returns the first problem, or "" when all flags are valid.
   std::string Validate() const {
+    const std::vector<std::string> known = {
+        "scale", "seed", "protocol", "tp", "maxsize", "session-timeout",
+        "cooperative", "mode", "proxies", "fraction", "exclude-mutable",
+        "tailored", "clf", "help"};
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        return "unknown flag --" + key;
+      }
+    }
     struct Range {
       const char* key;
       bool integer;
@@ -190,9 +199,10 @@ int RunDissemination(const core::Workload& workload,
   config.exclude_mutable = args.Has("exclude-mutable");
   config.tailored_per_proxy = args.Has("tailored");
   Rng rng(static_cast<uint64_t>(args.GetInt("seed", 42)) + 1);
-  const auto result = SimulateDissemination(
-      workload.corpus(), trace, workload.topology(), 0, config, &rng,
-      &workload.generated().updates);
+  const dissem::PreparedDissemination prepared = dissem::PrepareDissemination(
+      workload.corpus(), trace, workload.topology(), 0, config.train_fraction);
+  const auto result =
+      SimulateDissemination(prepared, config, &rng, &workload.updates());
 
   std::printf("dissemination (%u proxies, top %s of bytes%s)\n",
               config.num_proxies,

@@ -1,11 +1,8 @@
 #include "core/combined.h"
 
-#include <unordered_map>
+#include <vector>
 
-#include "dissem/popularity.h"
 #include "dissem/proxy.h"
-#include "net/clientele_tree.h"
-#include "net/placement.h"
 #include "spec/closure.h"
 #include "spec/dependency.h"
 #include "spec/policy.h"
@@ -13,12 +10,6 @@
 
 namespace sds::core {
 namespace {
-
-struct RoutePlan {
-  int proxy_index = -1;
-  uint32_t hops_to_proxy = 0;
-  uint32_t hops_to_server = 0;
-};
 
 /// Latency of transferring `bytes` over `hops` network hops plus one
 /// service: ServCost + CommCost x bytes x (1 + hops). The (1 + hops)
@@ -32,69 +23,38 @@ double Latency(const spec::SpeculationConfig& config, double bytes,
 
 }  // namespace
 
-CombinedResult SimulateCombined(const Workload& workload,
-                                const CombinedConfig& config, Rng* rng) {
-  const auto& corpus = workload.corpus();
-  const auto& trace = workload.clean();
-  const auto& topology = workload.topology();
-  const trace::ServerId server = 0;
-  const double split = trace.Span() * config.dissemination.train_fraction;
+CombinedResult SimulateCombined(const dissem::PreparedDissemination& prepared,
+                                const CombinedConfig& config, Rng* rng,
+                                trace::RequestCursor* cursor) {
+  SDS_CHECK(config.dissemination.train_fraction == prepared.train_fraction)
+      << "config/prepared training split mismatch";
+  if (prepared.pop.total_remote_requests == 0) return CombinedResult{};
+  const trace::Corpus& corpus = *prepared.corpus;
 
-  // --- Training: popularity, placement, dissemination, P*. ---
-  const dissem::ServerPopularity pop =
-      dissem::AnalyzeServer(corpus, trace, server, 0.0, split);
-  trace::Trace train;
-  train.num_clients = trace.num_clients;
-  train.num_servers = trace.num_servers;
-  for (const auto& r : trace.requests) {
-    if (r.time < split) train.requests.push_back(r);
-  }
-  const net::ClienteleTree tree =
-      net::BuildClienteleTree(topology, train, server);
-  const net::PlacementResult placement =
-      net::GreedyPlacement(tree, config.dissemination.num_proxies, 1.0);
-  const size_t num_proxies = placement.proxies.size();
+  // --- Training: placement, dissemination, P*. ---
+  const std::vector<dissem::RoutePlan> plans = dissem::BuildRoutePlans(
+      prepared, dissem::PlaceProxies(prepared, config.dissemination, rng)
+                    .proxies);
 
-  const double budget = config.dissemination.dissemination_fraction *
-                        static_cast<double>(corpus.ServerBytes(server));
-  std::vector<dissem::ProxyStore> stores;
-  for (size_t p = 0; p < num_proxies; ++p) {
-    stores.emplace_back(static_cast<uint64_t>(budget) + 1);
-  }
-  for (auto& store : stores) {
-    for (const trace::DocumentId id : pop.by_popularity) {
-      const uint64_t size = corpus.doc(id).size_bytes;
-      if (static_cast<double>(store.used_bytes() + size) > budget) continue;
-      store.Insert(id, size);
-    }
+  // Every proxy holds the same most popular documents.
+  const double budget =
+      config.dissemination.dissemination_fraction *
+      static_cast<double>(corpus.ServerBytes(prepared.server));
+  dissem::ProxyStore store(static_cast<uint64_t>(budget) + 1);
+  for (const trace::DocumentId id : prepared.pop.by_popularity) {
+    const uint64_t size = corpus.doc(id).size_bytes;
+    if (static_cast<double>(store.used_bytes() + size) > budget) continue;
+    store.Insert(id, size);
   }
 
   // A single-epoch model: P from the training window, P* rows on demand.
+  cursor->Rewind();
   const spec::ClosureEpoch model(
-      spec::EstimateDependencies(trace, corpus.size(),
-                                 config.speculation.dependency, 0.0, split),
+      spec::EstimateDependencies(cursor, corpus.size(),
+                                 config.speculation.dependency, 0.0,
+                                 prepared.split),
       config.speculation.closure);
   spec::ClosureScratch scratch;
-
-  std::unordered_map<net::NodeId, RoutePlan> plans;
-  const net::NodeId server_node = topology.server_node(server);
-  auto plan_for = [&](net::NodeId client_node) -> const RoutePlan& {
-    auto it = plans.find(client_node);
-    if (it != plans.end()) return it->second;
-    RoutePlan plan;
-    const auto route = topology.Route(server_node, client_node);
-    plan.hops_to_server = static_cast<uint32_t>(route.size() - 1);
-    for (uint32_t d = 1; d < route.size(); ++d) {
-      for (size_t p = 0; p < num_proxies; ++p) {
-        if (placement.proxies[p] == route[d]) {
-          plan.proxy_index = static_cast<int>(p);
-          plan.hops_to_proxy = plan.hops_to_server - d;
-        }
-      }
-    }
-    return plans.emplace(client_node, plan).first->second;
-  };
-  (void)rng;
 
   // --- Two replays over the evaluation window: plain and combined. ---
   struct Totals {
@@ -108,17 +68,11 @@ CombinedResult SimulateCombined(const Workload& workload,
   auto replay = [&](bool combined) {
     Totals totals;
     std::vector<spec::ClientCache> caches;
-    caches.reserve(trace.num_clients);
-    for (uint32_t c = 0; c < trace.num_clients; ++c) {
+    caches.reserve(cursor->num_clients());
+    for (uint32_t c = 0; c < cursor->num_clients(); ++c) {
       caches.emplace_back(config.speculation.cache);
     }
-    for (const auto& r : trace.requests) {
-      if (r.time < split) continue;
-      if (r.server != server || !r.remote_client) continue;
-      if (r.kind != trace::RequestKind::kDocument &&
-          r.kind != trace::RequestKind::kAlias) {
-        continue;
-      }
+    dissem::ForEachEvalRecord(prepared, cursor, [&](const auto& r) {
       spec::ClientCache& cache = caches[r.client];
       cache.Touch(r.time);
       ++totals.client_requests;
@@ -126,44 +80,34 @@ CombinedResult SimulateCombined(const Workload& workload,
       if (cache.Contains(r.doc)) {
         cache.MarkUsed(r.doc);
         ++totals.cache_hits;
-        continue;
+        return;
       }
-      const RoutePlan& plan = plan_for(topology.client_node(r.client));
-      // Who serves?
-      int proxy = -1;
-      if (combined && plan.proxy_index >= 0 &&
-          stores[plan.proxy_index].Contains(r.doc)) {
-        proxy = plan.proxy_index;
-      }
+      const dissem::RoutePlan& plan = plans[r.node];
+      // Who serves: the nearest on-route proxy when it holds the document.
+      const bool from_proxy =
+          combined && plan.proxy_index >= 0 && store.Contains(r.doc);
       const uint32_t hops =
-          proxy >= 0 ? plan.hops_to_proxy : plan.hops_to_server;
-      if (proxy >= 0) {
-        ++totals.proxy_requests;
-      } else {
-        ++totals.server_requests;
-      }
+          from_proxy ? plan.hops_to_proxy : plan.hops_to_server;
+      ++(from_proxy ? totals.proxy_requests : totals.server_requests);
       totals.bytes_hops += size * hops;
       totals.latency += Latency(config.speculation, size, hops);
       cache.Insert(r.doc, r.bytes, /*speculative=*/false);
+      if (!combined) return;
 
-      if (combined) {
-        // The serving node pushes its speculation candidates; a proxy can
-        // only push documents it holds.
-        for (const auto& cand : SelectCandidates(
-                 model.ClosureRow(r.doc, &scratch), corpus,
-                 config.speculation.policy)) {
-          if (cache.Contains(cand.doc)) continue;
-          const bool proxy_has =
-              proxy >= 0 && stores[proxy].Contains(cand.doc);
-          if (proxy >= 0 && !proxy_has) continue;  // proxy can't push it
-          const double cand_size =
-              static_cast<double>(corpus.doc(cand.doc).size_bytes);
-          totals.bytes_hops += cand_size * hops;
-          cache.Insert(cand.doc, corpus.doc(cand.doc).size_bytes,
-                       /*speculative=*/true);
-        }
+      // The serving node pushes its speculation candidates; a proxy can
+      // only push documents it holds.
+      for (const auto& cand :
+           SelectCandidates(model.ClosureRow(r.doc, &scratch), corpus,
+                            config.speculation.policy)) {
+        if (cache.Contains(cand.doc)) continue;
+        if (from_proxy && !store.Contains(cand.doc)) continue;
+        const double cand_size =
+            static_cast<double>(corpus.doc(cand.doc).size_bytes);
+        totals.bytes_hops += cand_size * hops;
+        cache.Insert(cand.doc, corpus.doc(cand.doc).size_bytes,
+                     /*speculative=*/true);
       }
-    }
+    });
     return totals;
   };
 

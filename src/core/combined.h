@@ -3,9 +3,9 @@
 
 #include <cstdint>
 
-#include "core/workload.h"
 #include "dissem/simulator.h"
 #include "spec/simulator.h"
+#include "trace/cursor.h"
 #include "util/rng.h"
 
 namespace sds::core {
@@ -39,10 +39,13 @@ struct CombinedResult {
 
 /// \brief Replays the evaluation half of the trace under (a) plain
 /// service and (b) dissemination + speculative service combined, and
-/// reports the ratios. Training (popularity, placement, P estimation)
-/// only ever sees the training half.
-CombinedResult SimulateCombined(const Workload& workload,
-                                const CombinedConfig& config, Rng* rng);
+/// reports the ratios. Training only ever sees the training half: the
+/// prepared context of the push replay, placement by PlaceProxies and P
+/// from the training window of `cursor`, which streams the trace the
+/// context was prepared from and is rewound for each of its three passes.
+CombinedResult SimulateCombined(const dissem::PreparedDissemination& prepared,
+                                const CombinedConfig& config, Rng* rng,
+                                trace::RequestCursor* cursor);
 
 }  // namespace sds::core
 

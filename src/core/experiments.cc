@@ -173,12 +173,6 @@ Tab2Result RunTab2() {
 // Shared by the dissemination figures (3, 7, 8, 9)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// The training-side context of home server 0 (popularity, clientele tree,
-// routes, eval filter), shared read-only by every sweep point. In streaming
-// mode it is prepared from one pass over a clean cursor, so no materialised
-// trace is ever needed.
 dissem::PreparedDissemination PrepareServer0(const Workload& workload) {
   const double train_fraction = dissem::DisseminationConfig{}.train_fraction;
   if (!workload.streaming()) {
@@ -192,9 +186,7 @@ dissem::PreparedDissemination PrepareServer0(const Workload& workload) {
       workload.clean_span(), cursor.get());
 }
 
-// One evaluation replay over `prepared`: the batch eval index, or in
-// streaming mode a fresh clean cursor of the point's own.
-dissem::DisseminationResult Simulate(
+dissem::DisseminationResult SimulateServer0(
     const Workload& workload, const dissem::PreparedDissemination& prepared,
     const dissem::DisseminationConfig& config, Rng* rng) {
   if (!workload.streaming()) {
@@ -204,6 +196,8 @@ dissem::DisseminationResult Simulate(
   return SimulateDisseminationStream(prepared, config, rng,
                                      &workload.updates(), cursor.get());
 }
+
+namespace {
 
 // The clients' recovery policy under fault injection: six attempts, 5 s
 // timeouts, exponential backoff from 1 s capped at 60 s.
@@ -260,12 +254,12 @@ Fig3Result RunFig3(const Workload& workload, uint32_t max_proxies,
 
         Point point;
         config.dissemination_fraction = 0.10;
-        point.top10 = Simulate(workload, prepared, config, &rng);
+        point.top10 = SimulateServer0(workload, prepared, config, &rng);
         config.dissemination_fraction = 0.04;
-        point.top4 = Simulate(workload, prepared, config, &rng);
+        point.top4 = SimulateServer0(workload, prepared, config, &rng);
         config.dissemination_fraction = 0.10;
         config.tailored_per_proxy = true;
-        point.tailored = Simulate(workload, prepared, config, &rng);
+        point.tailored = SimulateServer0(workload, prepared, config, &rng);
         return point;
       },
       &result.sweep);
@@ -309,7 +303,7 @@ Fig4Result RunFig4(const Workload& workload, double window, size_t bins,
   config.min_probability = 0.01;
   config.min_support = 3;
   const spec::SparseProbMatrix p = spec::EstimateDependencies(
-      workload.clean(), workload.corpus().size(), config, 0.0,
+      workload.NewCleanCursor().get(), workload.corpus().size(), config, 0.0,
       static_cast<double>(history_days) * kDay);
 
   // [0, 1] with the top edge inclusive: the k = 1 embedding-dependency
@@ -481,7 +475,7 @@ Fig7Result RunFig7(const Workload& workload,
         config.dissemination_fraction = 0.10;
         config.faults = &schedule;
         config.retry = retry;
-        return Simulate(workload, prepared, config, &rng);
+        return SimulateServer0(workload, prepared, config, &rng);
       },
       &result.sweep);
   return result;
@@ -627,7 +621,7 @@ Fig8Result RunFig8(const Workload& workload,
         config.collect_service_times = true;
 
         Fig8Result::Cell cell;
-        cell.sim = Simulate(workload, prepared, config, &rng);
+        cell.sim = SimulateServer0(workload, prepared, config, &rng);
         cell.scheduled_events = schedule.size();
         cell.availability = 1.0 - cell.sim.unavailable_fraction;
         cell.retry_amplification =
@@ -766,7 +760,7 @@ Fig9Result RunFig9(const Workload& workload,
         }
 
         Fig9Result::Cell cell;
-        cell.sim = Simulate(workload, prepared, config, &rng);
+        cell.sim = SimulateServer0(workload, prepared, config, &rng);
         cell.availability = 1.0 - cell.sim.unavailable_fraction;
         return cell;
       },

@@ -19,6 +19,17 @@ namespace sds::core {
 /// MaxSize ∞, policy p*[i,j] >= T_p, HistoryLength 60 d, UpdateCycle 1 d.
 spec::SpeculationConfig BaselineSpecConfig();
 
+/// \brief The prepared dissemination context of home server 0 at the
+/// default training split, in either workload mode. Prepare it once and
+/// share it across every push, pull or combined replay of the workload.
+dissem::PreparedDissemination PrepareServer0(const Workload& workload);
+
+/// \brief One push replay over `prepared` (from PrepareServer0) with the
+/// workload's updates: the batch eval index, or a fresh clean cursor.
+dissem::DisseminationResult SimulateServer0(
+    const Workload& workload, const dissem::PreparedDissemination& prepared,
+    const dissem::DisseminationConfig& config, Rng* rng);
+
 // ---------------------------------------------------------------------------
 // Figure 1 — popularity of data blocks and bandwidth coverage
 // ---------------------------------------------------------------------------

@@ -4,10 +4,6 @@
 #include <list>
 #include <unordered_map>
 
-#include "dissem/popularity.h"
-#include "net/clientele_tree.h"
-#include "net/placement.h"
-#include "util/logging.h"
 #include "util/sim_time.h"
 
 namespace sds::dissem {
@@ -73,75 +69,26 @@ class LruDocCache {
 }  // namespace
 
 PullCacheResult SimulatePullThroughCache(
-    const trace::Corpus& corpus, const trace::Trace& trace,
-    const net::Topology& topology, trace::ServerId server,
-    const PullCacheConfig& config, Rng* rng,
-    const std::vector<trace::UpdateEvent>* updates) {
-  SDS_CHECK(config.train_fraction > 0.0 && config.train_fraction < 1.0);
+    const PreparedDissemination& prepared, const PullCacheConfig& config,
+    Rng* rng, const std::vector<trace::UpdateEvent>* updates,
+    trace::RequestCursor* cursor) {
   PullCacheResult result;
-  const double span = trace.Span();
-  const double split = span * config.train_fraction;
+  if (prepared.pop.total_remote_requests == 0) return result;
 
-  // Placement on the training window, identical to the dissemination
-  // simulator so both strategies front the same clients.
-  trace::Trace train;
-  train.num_clients = trace.num_clients;
-  train.num_servers = trace.num_servers;
-  for (const auto& r : trace.requests) {
-    if (r.time < split) train.requests.push_back(r);
-  }
-  const net::ClienteleTree tree =
-      net::BuildClienteleTree(topology, train, server);
-  if (tree.leaves.empty()) return result;
-
-  net::PlacementResult placement;
-  switch (config.placement) {
-    case PlacementStrategy::kGreedy:
-      placement = net::GreedyPlacement(tree, config.num_proxies, 1.0);
-      break;
-    case PlacementStrategy::kRegional:
-      placement =
-          net::RegionalPlacement(topology, tree, config.num_proxies, 1.0);
-      break;
-    case PlacementStrategy::kRandom:
-      placement = net::RandomPlacement(tree, config.num_proxies, 1.0, rng);
-      break;
-    case PlacementStrategy::kProximity:
-      placement = net::ProximityPlacement(tree, config.num_proxies, 1.0);
-      break;
-  }
-  result.proxy_nodes = placement.proxies;
-  const size_t num_proxies = placement.proxies.size();
+  // Placement and routes of the push replay, so both strategies front the
+  // same clients.
+  DisseminationConfig sites;
+  sites.num_proxies = config.num_proxies;
+  sites.placement = config.placement;
+  result.proxy_nodes = PlaceProxies(prepared, sites, rng).proxies;
+  const std::vector<RoutePlan> plans =
+      BuildRoutePlans(prepared, result.proxy_nodes);
 
   const uint64_t budget = static_cast<uint64_t>(
       config.storage_fraction *
-      static_cast<double>(corpus.ServerBytes(server)));
-  std::vector<LruDocCache> caches(num_proxies, LruDocCache(budget));
-
-  // Per client attachment node: nearest proxy and hop splits.
-  struct RoutePlan {
-    int proxy_index = -1;
-    uint32_t hops_to_proxy = 0;
-    uint32_t hops_to_server = 0;
-  };
-  const net::NodeId server_node = topology.server_node(server);
-  std::unordered_map<net::NodeId, RoutePlan> plans;
-  auto plan_for = [&](net::NodeId client_node) -> const RoutePlan& {
-    auto it = plans.find(client_node);
-    if (it != plans.end()) return it->second;
-    RoutePlan plan;
-    const auto route = topology.Route(server_node, client_node);
-    plan.hops_to_server = static_cast<uint32_t>(route.size() - 1);
-    for (uint32_t d = 1; d < route.size(); ++d) {
-      for (size_t p = 0; p < num_proxies; ++p) {
-        if (placement.proxies[p] == route[d]) {
-          plan.proxy_index = static_cast<int>(p);
-          plan.hops_to_proxy = plan.hops_to_server - d;
-        }
-      }
-    }
-    return plans.emplace(client_node, plan).first->second;
-  };
+      static_cast<double>(prepared.corpus->ServerBytes(prepared.server)));
+  std::vector<LruDocCache> caches(result.proxy_nodes.size(),
+                                  LruDocCache(budget));
 
   // Updates indexed by day for invalidation.
   std::vector<std::vector<trace::DocumentId>> updates_by_day;
@@ -154,19 +101,12 @@ PullCacheResult SimulatePullThroughCache(
 
   uint64_t proxy_hits = 0;
   uint64_t eval_requests = 0;
-  long applied_day = static_cast<long>(split / kDay);
-  for (const auto& r : trace.requests) {
-    if (r.time < split) continue;
-    if (r.server != server || !r.remote_client) continue;
-    if (r.kind == trace::RequestKind::kNotFound ||
-        r.kind == trace::RequestKind::kScript) {
-      continue;
-    }
+  long applied_day = static_cast<long>(prepared.split / kDay);
+  ForEachEvalRecord(prepared, cursor, [&](const auto& r) {
     // Apply invalidations for any days that have completed.
-    while (applied_day < DayOfTime(r.time)) {
+    while (applied_day < static_cast<long>(r.day)) {
       if (static_cast<size_t>(applied_day) < updates_by_day.size()) {
-        for (const trace::DocumentId doc :
-             updates_by_day[applied_day]) {
+        for (const trace::DocumentId doc : updates_by_day[applied_day]) {
           for (auto& cache : caches) {
             if (cache.Erase(doc)) ++result.invalidations;
           }
@@ -175,14 +115,14 @@ PullCacheResult SimulatePullThroughCache(
       ++applied_day;
     }
 
-    const RoutePlan& plan = plan_for(topology.client_node(r.client));
+    const RoutePlan& plan = plans[r.node];
     const double bytes = static_cast<double>(r.bytes);
     result.baseline_bytes_hops += bytes * plan.hops_to_server;
     ++eval_requests;
 
     if (plan.proxy_index < 0) {
       result.with_proxies_bytes_hops += bytes * plan.hops_to_server;
-      continue;
+      return;
     }
     LruDocCache& cache = caches[plan.proxy_index];
     if (cache.Contains(r.doc)) {
@@ -195,7 +135,7 @@ PullCacheResult SimulatePullThroughCache(
       result.with_proxies_bytes_hops += bytes * plan.hops_to_server;
       result.evictions += cache.Insert(r.doc, r.bytes);
     }
-  }
+  });
 
   for (const auto& cache : caches) {
     result.storage_per_proxy_bytes =

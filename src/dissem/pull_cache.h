@@ -5,8 +5,7 @@
 #include <vector>
 
 #include "dissem/simulator.h"
-#include "net/topology.h"
-#include "trace/corpus.h"
+#include "trace/cursor.h"
 #include "trace/request.h"
 #include "util/rng.h"
 
@@ -24,10 +23,6 @@ struct PullCacheConfig {
   /// (use the same value as DisseminationConfig::dissemination_fraction
   /// for an equal-storage comparison).
   double storage_fraction = 0.10;
-  /// Placement is trained on the first train_fraction of the trace;
-  /// savings are measured on the remainder (same protocol as the
-  /// dissemination simulator, so the two are directly comparable).
-  double train_fraction = 0.5;
   /// Invalidate cached copies when the home server updates a document.
   bool invalidate_on_update = true;
 };
@@ -48,13 +43,14 @@ struct PullCacheResult {
 };
 
 /// \brief Trace-driven simulation of demand-driven proxy caching for one
-/// home server, directly comparable (same placement, same train/eval
-/// split, same accounting) to SimulateDissemination.
+/// home server over the prepared context of the push replay (same split,
+/// tree, placement, route plans and evaluation filter), so the two are
+/// directly comparable. `cursor` streams the trace the context was
+/// prepared from; `updates` (optional) drives invalidate_on_update.
 PullCacheResult SimulatePullThroughCache(
-    const trace::Corpus& corpus, const trace::Trace& trace,
-    const net::Topology& topology, trace::ServerId server,
-    const PullCacheConfig& config, Rng* rng,
-    const std::vector<trace::UpdateEvent>* updates = nullptr);
+    const PreparedDissemination& prepared, const PullCacheConfig& config,
+    Rng* rng, const std::vector<trace::UpdateEvent>* updates,
+    trace::RequestCursor* cursor);
 
 }  // namespace sds::dissem
 

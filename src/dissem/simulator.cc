@@ -245,13 +245,12 @@ PreparedDissemination PrepareDissemination(const trace::Corpus& corpus,
   prepared.eval_index.reserve(prepared.eval_requests);
   prepared.eval_node.reserve(prepared.eval_requests);
   prepared.eval_day.reserve(prepared.eval_requests);
+  DisseminationReplay::EvalRecord record;
   for (uint32_t idx = 0; idx < trace.requests.size(); ++idx) {
-    const auto& r = trace.requests[idx];
-    if (!IsEvalRequest(prepared, r)) continue;
+    if (!ToEvalRecord(prepared, trace.requests[idx], &record)) continue;
     prepared.eval_index.push_back(idx);
-    prepared.eval_node.push_back(
-        prepared.node_index.at(topology.client_node(r.client)));
-    prepared.eval_day.push_back(static_cast<uint32_t>(DayOfTime(r.time)));
+    prepared.eval_node.push_back(record.node);
+    prepared.eval_day.push_back(record.day);
   }
   return prepared;
 }
@@ -314,6 +313,43 @@ std::vector<RoutePlan> BuildRoutePlans(
   return plans;
 }
 
+net::PlacementResult PlaceProxies(const PreparedDissemination& prepared,
+                                  const DisseminationConfig& config,
+                                  Rng* rng) {
+  const net::ClienteleTree& tree = prepared.tree;
+  switch (config.placement) {
+    case PlacementStrategy::kGreedy:
+      return config.placement_depths.empty()
+                 ? net::GreedyPlacement(tree, config.num_proxies, 1.0)
+                 : net::GreedyPlacementAtDepths(*prepared.topology, tree,
+                                                config.num_proxies, 1.0,
+                                                config.placement_depths);
+    case PlacementStrategy::kRegional:
+      return net::RegionalPlacement(*prepared.topology, tree,
+                                    config.num_proxies, 1.0);
+    case PlacementStrategy::kRandom:
+      return net::RandomPlacement(tree, config.num_proxies, 1.0, rng);
+    case PlacementStrategy::kProximity:
+      return net::ProximityPlacement(tree, config.num_proxies, 1.0,
+                                     config.proximity_placement);
+  }
+  SDS_CHECK(false) << "unknown placement strategy";
+  return {};
+}
+
+bool ToEvalRecord(const PreparedDissemination& prepared,
+                  const trace::Request& r,
+                  DisseminationReplay::EvalRecord* record) {
+  if (!IsEvalRequest(prepared, r)) return false;
+  *record = {r.time,
+             r.client,
+             r.doc,
+             r.bytes,
+             prepared.node_index.at(prepared.topology->client_node(r.client)),
+             static_cast<uint32_t>(DayOfTime(r.time))};
+  return true;
+}
+
 DisseminationReplay::DisseminationReplay(
     const PreparedDissemination& prepared, const DisseminationConfig& config,
     Rng* rng, const std::vector<trace::UpdateEvent>* updates)
@@ -334,28 +370,7 @@ DisseminationReplay::DisseminationReplay(
   if (prepared.pop.total_remote_requests == 0) return;
   active_ = true;
 
-  switch (config.placement) {
-    case PlacementStrategy::kGreedy:
-      placement_ =
-          config.placement_depths.empty()
-              ? net::GreedyPlacement(prepared.tree, config.num_proxies, 1.0)
-              : net::GreedyPlacementAtDepths(*prepared.topology, prepared.tree,
-                                             config.num_proxies, 1.0,
-                                             config.placement_depths);
-      break;
-    case PlacementStrategy::kRegional:
-      placement_ = net::RegionalPlacement(*prepared.topology, prepared.tree,
-                                          config.num_proxies, 1.0);
-      break;
-    case PlacementStrategy::kRandom:
-      placement_ =
-          net::RandomPlacement(prepared.tree, config.num_proxies, 1.0, rng);
-      break;
-    case PlacementStrategy::kProximity:
-      placement_ = net::ProximityPlacement(prepared.tree, config.num_proxies,
-                                           1.0, config.proximity_placement);
-      break;
-  }
+  placement_ = PlaceProxies(prepared, config, rng);
   result_.proxy_nodes = placement_.proxies;
   const size_t num_proxies = placement_.proxies.size();
 
@@ -1090,16 +1105,6 @@ DisseminationResult SimulateDisseminationStream(
     }
   }
   return replay.Finish();
-}
-
-DisseminationResult SimulateDissemination(
-    const trace::Corpus& corpus, const trace::Trace& trace,
-    const net::Topology& topology, trace::ServerId server,
-    const DisseminationConfig& config, Rng* rng,
-    const std::vector<trace::UpdateEvent>* updates) {
-  const PreparedDissemination prepared = PrepareDissemination(
-      corpus, trace, topology, server, config.train_fraction);
-  return SimulateDissemination(prepared, config, rng, updates);
 }
 
 }  // namespace sds::dissem

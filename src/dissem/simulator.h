@@ -296,21 +296,19 @@ PreparedDissemination PrepareDisseminationStream(
 std::vector<RoutePlan> BuildRoutePlans(const PreparedDissemination& prepared,
                                        const std::vector<net::NodeId>& proxies);
 
-/// \brief Trace-driven simulation of the dissemination protocol for one
-/// home server: estimates popularity and places proxies on the training
-/// part of the trace, disseminates the most popular
-/// `dissemination_fraction` of the server's bytes, then replays the
-/// evaluation part counting bytes x hops with and without the proxies.
-/// `updates` (optional) marks mutable documents for exclude_mutable.
-DisseminationResult SimulateDissemination(
-    const trace::Corpus& corpus, const trace::Trace& trace,
-    const net::Topology& topology, trace::ServerId server,
-    const DisseminationConfig& config, Rng* rng,
-    const std::vector<trace::UpdateEvent>* updates = nullptr);
+/// \brief The one placement switch (push, pull and combined replays): the
+/// proxy sites of `config`'s strategy on the prepared clientele tree. Only
+/// kRandom draws from `rng`.
+net::PlacementResult PlaceProxies(const PreparedDissemination& prepared,
+                                  const DisseminationConfig& config, Rng* rng);
 
-/// \brief Same simulation over a shared prepared context; requires
-/// config.train_fraction == prepared.train_fraction. Sweeps build the
-/// context once and call this per point.
+/// \brief Trace-driven simulation of the dissemination protocol for one
+/// home server over a prepared context: places proxies on its clientele
+/// tree, disseminates the most popular `dissemination_fraction` of the
+/// server's bytes, then replays the evaluation part counting bytes x hops
+/// with and without the proxies. `updates` (optional) marks mutable
+/// documents for exclude_mutable. Requires config.train_fraction ==
+/// prepared.train_fraction.
 DisseminationResult SimulateDissemination(
     const PreparedDissemination& prepared, const DisseminationConfig& config,
     Rng* rng, const std::vector<trace::UpdateEvent>* updates = nullptr);
@@ -425,6 +423,28 @@ class DisseminationReplay {
   std::vector<Candidate> chain_far_;
   std::vector<char> chain_taken_;
 };
+
+/// \brief The shared evaluation filter: true, with `*record` filled, when `r`
+/// is evaluated (time >= split, the context's server, a remote client, a
+/// document kind). Requires `prepared.pop.total_remote_requests > 0`.
+bool ToEvalRecord(const PreparedDissemination& prepared,
+                  const trace::Request& r,
+                  DisseminationReplay::EvalRecord* record);
+
+/// \brief Rewinds `cursor` and calls `fn(record)` for each evaluated request
+/// it streams, in order (the pull-through and combined replay loop).
+template <typename Fn>
+void ForEachEvalRecord(const PreparedDissemination& prepared,
+                       trace::RequestCursor* cursor, Fn&& fn) {
+  cursor->Rewind();
+  DisseminationReplay::EvalRecord record;
+  for (auto chunk = cursor->NextChunk(); !chunk.empty();
+       chunk = cursor->NextChunk()) {
+    for (const trace::Request& r : chunk) {
+      if (ToEvalRecord(prepared, r, &record)) fn(record);
+    }
+  }
+}
 
 /// \brief One-pass streaming simulation: rewinds the cursor and replays
 /// its evaluation-window requests (same filter as the prepared eval index)

@@ -99,15 +99,23 @@ void FatalSignalHandler(int sig) {
   std::raise(sig);
 }
 
-}  // namespace
-
-void FlightRecord(uint64_t request, const char* stage, const char* decision,
-                  int64_t entity, double value) {
-  if (!Enabled() || !AuditEnabled()) return;
+// Out of line, so FlightRecord's disabled early-out saves no registers.
+[[gnu::noinline]] void FlightRecordSlow(uint64_t request, const char* stage,
+                                        const char* decision, int64_t entity,
+                                        double value) {
+  if (!AuditEnabled()) return;
   FlightSink::Shard& ring = Flight::Local();
   ring.Push(FlightEvent{g_seq.fetch_add(1, std::memory_order_relaxed),
                         request, stage, decision, entity, value,
                         CurrentPoint(), ring.tid});
+}
+
+}  // namespace
+
+void FlightRecord(uint64_t request, const char* stage, const char* decision,
+                  int64_t entity, double value) {
+  if (!internal::Enabled()) return;
+  FlightRecordSlow(request, stage, decision, entity, value);
 }
 
 FlightSnapshot SnapshotFlight() {

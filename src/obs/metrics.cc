@@ -142,7 +142,11 @@ bool EnabledFromEnv() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-std::atomic<bool> g_enabled{EnabledFromEnv()};
+}  // namespace
+
+std::atomic<bool> internal::g_enabled{EnabledFromEnv()};
+
+namespace {
 
 thread_local int64_t tls_point = kNoPoint;
 
@@ -232,12 +236,17 @@ MetricsSnapshot FoldTotals(const PointTotals& totals) {
   return snapshot;
 }
 
+// Out of line, so Observe's disabled early-out saves no registers.
+[[gnu::noinline]] void ObserveSlow(const char* name, double value) {
+  Metrics::Local().dists[Key{name, tls_point}].Add(value);
+}
+
 }  // namespace
 
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
+bool Enabled() { return internal::Enabled(); }
 
 void SetEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
+  internal::g_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 void Count(const char* name, double delta) {
@@ -254,7 +263,7 @@ void GaugeMax(const char* name, double value) {
 
 void Observe(const char* name, double value) {
   if (!Enabled()) return;
-  Metrics::Local().dists[Key{name, tls_point}].Add(value);
+  ObserveSlow(name, value);
 }
 
 ScopedPoint::ScopedPoint(int64_t point) : previous_(tls_point) {

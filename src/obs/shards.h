@@ -21,6 +21,13 @@
 
 namespace sds::obs::internal {
 
+/// The switch behind obs::Enabled() (metrics.cc), read inline by record
+/// functions: across a call to Enabled() their arguments would need saved
+/// registers before the disabled early-out.
+extern std::atomic<bool> g_enabled;
+
+inline bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
+
 /// Small per-process index of the calling thread, handed out in order of
 /// first use. The span tracer and the flight recorder stamp it on their
 /// records, so one thread carries the same `tid` in both.

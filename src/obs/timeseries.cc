@@ -151,14 +151,20 @@ struct TsSink {
 };
 using TimeSeries = internal::Registry<TsSink>;
 
-}  // namespace
-
-void TsCount(const char* name, double sim_time_s, double delta) {
-  if (!Enabled()) return;
+// Out of line, so TsCount's disabled early-out saves no registers.
+[[gnu::noinline]] void TsCountSlow(const char* name, double sim_time_s,
+                                   double delta) {
   const double window_s = g_window_s.load(std::memory_order_relaxed);
   const int64_t window =
       static_cast<int64_t>(std::floor(sim_time_s / window_s));
   TimeSeries::Local().cells[TsKey{name, window, CurrentPoint()}] += delta;
+}
+
+}  // namespace
+
+void TsCount(const char* name, double sim_time_s, double delta) {
+  if (!internal::Enabled()) return;
+  TsCountSlow(name, sim_time_s, delta);
 }
 
 void SetTimeSeriesWindow(double seconds) {

@@ -321,23 +321,34 @@ SparseProbMatrix WindowedCounts::BuildMatrix(
   return matrix;
 }
 
+SparseProbMatrix EstimateDependencies(trace::RequestCursor* cursor,
+                                      size_t num_docs,
+                                      const DependencyConfig& config,
+                                      SimTime t_begin, SimTime t_end) {
+  const auto before = [](SimTime t) {
+    return [t](const trace::Request& r) { return r.time < t; };
+  };
+  WindowedCounts window(num_docs);
+  DayPump pump(config, cursor->num_clients(),
+               [&](DayCounts day) { window.Add(day); });
+  for (auto chunk = cursor->NextChunk(); !chunk.empty();
+       chunk = cursor->NextChunk()) {
+    const auto begin =
+        std::partition_point(chunk.begin(), chunk.end(), before(t_begin));
+    const auto end = std::partition_point(begin, chunk.end(), before(t_end));
+    pump.Feed(std::span<const trace::Request>(begin, end));
+    if (end != chunk.end()) break;  // the rest of the stream is past t_end
+  }
+  pump.Finish();
+  return window.BuildMatrix(config);
+}
+
 SparseProbMatrix EstimateDependencies(const trace::Trace& trace,
                                       size_t num_docs,
                                       const DependencyConfig& config,
                                       SimTime t_begin, SimTime t_end) {
-  const auto& requests = trace.requests;
-  const auto before = [](SimTime t) {
-    return [t](const trace::Request& r) { return r.time < t; };
-  };
-  const auto begin =
-      std::partition_point(requests.begin(), requests.end(), before(t_begin));
-  const auto end = std::partition_point(begin, requests.end(), before(t_end));
-  WindowedCounts window(num_docs);
-  DayPump pump(config, trace.num_clients,
-               [&](DayCounts day) { window.Add(day); });
-  pump.Feed(std::span<const trace::Request>(begin, end));
-  pump.Finish();
-  return window.BuildMatrix(config);
+  trace::VectorCursor cursor(&trace);
+  return EstimateDependencies(&cursor, num_docs, config, t_begin, t_end);
 }
 
 }  // namespace sds::spec

@@ -263,10 +263,18 @@ class WindowedCounts {
   uint64_t total_pairs_ = 0;
 };
 
-/// \brief One-shot estimation of P over the requests of the trace interval
-/// [t_begin, t_end): those requests run through a
+/// \brief One-shot estimation of P over the requests of the interval
+/// [t_begin, t_end) of a time-ordered stream: those requests run through a
 /// DailyDependencyAccumulator, every day is added to one WindowedCounts,
-/// and BuildMatrix prunes the result. Used by analyses and tests.
+/// and BuildMatrix prunes the result. Reads from the cursor's position up
+/// to the first chunk that reaches t_end.
+SparseProbMatrix EstimateDependencies(trace::RequestCursor* cursor,
+                                      size_t num_docs,
+                                      const DependencyConfig& config,
+                                      SimTime t_begin = 0.0,
+                                      SimTime t_end = kInfiniteTime);
+
+/// \brief The same over a trace's requests (a VectorCursor drain).
 SparseProbMatrix EstimateDependencies(const trace::Trace& trace,
                                       size_t num_docs,
                                       const DependencyConfig& config,

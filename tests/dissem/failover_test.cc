@@ -2,6 +2,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "core/experiments.h"
 #include "core/workload.h"
 #include "dissem/simulator.h"
 #include "net/faults.h"
@@ -55,8 +56,11 @@ class FailoverTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     workload_ = new core::Workload(core::MakeWorkload(core::SmallConfig()));
+    prepared_ = new PreparedDissemination(core::PrepareServer0(*workload_));
   }
   static void TearDownTestSuite() {
+    delete prepared_;
+    prepared_ = nullptr;
     delete workload_;
     workload_ = nullptr;
   }
@@ -64,9 +68,7 @@ class FailoverTest : public ::testing::Test {
   DisseminationResult Run(const DisseminationConfig& config,
                           uint64_t seed = 1) {
     Rng rng(seed);
-    return SimulateDissemination(workload_->corpus(), workload_->clean(),
-                                 workload_->topology(), 0, config, &rng,
-                                 &workload_->generated().updates);
+    return core::SimulateServer0(*workload_, *prepared_, config, &rng);
   }
 
   /// A fault interval covering the whole trace (and its retry tail).
@@ -102,9 +104,11 @@ class FailoverTest : public ::testing::Test {
   }
 
   static core::Workload* workload_;
+  static PreparedDissemination* prepared_;
 };
 
 core::Workload* FailoverTest::workload_ = nullptr;
+PreparedDissemination* FailoverTest::prepared_ = nullptr;
 
 TEST_F(FailoverTest, EmptyScheduleIsBitIdenticalToNoSchedule) {
   DisseminationConfig plain;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiments.h"
 #include "core/workload.h"
 #include "dissem/allocation.h"
 #include "dissem/simulator.h"
@@ -39,9 +40,8 @@ TEST_P(DisseminationInvariantsTest, AccountingHolds) {
   config.placement = static_cast<PlacementStrategy>(placement_int);
   config.tailored_per_proxy = tailored;
   Rng rng(7);
-  const auto result = SimulateDissemination(
-      workload_->corpus(), workload_->clean(), workload_->topology(), 0,
-      config, &rng, &workload_->generated().updates);
+  const auto result = core::SimulateServer0(
+      *workload_, core::PrepareServer0(*workload_), config, &rng);
 
   EXPECT_GE(result.saved_fraction, 0.0);
   EXPECT_LE(result.saved_fraction, 1.0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiments.h"
 #include "core/workload.h"
 #include "net/faults.h"
 #include "util/rng.h"
@@ -14,8 +15,11 @@ class DisseminationSimTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     workload_ = new core::Workload(core::MakeWorkload(core::SmallConfig()));
+    prepared_ = new PreparedDissemination(core::PrepareServer0(*workload_));
   }
   static void TearDownTestSuite() {
+    delete prepared_;
+    prepared_ = nullptr;
     delete workload_;
     workload_ = nullptr;
   }
@@ -23,15 +27,15 @@ class DisseminationSimTest : public ::testing::Test {
   DisseminationResult Run(const DisseminationConfig& config,
                           uint64_t seed = 1) {
     Rng rng(seed);
-    return SimulateDissemination(workload_->corpus(), workload_->clean(),
-                                 workload_->topology(), 0, config, &rng,
-                                 &workload_->generated().updates);
+    return core::SimulateServer0(*workload_, *prepared_, config, &rng);
   }
 
   static core::Workload* workload_;
+  static PreparedDissemination* prepared_;
 };
 
 core::Workload* DisseminationSimTest::workload_ = nullptr;
+PreparedDissemination* DisseminationSimTest::prepared_ = nullptr;
 
 TEST_F(DisseminationSimTest, SavesBandwidth) {
   DisseminationConfig config;

@@ -90,9 +90,8 @@ TEST_F(EndToEndTest, BothProtocolsComposeOnOneWorkload) {
   Rng rng(5);
   dissem::DisseminationConfig dconfig;
   dconfig.num_proxies = 4;
-  const auto dresult = SimulateDissemination(
-      workload_->corpus(), workload_->clean(), workload_->topology(), 0,
-      dconfig, &rng, &workload_->generated().updates);
+  const auto dresult = core::SimulateServer0(
+      *workload_, core::PrepareServer0(*workload_), dconfig, &rng);
   EXPECT_GT(dresult.saved_fraction, 0.0);
 
   spec::SpeculationSimulator sim(&workload_->corpus(), &workload_->clean());

@@ -491,6 +491,57 @@ TEST(DependencyReferenceTest, SmallConfigWorkload) {
   }
 }
 
+// Streams a trace one request per chunk, so the range cut of
+// EstimateDependencies falls on chunk boundaries at both ends.
+class OneRequestCursor : public trace::RequestCursor {
+ public:
+  explicit OneRequestCursor(const trace::Trace* trace) : trace_(trace) {}
+
+  std::span<const trace::Request> NextChunk() override {
+    if (pos_ == trace_->size()) return {};
+    return {&trace_->requests[pos_++], 1};
+  }
+  void Rewind() override { pos_ = 0; }
+  uint32_t num_clients() const override { return trace_->num_clients; }
+  uint32_t num_servers() const override { return trace_->num_servers; }
+
+  size_t handed_out() const { return pos_; }
+
+ private:
+  const trace::Trace* trace_;
+  size_t pos_ = 0;
+};
+
+TEST(DependencyReferenceTest, OneRequestChunksMatchTraceEstimate) {
+  const core::Workload w = core::MakeWorkload(core::SmallConfig());
+  const trace::Trace& t = w.clean();
+  const size_t num_docs = w.corpus().size();
+  const DependencyConfig c;
+  for (const auto& [t_begin, t_end] :
+       {std::pair{2 * kDay + 3600.0, 9 * kDay},
+        std::pair{0.5 * kDay, kInfiniteTime}}) {
+    const std::string ctx = "[" + std::to_string(t_begin) + ", " +
+                            std::to_string(t_end) + ")";
+    OneRequestCursor cursor(&t);
+    const SparseProbMatrix got =
+        EstimateDependencies(&cursor, num_docs, c, t_begin, t_end);
+    const SparseProbMatrix want =
+        EstimateDependencies(t, num_docs, c, t_begin, t_end);
+    const auto rows = reference::MatrixRows(t, num_docs, c, t_begin, t_end);
+    ASSERT_GT(got.NumEntries(), 0u) << ctx;
+    EXPECT_EQ(got.NumEntries(), want.NumEntries()) << ctx;
+    for (trace::DocumentId i = 0; i < num_docs; ++i) {
+      ExpectRowsEq(want.Row(i), got.Row(i), ctx + " row " + std::to_string(i));
+      ExpectRowsEq(SparseProbMatrix::RowView(rows[i]), got.Row(i),
+                   ctx + " reference row " + std::to_string(i));
+    }
+    // A finite t_end stops the read one request past it.
+    if (t_end != kInfiniteTime) {
+      EXPECT_LT(cursor.handed_out(), t.size()) << ctx;
+    }
+  }
+}
+
 TEST(DependencyReferenceTest, GeneratedCursorMatchesReference) {
   // A streaming workload's clean cursor generates the stream on the fly;
   // its counts must equal the reference scan of the materialised trace.
