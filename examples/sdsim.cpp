@@ -21,6 +21,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -248,7 +249,7 @@ int main(int argc, char** argv) {
   const core::Workload workload = core::MakeWorkload(config);
 
   // Optionally replace the synthetic trace with a parsed CLF log.
-  trace::Trace replay = workload.clean();
+  std::optional<trace::Trace> from_clf;
   if (args.Has("clf")) {
     const auto parsed =
         trace::ReadClfFile(args.Get("clf", ""), workload.corpus());
@@ -257,8 +258,9 @@ int main(int argc, char** argv) {
                    parsed.status().ToString().c_str());
       return 1;
     }
-    replay = FilterTrace(parsed.value());
+    from_clf = FilterTrace(parsed.value());
   }
+  const trace::Trace& replay = from_clf ? *from_clf : workload.clean();
 
   std::printf("workload: %zu docs, %zu accesses, seed %llu\n\n",
               workload.corpus().size(), replay.size(),

@@ -1,6 +1,9 @@
 #include "spec/client_cache.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <utility>
 
 namespace sds::spec {
 
@@ -13,23 +16,54 @@ void ClientCache::Touch(SimTime now) {
   last_access_ = now;
 }
 
-size_t ClientCache::Find(trace::DocumentId doc) const {
-  if (memo_valid_ && doc == last_doc_) return last_pos_;
-  // Recent entries are the likeliest hits, so scan from the back.
-  size_t i = entries_.size();
-  while (i-- > 0 && entries_[i].doc != doc) {
+uint32_t ClientCache::Tick() {
+  if (clock_ == std::numeric_limits<uint32_t>::max()) {
+    // The clock wrapped: renumber the resident entries 1..n in their
+    // recency order and go on from n.
+    std::vector<Entry*> live;
+    live.reserve(count_);
+    for (Entry& entry : slots_) {
+      if (entry.doc != trace::kInvalidDocument) live.push_back(&entry);
+    }
+    std::sort(live.begin(), live.end(), [](const Entry* a, const Entry* b) {
+      return a->stamp < b->stamp;
+    });
+    clock_ = 0;
+    for (Entry* entry : live) entry->stamp = ++clock_;
   }
-  memo_valid_ = true;
-  last_doc_ = doc;
-  last_pos_ = i;  // wrapped to kAbsent when not found
-  return i;
+  return ++clock_;
 }
 
-void ClientCache::Refresh(size_t pos) {
-  Forget();
-  std::rotate(entries_.begin() + static_cast<std::ptrdiff_t>(pos),
-              entries_.begin() + static_cast<std::ptrdiff_t>(pos) + 1,
-              entries_.end());
+void ClientCache::Place(const Entry& entry) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(entry.doc);
+  while (slots_[i].doc != trace::kInvalidDocument) i = (i + 1) & mask;
+  slots_[i] = entry;
+}
+
+void ClientCache::Rehash(size_t num_slots) {
+  std::vector<Entry> old =
+      std::exchange(slots_, std::vector<Entry>(num_slots));
+  shift_ = static_cast<uint8_t>(64 - std::countr_zero(num_slots));
+  for (const Entry& entry : old) {
+    if (entry.doc != trace::kInvalidDocument) Place(entry);
+  }
+}
+
+void ClientCache::Erase(size_t slot) {
+  const size_t mask = slots_.size() - 1;
+  size_t hole = slot;
+  for (size_t i = (hole + 1) & mask; slots_[i].doc != trace::kInvalidDocument;
+       i = (i + 1) & mask) {
+    // The entry at i may fill the hole unless its home lies cyclically in
+    // (hole, i]: it must stay reachable from its home without a gap.
+    if (((i - Home(slots_[i].doc)) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole] = Entry{};
+  --count_;
 }
 
 void ClientCache::Discard(const Entry& entry) {
@@ -40,11 +74,12 @@ void ClientCache::Discard(const Entry& entry) {
 }
 
 void ClientCache::MarkUsed(trace::DocumentId doc) {
-  const size_t pos = Find(doc);
-  if (pos == kAbsent) return;
-  if (entries_[pos].speculative_unused) --unused_spec_docs_;
-  entries_[pos].speculative_unused = false;
-  Refresh(pos);
+  const size_t slot = Find(doc);
+  if (slot == kAbsent) return;
+  Entry& entry = slots_[slot];
+  if (entry.speculative_unused) --unused_spec_docs_;
+  entry.speculative_unused = false;
+  entry.stamp = Tick();
 }
 
 void ClientCache::Insert(trace::DocumentId doc, uint64_t size_bytes,
@@ -63,36 +98,45 @@ void ClientCache::Insert(trace::DocumentId doc, uint64_t size_bytes,
     }
     return;
   }
-  if (const size_t pos = Find(doc); pos != kAbsent) {
-    Refresh(pos);
+  if (const size_t slot = Find(doc); slot != kAbsent) {
+    slots_[slot].stamp = Tick();
     return;
   }
-  Forget();
-  entries_.push_back({doc, speculative, size_bytes});
+  // Grow before the insert would take the table past 7/8 full.
+  if (8 * (size_t{count_} + 1) > 7 * slots_.size()) {
+    Rehash(slots_.empty() ? 4 : 2 * slots_.size());
+  }
+  Place({doc, Tick(), size_bytes, speculative});
+  ++count_;
   used_ += size_bytes;
   if (speculative) ++unused_spec_docs_;
   EvictIfNeeded();
 }
 
 void ClientCache::PurgeAll() {
-  for (const Entry& entry : entries_) Discard(entry);
-  Forget();
-  entries_.clear();
+  for (const Entry& entry : slots_) Discard(entry);  // empty slots: no-op
+  std::fill(slots_.begin(), slots_.end(), Entry{});
+  count_ = 0;
+  clock_ = 0;
   used_ = 0;
 }
 
 void ClientCache::EvictIfNeeded() {
-  if (config_.capacity_bytes == 0 || used_ <= config_.capacity_bytes) return;
-  // Evict from the least recent end in one pass, then close the gap.
-  size_t evicted = 0;
-  while (used_ > config_.capacity_bytes && evicted < entries_.size()) {
-    const Entry& victim = entries_[evicted++];
-    used_ -= victim.size;
-    Discard(victim);
+  if (config_.capacity_bytes == 0) return;
+  // The entry just inserted fits and holds the newest stamp, so the loop
+  // stops before reaching it.
+  while (used_ > config_.capacity_bytes) {
+    size_t victim = kAbsent;
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].doc != trace::kInvalidDocument &&
+          (victim == kAbsent || slots_[i].stamp < slots_[victim].stamp)) {
+        victim = i;
+      }
+    }
+    used_ -= slots_[victim].size;
+    Discard(slots_[victim]);
+    Erase(victim);
   }
-  Forget();
-  entries_.erase(entries_.begin(),
-                 entries_.begin() + static_cast<std::ptrdiff_t>(evicted));
 }
 
 }  // namespace sds::spec

@@ -24,13 +24,15 @@ struct ClientCacheConfig {
 
 /// \brief Per-client cache with session purging and optional LRU capacity.
 ///
-/// One contiguous entry vector in recency order (back = most recently
-/// used), the BrowserCache idiom of the trace generator: a client holds
-/// tens to a few hundred documents, so a linear scan from the recent end
-/// beats a hash map plus LRU list, costs 16 bytes per entry instead of
-/// ~100, and frees with one deallocation. Lookups memoise the last document
-/// asked about, so even the const accessors must not be called from two
-/// threads at once (each replay owns its clients' caches).
+/// The entries live directly in one open-addressing table (linear probing,
+/// a power-of-two slot count, 16 bytes per entry, freed with one
+/// deallocation). Under the infinite multi-session cache of Figure 5 a
+/// client holds about 90 documents when it looks one up and about 440 at
+/// the 99th percentile, so every lookup is one probe sequence, never a
+/// scan. Recency is a per-entry stamp from a per-cache clock: a use only
+/// restamps its entry, and a capacity-bound cache evicts the minimum stamp,
+/// which is exactly LRU order. Each replay owns its clients' caches; the
+/// const accessors modify nothing.
 class ClientCache {
  public:
   explicit ClientCache(const ClientCacheConfig& config) : config_(config) {}
@@ -44,8 +46,8 @@ class ClientCache {
   /// True if the entry exists and was delivered speculatively and has not
   /// been requested yet (used to count first-use speculative hits).
   bool IsUnusedSpeculative(trace::DocumentId doc) const {
-    const size_t pos = Find(doc);
-    return pos != kAbsent && entries_[pos].speculative_unused;
+    const size_t slot = Find(doc);
+    return slot != kAbsent && slots_[slot].speculative_unused;
   }
 
   /// Marks a speculative entry as used by a real request.
@@ -53,11 +55,12 @@ class ClientCache {
 
   /// Inserts a document (no-op if present; a present speculative entry
   /// requested for real should use MarkUsed). Evicts LRU entries when over
-  /// capacity. Documents larger than the capacity are not cached.
+  /// capacity. Documents larger than the capacity are not cached. `doc`
+  /// must not be kInvalidDocument, which marks an empty slot.
   void Insert(trace::DocumentId doc, uint64_t size_bytes, bool speculative);
 
   uint64_t used_bytes() const { return used_; }
-  size_t num_docs() const { return entries_.size(); }
+  size_t num_docs() const { return count_; }
 
   /// Total bytes of speculative entries purged or evicted without ever
   /// being requested (wasted speculation).
@@ -75,37 +78,60 @@ class ClientCache {
 
  private:
   struct Entry {
-    trace::DocumentId doc = trace::kInvalidDocument;
-    bool speculative_unused = false;
-    uint64_t size = 0;
+    trace::DocumentId doc = trace::kInvalidDocument;  // empty slot
+    /// Value of clock_ at the last insert or use (larger = more recent).
+    uint32_t stamp = 0;
+    uint64_t size : 63 = 0;
+    uint64_t speculative_unused : 1 = 0;
   };
+  static_assert(sizeof(Entry) == 16);
 
   static constexpr size_t kAbsent = static_cast<size_t>(-1);
 
-  /// Position of `doc` in entries_, or kAbsent.
-  size_t Find(trace::DocumentId doc) const;
-  /// Forgets the memoised lookup (every change to entries_ calls it).
-  void Forget() { memo_valid_ = false; }
-  /// Moves the entry at `pos` to the most recent end.
-  void Refresh(size_t pos);
+  /// Home slot of `doc`: the top bits of a multiplicative hash.
+  size_t Home(trace::DocumentId doc) const {
+    return static_cast<size_t>((uint64_t{doc} * 0x9E3779B97F4A7C15ull) >>
+                               shift_);
+  }
+
+  /// Slot holding `doc`, or kAbsent. The table is never full, so the
+  /// probe always ends at an empty slot.
+  size_t Find(trace::DocumentId doc) const {
+    if (slots_.empty()) return kAbsent;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Home(doc);; i = (i + 1) & mask) {
+      if (slots_[i].doc == doc) return i;
+      if (slots_[i].doc == trace::kInvalidDocument) return kAbsent;
+    }
+  }
+
+  /// Next recency stamp.
+  uint32_t Tick();
+  /// Stores `entry` in the first empty slot of its probe sequence.
+  void Place(const Entry& entry);
+  /// Rebuilds the table with `num_slots` slots (a power of two).
+  void Rehash(size_t num_slots);
+  /// Empties `slot` by backward-shift deletion: later entries of its probe
+  /// run move back, so no tombstones are needed.
+  void Erase(size_t slot);
   /// Counts a resident entry that leaves unused as wasted.
   void Discard(const Entry& entry);
   void PurgeAll();
   void EvictIfNeeded();
 
   ClientCacheConfig config_;
-  std::vector<Entry> entries_;
+  /// Empty, or a power of two slots of which at most 7/8 are occupied.
+  std::vector<Entry> slots_;
   uint64_t used_ = 0;
   uint64_t wasted_spec_bytes_ = 0;
   uint64_t wasted_spec_docs_ = 0;
   uint64_t unused_spec_docs_ = 0;
   SimTime last_access_ = -kInfiniteTime;
+  uint32_t count_ = 0;
+  uint32_t clock_ = 0;
+  /// 64 - log2(slots_.size()), set by Rehash: Home() keeps the top bits.
+  uint8_t shift_ = 64;
   bool has_last_access_ = false;
-  /// The last document looked up and its position: callers ask about a
-  /// document and then act on it, so the follow-up call skips its scan.
-  mutable bool memo_valid_ = false;
-  mutable trace::DocumentId last_doc_ = trace::kInvalidDocument;
-  mutable size_t last_pos_ = kAbsent;
 };
 
 }  // namespace sds::spec

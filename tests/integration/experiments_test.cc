@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
 #include "core/experiments.h"
 #include "core/workload.h"
 
@@ -176,6 +179,89 @@ TEST_F(ExperimentsTest, ExpClientCachingShapes) {
   for (size_t i = 1; i < result.rows.size(); ++i) {
     EXPECT_LT(result.rows[i].metrics.server_load_ratio, 1.0)
         << result.rows[i].label;
+  }
+}
+
+/// Every field of a SpeculationMetrics in declaration order: the four
+/// ratios, extra traffic and unavailability, then both runs' totals (the
+/// counts are far below 2^53, so they are exact as doubles).
+std::vector<double> MetricsFields(const spec::SpeculationMetrics& m) {
+  std::vector<double> fields = {m.bandwidth_ratio,   m.server_load_ratio,
+                                m.service_time_ratio, m.miss_rate_ratio,
+                                m.extra_traffic,
+                                m.unavailable_request_fraction};
+  for (const spec::RunTotals* t :
+       {&m.with_speculation, &m.without_speculation}) {
+    fields.insert(
+        fields.end(),
+        {t->bytes_sent, static_cast<double>(t->server_requests),
+         static_cast<double>(t->client_requests), t->total_latency,
+         t->miss_bytes, t->requested_bytes,
+         static_cast<double>(t->speculative_docs_sent), t->speculative_bytes,
+         static_cast<double>(t->speculative_hits), t->wasted_speculative_bytes,
+         static_cast<double>(t->prefetch_requests),
+         static_cast<double>(t->cache_hits),
+         static_cast<double>(t->demand_server_responses),
+         t->demand_bytes_sent,
+         static_cast<double>(t->wasted_speculative_docs),
+         static_cast<double>(t->unused_resident_speculative_docs),
+         static_cast<double>(t->unavailable_requests),
+         static_cast<double>(t->retry_attempts), t->retry_wait_seconds,
+         static_cast<double>(t->brownout_responses),
+         static_cast<double>(t->suppressed_speculative_docs),
+         static_cast<double>(t->emergent_brownouts),
+         static_cast<double>(t->breaker_open_transitions),
+         static_cast<double>(t->retries_suppressed_by_budget),
+         static_cast<double>(t->shed_speculative_docs),
+         static_cast<double>(t->breaker_fast_fails)});
+  }
+  return fields;
+}
+
+/// Every metrics field of the four client-caching rows on SmallConfig at
+/// T_p = 0.25, recorded before the client cache became a hash table. The
+/// finite-LRU and single-session rows are the only replays of eviction and
+/// session purging that the goldens pin.
+const std::vector<double> kClientCachingPins[] = {
+    // no cache
+    {2.5279091977260491, 1, 1, 1, 1.5279091977260491, 0, 264209339, 11512,
+     11512, 219636942, 104516942, 104516942, 15474, 159692397, 0, 0, 0, 0,
+     11512, 104516942, 15474, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 104516942, 11512,
+     11512, 219636942, 104516942, 104516942, 0, 0, 0, 0, 0, 0, 11512, 104516942,
+     0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+    // single-session 1 h
+    {1.2363974269480376, 0.56064880112834981, 0.53107098739157876,
+     0.49860920529145747, 0.23639742694803756, 0, 127796224, 6360, 11512,
+     115137129, 51537129, 104516942, 8369, 76259095, 4984, 21768217, 0, 5152,
+     6360, 51537129, 3071, 314, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 103361768, 11344,
+     11512, 216801768, 103361768, 104516942, 0, 0, 0, 0, 0, 168, 11344,
+     103361768, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+    // finite LRU 256 KB
+    {1.2628266161048327, 0.6009790528233151, 0.56753802178101465,
+     0.53350716280806143, 0.26282661610483271, 0, 109004092, 5279, 11512,
+     98841028, 46051028, 104516942, 6913, 62953064, 3689, 16390267, 0, 6233,
+     5279, 46051028, 2757, 467, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 86317544, 8784,
+     11512, 174157544, 86317544, 104516942, 0, 0, 0, 0, 0, 2728, 8784, 86317544,
+     0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+    // infinite
+    {1.2372149596372073, 0.61023033203709243, 0.5840339337879159,
+     0.55772908291261636, 0.23721495963720729, 0, 82379144, 4080, 11512,
+     77936024, 37136024, 104516942, 5002, 45243120, 2606, 9771431, 0, 7432,
+     4080, 37136024, 1874, 522, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 66584342, 6686,
+     11512, 133444342, 66584342, 104516942, 0, 0, 0, 0, 0, 4826, 6686, 66584342,
+     0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+};
+
+TEST_F(ExperimentsTest, ExpClientCachingMatchesPins) {
+  const ExpClientCachingResult result = RunExpClientCaching(*workload_, 0.25);
+  ASSERT_EQ(result.rows.size(), std::size(kClientCachingPins));
+  for (size_t i = 0; i < result.rows.size(); ++i) {
+    SCOPED_TRACE(result.rows[i].label);
+    const std::vector<double> fields = MetricsFields(result.rows[i].metrics);
+    ASSERT_EQ(fields.size(), kClientCachingPins[i].size());
+    for (size_t f = 0; f < fields.size(); ++f) {
+      EXPECT_EQ(fields[f], kClientCachingPins[i][f]) << "field " << f;
+    }
   }
 }
 

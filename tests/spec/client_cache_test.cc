@@ -174,7 +174,7 @@ struct ReferenceCache {
   }
   void Refresh(trace::DocumentId doc) { lru.splice(lru.begin(), lru, Find(doc)); }
   void Insert(trace::DocumentId doc, uint64_t size, bool speculative) {
-    if (size > config.capacity_bytes) {
+    if (config.capacity_bytes > 0 && size > config.capacity_bytes) {
       if (speculative) {
         ++wasted_docs;
         wasted_bytes += size;
@@ -184,7 +184,7 @@ struct ReferenceCache {
     lru.push_front({doc, size, speculative});
     uint64_t used = 0;
     for (const Entry& e : lru) used += e.size;
-    while (used > config.capacity_bytes) {
+    while (config.capacity_bytes > 0 && used > config.capacity_bytes) {
       used -= lru.back().size;
       Drop(lru.back());
       lru.pop_back();
@@ -192,81 +192,140 @@ struct ReferenceCache {
   }
 };
 
+/// Replays `ops` random requests for documents 0..size.size()-1 against
+/// both caches and asserts after each that they hold the same documents
+/// with the same flags and counters. A request ends the session with
+/// probability `session_break` (which must be 0 under an infinite
+/// timeout).
+void ReplayAgainstReference(const ClientCacheConfig& config,
+                            const std::vector<uint64_t>& size, int ops,
+                            double session_break, Rng& rng) {
+  const auto num_docs = static_cast<trace::DocumentId>(size.size());
+  ClientCache cache(config);
+  ReferenceCache ref;
+  ref.config = config;
+  uint64_t pushed = 0;  // speculative documents inserted as new entries
+  uint64_t used = 0;    // of which later requested while resident
+  SimTime now = 0.0;
+  for (int op = 0; op < ops; ++op) {
+    // Mostly in-session gaps, with occasional session breaks.
+    now += rng.NextBernoulli(session_break)
+               ? config.session_timeout
+               : static_cast<double>(rng.NextBounded(20));
+    cache.Touch(now);
+    ref.Touch(now);
+    const auto doc = static_cast<trace::DocumentId>(rng.NextBounded(num_docs));
+    if (cache.Contains(doc)) {
+      if (cache.IsUnusedSpeculative(doc)) ++used;
+      cache.MarkUsed(doc);
+      ref.MarkUsed(doc);
+    } else {
+      const bool speculative = rng.NextBernoulli(0.5);
+      pushed += speculative ? 1 : 0;
+      cache.Insert(doc, size[doc], speculative);
+      ref.Insert(doc, size[doc], speculative);
+    }
+    if (cache.Contains(doc) && rng.NextBernoulli(0.2)) {
+      // A duplicate insert only refreshes the entry's recency.
+      cache.Insert(doc, size[doc], rng.NextBernoulli(0.5));
+      ref.Refresh(doc);
+    }
+    // Ask about the document just acted on first.
+    const auto it = ref.Find(doc);
+    ASSERT_EQ(cache.Contains(doc), it != ref.lru.end()) << "op " << op;
+    if (it != ref.lru.end()) {
+      ASSERT_EQ(cache.IsUnusedSpeculative(doc), it->unused) << "op " << op;
+    }
+
+    uint64_t resident_bytes = 0;
+    uint64_t resident_unused = 0;
+    size_t resident = 0;
+    for (trace::DocumentId d = 0; d < num_docs; ++d) {
+      if (!cache.Contains(d)) continue;
+      ++resident;
+      resident_bytes += size[d];
+      resident_unused += cache.IsUnusedSpeculative(d) ? 1 : 0;
+    }
+    ASSERT_EQ(cache.used_bytes(), resident_bytes) << "op " << op;
+    if (config.capacity_bytes > 0) {
+      ASSERT_LE(cache.used_bytes(), config.capacity_bytes) << "op " << op;
+    }
+    ASSERT_EQ(cache.num_docs(), resident) << "op " << op;
+    ASSERT_EQ(cache.unused_speculative_docs(), resident_unused)
+        << "op " << op;
+    ASSERT_EQ(pushed, used + cache.wasted_speculative_docs() +
+                          cache.unused_speculative_docs())
+        << "op " << op;
+
+    ASSERT_EQ(resident, ref.lru.size()) << "op " << op;
+    for (const ReferenceCache::Entry& e : ref.lru) {
+      ASSERT_TRUE(cache.Contains(e.doc)) << "op " << op;
+      ASSERT_EQ(cache.IsUnusedSpeculative(e.doc), e.unused) << "op " << op;
+    }
+    ASSERT_EQ(cache.wasted_speculative_docs(), ref.wasted_docs);
+    ASSERT_EQ(cache.wasted_speculative_bytes(), ref.wasted_bytes);
+  }
+}
+
+/// Sizes 1..max_size for `num_docs` documents.
+std::vector<uint64_t> RandomSizes(size_t num_docs, uint64_t max_size,
+                                  Rng& rng) {
+  std::vector<uint64_t> size(num_docs);
+  for (uint64_t& s : size) s = 1 + rng.NextBounded(max_size);
+  return size;
+}
+
 TEST(ClientCacheRandomTest, AccountingHoldsUnderRandomTraffic) {
-  constexpr trace::DocumentId kDocs = 40;
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
     const ClientCacheConfig config{
         /*session_timeout=*/30.0 + static_cast<double>(rng.NextBounded(300)),
         /*capacity_bytes=*/200 + rng.NextBounded(2000)};
-    std::vector<uint64_t> size(kDocs);
-    for (uint64_t& s : size) s = 1 + rng.NextBounded(config.capacity_bytes);
+    std::vector<uint64_t> size = RandomSizes(40, config.capacity_bytes, rng);
     size[0] = config.capacity_bytes + 1;  // never fits
+    ReplayAgainstReference(config, size, 3000, 0.02, rng);
+  }
+}
 
-    ClientCache cache(config);
-    ReferenceCache ref;
-    ref.config = config;
-    uint64_t pushed = 0;  // speculative documents inserted as new entries
-    uint64_t used = 0;    // of which later requested while resident
-    SimTime now = 0.0;
-    for (int op = 0; op < 3000; ++op) {
-      // Mostly in-session gaps, with occasional session breaks.
-      now += rng.NextBernoulli(0.02)
-                 ? config.session_timeout
-                 : static_cast<double>(rng.NextBounded(20));
-      cache.Touch(now);
-      ref.Touch(now);
-      const auto doc = static_cast<trace::DocumentId>(rng.NextBounded(kDocs));
-      if (cache.Contains(doc)) {
-        if (cache.IsUnusedSpeculative(doc)) ++used;
-        cache.MarkUsed(doc);
-        ref.MarkUsed(doc);
-      } else {
-        const bool speculative = rng.NextBernoulli(0.5);
-        pushed += speculative ? 1 : 0;
-        cache.Insert(doc, size[doc], speculative);
-        ref.Insert(doc, size[doc], speculative);
-      }
-      if (cache.Contains(doc) && rng.NextBernoulli(0.2)) {
-        // A duplicate insert only refreshes the entry's recency.
-        cache.Insert(doc, size[doc], rng.NextBernoulli(0.5));
-        ref.Refresh(doc);
-      }
-      // Ask about the document just acted on first: a lookup that
-      // outlived the last change would answer for another entry.
-      const auto it = ref.Find(doc);
-      ASSERT_EQ(cache.Contains(doc), it != ref.lru.end()) << "op " << op;
-      if (it != ref.lru.end()) {
-        ASSERT_EQ(cache.IsUnusedSpeculative(doc), it->unused) << "op " << op;
-      }
+// The cases below hold hundreds of entries at once, so tables grow through
+// several rehashes and eviction and purges act on long probe runs.
 
-      uint64_t resident_bytes = 0;
-      uint64_t resident_unused = 0;
-      size_t resident = 0;
-      for (trace::DocumentId d = 0; d < kDocs; ++d) {
-        if (!cache.Contains(d)) continue;
-        ++resident;
-        resident_bytes += size[d];
-        resident_unused += cache.IsUnusedSpeculative(d) ? 1 : 0;
-      }
-      ASSERT_EQ(cache.used_bytes(), resident_bytes) << "op " << op;
-      ASSERT_LE(cache.used_bytes(), config.capacity_bytes) << "op " << op;
-      ASSERT_EQ(cache.num_docs(), resident) << "op " << op;
-      ASSERT_EQ(cache.unused_speculative_docs(), resident_unused)
-          << "op " << op;
-      ASSERT_EQ(pushed, used + cache.wasted_speculative_docs() +
-                            cache.unused_speculative_docs())
-          << "op " << op;
+TEST(ClientCacheRandomTest, UnboundedCacheGrowsLargeTables) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const size_t num_docs = 500 + rng.NextBounded(1501);
+    const std::vector<uint64_t> size = RandomSizes(num_docs, 5000, rng);
+    ReplayAgainstReference({kInfiniteTime, 0}, size, 4000, 0.0, rng);
+  }
+}
 
-      ASSERT_EQ(resident, ref.lru.size()) << "op " << op;
-      for (const ReferenceCache::Entry& e : ref.lru) {
-        ASSERT_TRUE(cache.Contains(e.doc)) << "op " << op;
-        ASSERT_EQ(cache.IsUnusedSpeculative(e.doc), e.unused) << "op " << op;
-      }
-      ASSERT_EQ(cache.wasted_speculative_docs(), ref.wasted_docs);
-      ASSERT_EQ(cache.wasted_speculative_bytes(), ref.wasted_bytes);
-    }
+TEST(ClientCacheRandomTest, LruEvictsFromLargeTables) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const size_t num_docs = 500 + rng.NextBounded(1501);
+    // Sizes average 500 bytes, so 64-128 KB holds 130-260 entries; odd
+    // seeds also end sessions now and then.
+    const ClientCacheConfig config{
+        seed % 2 == 1 ? 500.0 : kInfiniteTime,
+        64 * 1024 + rng.NextBounded(64 * 1024)};
+    const std::vector<uint64_t> size = RandomSizes(num_docs, 1000, rng);
+    ReplayAgainstReference(config, size, 6000,
+                           seed % 2 == 1 ? 0.001 : 0.0, rng);
+  }
+}
+
+TEST(ClientCacheRandomTest, SessionBreaksPurgeAndRefillLargeTables) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const size_t num_docs = 500 + rng.NextBounded(1501);
+    const std::vector<uint64_t> size = RandomSizes(num_docs, 5000, rng);
+    // About one break per 800 requests: each purge empties a table of
+    // several hundred entries, which the next session fills again.
+    ReplayAgainstReference({600.0, 0}, size, 6000, 1.0 / 800, rng);
   }
 }
 
