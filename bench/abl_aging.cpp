@@ -16,8 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace sds;
-  [[maybe_unused]] const bench::BenchArgs bench_args =
-      bench::ParseBenchArgs(argc, argv);
+  const bench::BenchArgs bench_args = bench::ParseBenchArgs(argc, argv);
   bench::BenchReport bench_report("abl_aging");
   const bench::Stopwatch bench_total;
   bench::PrintHeader("abl_aging",
@@ -26,8 +25,7 @@ int main(int argc, char** argv) {
       "workload", [&] { return bench::MakeBenchWorkload(bench_args); });
   bench::PrintWorkloadSummary(workload);
 
-  spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
-  sim.Prewarm(core::BaselineSpecConfig().dependency);
+  core::SpecRuns runs(workload, core::BaselineSpecConfig().dependency);
 
   using EstimatorKind = spec::SpeculationConfig::EstimatorKind;
   struct Case {
@@ -57,7 +55,7 @@ int main(int argc, char** argv) {
         config.estimator = cases[index].estimator;
         config.history_days = cases[index].history_days;
         config.decay_per_day = cases[index].decay_per_day;
-        return sim.Evaluate(config);
+        return runs.Evaluate(config);
       },
       &stats);
 

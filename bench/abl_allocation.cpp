@@ -16,19 +16,19 @@
 
 int main(int argc, char** argv) {
   using namespace sds;
-  [[maybe_unused]] const bench::BenchArgs bench_args =
-      bench::ParseBenchArgs(argc, argv);
+  const bench::BenchArgs bench_args = bench::ParseBenchArgs(argc, argv);
   bench::BenchReport bench_report("abl_allocation");
   const bench::Stopwatch bench_total;
   bench::PrintHeader("abl_allocation",
                      "ablation: cluster storage allocation policies");
-  const core::Workload workload =
-      core::MakeWorkload(core::ClusterConfig(/*num_servers=*/8));
-  std::printf("cluster: 8 servers, %zu docs (%s), %zu accesses\n\n",
+  core::WorkloadConfig workload_config = core::ClusterConfig(/*num_servers=*/8);
+  workload_config.streaming = bench_args.stream;
+  const core::Workload workload = core::MakeWorkload(workload_config);
+  std::printf("cluster: 8 servers, %zu docs (%s), %llu accesses\n\n",
               workload.corpus().size(),
               FormatBytes(static_cast<double>(workload.corpus().TotalBytes()))
                   .c_str(),
-              workload.clean().size());
+              static_cast<unsigned long long>(workload.filter_stats().kept));
 
   Table table({"storage", "policy", "measured alpha", "predicted alpha",
                "byte shield"});
@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
           config.server_distances.push_back(s);
         }
       }
-      const auto result =
-          SimulateClusterAllocation(workload.corpus(), workload.clean(),
-                                    config);
+      const auto result = SimulateClusterAllocation(
+          workload.corpus(), workload.NewCleanCursor().get(),
+          workload.clean_span(), config);
       table.AddRow(
           {FormatBytes(result.total_storage),
            dissem::AllocationPolicyToString(policy),

@@ -18,8 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace sds;
-  [[maybe_unused]] const bench::BenchArgs bench_args =
-      bench::ParseBenchArgs(argc, argv);
+  const bench::BenchArgs bench_args = bench::ParseBenchArgs(argc, argv);
   bench::BenchReport bench_report("abl_closure");
   const bench::Stopwatch bench_total;
   bench::PrintHeader("abl_closure", "ablation: closure semantics for P*");
@@ -27,8 +26,7 @@ int main(int argc, char** argv) {
       "workload", [&] { return bench::MakeBenchWorkload(bench_args); });
   bench::PrintWorkloadSummary(workload);
 
-  spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
-  sim.Prewarm(core::BaselineSpecConfig().dependency);
+  core::SpecRuns runs(workload, core::BaselineSpecConfig().dependency);
 
   struct Case {
     double tp;
@@ -54,7 +52,7 @@ int main(int argc, char** argv) {
         config.policy.threshold = cases[index].tp;
         config.use_closure = cases[index].use_closure;
         config.closure.semantics = cases[index].semantics;
-        return sim.Evaluate(config);
+        return runs.Evaluate(config);
       },
       &stats);
 

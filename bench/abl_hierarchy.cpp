@@ -16,8 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace sds;
-  [[maybe_unused]] const bench::BenchArgs bench_args =
-      bench::ParseBenchArgs(argc, argv);
+  const bench::BenchArgs bench_args = bench::ParseBenchArgs(argc, argv);
   bench::BenchReport bench_report("abl_hierarchy");
   const bench::Stopwatch bench_total;
   bench::PrintHeader("abl_hierarchy",

@@ -17,8 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace sds;
-  [[maybe_unused]] const bench::BenchArgs bench_args =
-      bench::ParseBenchArgs(argc, argv);
+  const bench::BenchArgs bench_args = bench::ParseBenchArgs(argc, argv);
   bench::BenchReport bench_report("abl_push_vs_pull");
   const bench::Stopwatch bench_total;
   bench::PrintHeader("abl_push_vs_pull",

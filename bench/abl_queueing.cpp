@@ -28,8 +28,7 @@ std::vector<sds::spec::ServerEvent> Compress(
 
 int main(int argc, char** argv) {
   using namespace sds;
-  [[maybe_unused]] const bench::BenchArgs bench_args =
-      bench::ParseBenchArgs(argc, argv);
+  const bench::BenchArgs bench_args = bench::ParseBenchArgs(argc, argv);
   bench::BenchReport bench_report("abl_queueing");
   const bench::Stopwatch bench_total;
   bench::PrintHeader("abl_queueing",
@@ -38,17 +37,17 @@ int main(int argc, char** argv) {
       "workload", [&] { return bench::MakeBenchWorkload(bench_args); });
   bench::PrintWorkloadSummary(workload);
 
-  spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
-
   spec::SpeculationConfig baseline = core::BaselineSpecConfig();
+  core::SpecRuns runs(workload, baseline.dependency);
+
   baseline.mode = spec::ServiceMode::kNone;
   std::vector<spec::ServerEvent> plain_events;
-  sim.Run(baseline, &plain_events);
+  runs.Run(baseline, &plain_events);
 
   spec::SpeculationConfig speculative = core::BaselineSpecConfig();
   speculative.policy.threshold = 0.3;
   std::vector<spec::ServerEvent> spec_events;
-  sim.Run(speculative, &spec_events);
+  runs.Run(speculative, &spec_events);
 
   std::printf("server requests: plain %zu, speculative %zu (-%0.1f%%)\n\n",
               plain_events.size(), spec_events.size(),

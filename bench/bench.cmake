@@ -1,6 +1,11 @@
 # Bench binaries land in a clean build/bench/ directory (no CMake
 # bookkeeping files), so `for b in build/bench/*; do $b; done` runs the
 # whole suite.
+#
+# Each bench gets two smoke tests under a strict audit (a violated
+# flow-conservation edge aborts): <bench>_smoke_audit on the materialised
+# trace and <bench>_smoke_stream on the generated one. Both write
+# BENCH_<bench>.json into the bench directory, so they share a lock.
 function(sds_add_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   target_link_libraries(${name} PRIVATE sds_core sds_dissem sds_spec sds_net
@@ -8,6 +13,12 @@ function(sds_add_bench name)
   target_include_directories(${name} PRIVATE ${CMAKE_SOURCE_DIR})
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+  add_test(NAME ${name}_smoke_audit COMMAND ${name} --smoke --audit
+           WORKING_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+  add_test(NAME ${name}_smoke_stream COMMAND ${name} --smoke --stream --audit
+           WORKING_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+  set_tests_properties(${name}_smoke_audit ${name}_smoke_stream PROPERTIES
+    ENVIRONMENT SDS_AUDIT=strict RESOURCE_LOCK BENCH_${name})
 endfunction()
 
 sds_add_bench(abl_aging)
@@ -44,17 +55,6 @@ target_link_libraries(micro_kernels PRIVATE sds_core sds_dissem sds_spec
 target_include_directories(micro_kernels PRIVATE ${CMAKE_SOURCE_DIR})
 set_target_properties(micro_kernels PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-# Streaming smokes of the runners that read the trace only through cursors
-# and the metadata both modes fill; each must exit 0 (it writes its
-# BENCH_*.json into the bench directory).
-foreach(bench abl_combined abl_hierarchy abl_push_vs_pull abl_staleness
-              fig3_dissemination_savings fig4_dependency_histogram
-              fig6_gains_vs_traffic fig9_balance)
-  add_test(NAME ${bench}_smoke_stream
-           COMMAND ${bench} --smoke --stream
-           WORKING_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-endforeach()
 
 # Bad command lines fail before any work with "error: ..." and exit status
 # exactly 2 (an abort exits 134, which WILL_FAIL would also accept).

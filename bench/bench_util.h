@@ -289,20 +289,21 @@ inline int FinishBench(BenchReport* report, const BenchArgs& args) {
   return obs_ok && report_ok ? 0 : 1;
 }
 
-/// The shared paper-scale workload. Benches are separate processes, so each
-/// builds it once; generation takes well under a second.
-inline core::Workload MakePaperWorkload() {
-  return core::MakeWorkload(core::PaperScaleConfig());
-}
-
-/// Paper-scale workload, or the small CI workload under `--smoke`;
-/// `--stream` switches trace materialisation to on-the-fly generation
-/// (same requests, near-flat RSS).
-inline core::Workload MakeBenchWorkload(const BenchArgs& args) {
+/// Paper-scale workload config, or the small CI one under `--smoke`;
+/// `--stream` makes every cursor generate the trace on the fly instead of
+/// reading a materialised copy (same requests, same results, near-flat
+/// RSS).
+inline core::WorkloadConfig BenchWorkloadConfig(const BenchArgs& args) {
   core::WorkloadConfig config =
       args.smoke ? core::SmallConfig() : core::PaperScaleConfig();
   config.streaming = args.stream;
-  return core::MakeWorkload(config);
+  return config;
+}
+
+/// The workload of BenchWorkloadConfig. Benches are separate processes, so
+/// each builds it once; generation takes well under a second.
+inline core::Workload MakeBenchWorkload(const BenchArgs& args) {
+  return core::MakeWorkload(BenchWorkloadConfig(args));
 }
 
 /// Reads only the metadata both trace modes fill, so it prints the same

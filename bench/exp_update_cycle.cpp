@@ -14,8 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace sds;
-  [[maybe_unused]] const bench::BenchArgs bench_args =
-      bench::ParseBenchArgs(argc, argv);
+  const bench::BenchArgs bench_args = bench::ParseBenchArgs(argc, argv);
   bench::BenchReport bench_report("exp_update_cycle");
   const bench::Stopwatch bench_total;
   bench::PrintHeader("exp_update_cycle",

@@ -16,8 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace sds;
-  [[maybe_unused]] const bench::BenchArgs bench_args =
-      bench::ParseBenchArgs(argc, argv);
+  const bench::BenchArgs bench_args = bench::ParseBenchArgs(argc, argv);
   bench::BenchReport bench_report("fig1_block_popularity");
   const bench::Stopwatch bench_total;
   bench::PrintHeader("fig1_block_popularity",
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
   std::printf("coverage vs blocks of decreasing popularity\n%s\n",
               chart.Render().c_str());
   bench_report.RequestsProcessed(
-      static_cast<double>(workload.clean().size()));
+      static_cast<double>(workload.filter_stats().kept));
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

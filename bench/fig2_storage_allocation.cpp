@@ -15,8 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace sds;
-  [[maybe_unused]] const bench::BenchArgs bench_args =
-      bench::ParseBenchArgs(argc, argv);
+  const bench::BenchArgs bench_args = bench::ParseBenchArgs(argc, argv);
   bench::BenchReport bench_report("fig2_storage_allocation");
   const bench::Stopwatch bench_total;
   bench::PrintHeader("fig2_storage_allocation",

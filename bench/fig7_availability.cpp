@@ -23,14 +23,14 @@
 
 namespace {
 
-/// Lowers the brownout threshold until at least `min_days` of the trace
+/// Lowers the brownout threshold until at least `min_days` of `load`
 /// trip, so the demo exercises brownouts whatever the absolute load is.
-sds::net::BrownoutConfig TunedBrownouts(const sds::trace::Trace& trace,
+sds::net::BrownoutConfig TunedBrownouts(const sds::net::DailyLoad& load,
                                         uint32_t min_days) {
   sds::net::BrownoutConfig config;
   while (config.utilization_threshold > 1e-9) {
     sds::net::FaultSchedule scratch;
-    if (sds::net::AddLoadBrownouts(trace, 0, config, &scratch) >= min_days) {
+    if (sds::net::AddLoadBrownouts(load, config, &scratch) >= min_days) {
       break;
     }
     config.utilization_threshold /= 2.0;
@@ -85,26 +85,27 @@ int main(int argc, char** argv) {
   // --- Speculative service through outages and brownouts. ---
   net::FaultSchedule schedule;
   net::FaultInjectionConfig fault_config;
-  fault_config.horizon_days = workload.clean().Span() / kDay + 1.0;
+  fault_config.horizon_days = workload.clean_span() / kDay + 1.0;
   fault_config.server_failure_rate_per_day = 0.05;
   fault_config.mean_outage_days = 0.5;
   Rng fault_rng(271828);
   schedule = net::GenerateFaultSchedule(workload.topology(), fault_config,
                                         &fault_rng);
-  const net::BrownoutConfig brownouts =
-      TunedBrownouts(workload.clean(), smoke ? 2 : 10);
+  const net::DailyLoad load =
+      net::CountDailyLoad(workload.NewCleanCursor().get(), /*server=*/0);
+  const net::BrownoutConfig brownouts = TunedBrownouts(load, smoke ? 2 : 10);
   const uint32_t brownout_days =
-      net::AddLoadBrownouts(workload.clean(), 0, brownouts, &schedule);
+      net::AddLoadBrownouts(load, brownouts, &schedule);
 
-  spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
   spec::SpeculationConfig config = core::BaselineSpecConfig();
   config.policy.threshold = 0.25;
-  const spec::SpeculationMetrics healthy = sim.Evaluate(config);
+  core::SpecRuns runs(workload, config.dependency);
+  const spec::SpeculationMetrics healthy = runs.Evaluate(config);
   config.faults = &schedule;
   config.retry.max_attempts = 4;
   config.retry.jitter = 0.1;
   config.retry_jitter_seed = 314159;
-  const spec::SpeculationMetrics degraded = sim.Evaluate(config);
+  const spec::SpeculationMetrics degraded = runs.Evaluate(config);
 
   Table spec_table({"run", "bandwidth", "server load", "unavailable",
                     "retries", "suppressed pushes"});
@@ -127,7 +128,7 @@ int main(int argc, char** argv) {
       spec_table.ToAlignedString().c_str());
   bench_report.RequestsProcessed(
       static_cast<double>(result.cells.size()) *
-      static_cast<double>(workload.clean().size()));
+      static_cast<double>(workload.filter_stats().kept));
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

@@ -90,23 +90,23 @@ int main(int argc, char** argv) {
   // --- Speculative service under the same machinery: a deliberately tight
   // tracker sheds speculation under load (emergent brownouts + admission),
   // and scheduled outages exercise the breaker/budget path. ---
-  spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
   spec::SpeculationConfig config = core::BaselineSpecConfig();
   config.policy.threshold = 0.25;
-  const spec::SpeculationMetrics healthy = sim.Evaluate(config);
+  core::SpecRuns runs(workload, config.dependency);
+  const spec::SpeculationMetrics healthy = runs.Evaluate(config);
 
   // Tight capacity: the eval-window request rate alone exceeds the
   // admission threshold, so speculative pushes are shed mid-run.
-  const double span = workload.clean().Span();
+  const double span = workload.clean_span();
   spec::SpeculationConfig overloaded = config;
   overloaded.protection.track_load = true;
   overloaded.protection.load.window_s = 12.0 * 3600.0;
   overloaded.protection.load.brownout_duration_s = 4.0 * 3600.0;
   overloaded.protection.load.service_overhead_s =
-      1.5 * span / static_cast<double>(workload.clean().size());
+      1.5 * span / static_cast<double>(workload.filter_stats().kept);
   overloaded.protection.load.service_rate_bytes_per_s = 1e12;
   overloaded.protection.admission_control = true;
-  const spec::SpeculationMetrics shed = sim.Evaluate(overloaded);
+  const spec::SpeculationMetrics shed = runs.Evaluate(overloaded);
 
   net::FaultSchedule schedule;
   net::FaultInjectionConfig fault_config;
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   protected_outages.protection.retry_budget = true;
   protected_outages.protection.budget.max_retry_ratio = 0.05;
   protected_outages.protection.budget.min_retries_per_window = 1;
-  const spec::SpeculationMetrics stormy = sim.Evaluate(protected_outages);
+  const spec::SpeculationMetrics stormy = runs.Evaluate(protected_outages);
 
   Table spec_table({"run", "bandwidth", "unavailable", "emergent", "shed",
                     "fast fails", "suppressed retries"});
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
 
   bench_report.RequestsProcessed(
       static_cast<double>(result.cells.size()) *
-      static_cast<double>(workload.clean().size()));
+      static_cast<double>(workload.filter_stats().kept));
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

@@ -144,8 +144,10 @@ BENCHMARK(BM_PopularityAnalysis)->Unit(benchmark::kMillisecond);
 
 const dissem::PreparedDissemination& SharedPrepared() {
   static const dissem::PreparedDissemination& prepared =
-      *new dissem::PreparedDissemination(
-          core::PrepareServer0(SharedWorkload()));
+      *new dissem::PreparedDissemination(dissem::PrepareDissemination(
+          SharedWorkload().corpus(), SharedWorkload().clean(),
+          SharedWorkload().topology(), 0,
+          dissem::DisseminationConfig{}.train_fraction));
   return prepared;
 }
 

@@ -26,8 +26,7 @@ std::string MeanSd(const sds::RunningStats& stats, int digits = 1) {
 
 int main(int argc, char** argv) {
   using namespace sds;
-  [[maybe_unused]] const bench::BenchArgs bench_args =
-      bench::ParseBenchArgs(argc, argv);
+  const bench::BenchArgs bench_args = bench::ParseBenchArgs(argc, argv);
   bench::BenchReport bench_report("seed_robustness");
   const bench::Stopwatch bench_total;
   bench::PrintHeader("seed_robustness",
@@ -37,7 +36,7 @@ int main(int argc, char** argv) {
       traffic_at_03;
   const uint64_t seeds[] = {1, 2026, 555, 90210, 31337};
   for (const uint64_t seed : seeds) {
-    core::WorkloadConfig config = core::PaperScaleConfig();
+    core::WorkloadConfig config = bench::BenchWorkloadConfig(bench_args);
     config.seed = seed;
     const core::Workload workload = core::MakeWorkload(config);
 
@@ -51,13 +50,13 @@ int main(int argc, char** argv) {
                                          dconfig, &rng)
                        .saved_fraction);
 
-    spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
     spec::SpeculationConfig sconfig = core::BaselineSpecConfig();
+    core::SpecRuns runs(workload, sconfig.dependency);
     sconfig.policy.threshold = 0.8;  // the ~+3-5% traffic point
-    const auto modest = sim.Evaluate(sconfig);
+    const auto modest = runs.Evaluate(sconfig);
     load_5pct_band.Add(1.0 - modest.server_load_ratio);
     sconfig.policy.threshold = 0.3;
-    const auto aggressive = sim.Evaluate(sconfig);
+    const auto aggressive = runs.Evaluate(sconfig);
     load_30pct_band.Add(1.0 - aggressive.server_load_ratio);
     traffic_at_03.Add(aggressive.extra_traffic);
     std::printf("seed %llu done\n", static_cast<unsigned long long>(seed));

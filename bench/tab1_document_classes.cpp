@@ -14,8 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace sds;
-  [[maybe_unused]] const bench::BenchArgs bench_args =
-      bench::ParseBenchArgs(argc, argv);
+  const bench::BenchArgs bench_args = bench::ParseBenchArgs(argc, argv);
   bench::BenchReport bench_report("tab1_document_classes");
   const bench::Stopwatch bench_total;
   bench::PrintHeader("tab1_document_classes",
@@ -32,7 +31,7 @@ int main(int argc, char** argv) {
               "global ~37%%\n");
   std::printf("paper update rates: local ~0.02/day, remote+global < 0.005/day\n");
   bench_report.RequestsProcessed(
-      static_cast<double>(workload.clean().size()));
+      static_cast<double>(workload.filter_stats().kept));
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

@@ -11,8 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace sds;
-  [[maybe_unused]] const bench::BenchArgs bench_args =
-      bench::ParseBenchArgs(argc, argv);
+  const bench::BenchArgs bench_args = bench::ParseBenchArgs(argc, argv);
   bench::BenchReport bench_report("tab2_symmetric_cluster");
   const bench::Stopwatch bench_total;
   bench::PrintHeader("tab2_symmetric_cluster",

@@ -38,8 +38,8 @@ spec::SpeculationConfig BaselineSpecConfig() {
 
 Fig1Result RunFig1(const Workload& workload, uint64_t block_size) {
   const auto& corpus = workload.corpus();
-  const dissem::ServerPopularity pop =
-      dissem::AnalyzeServer(corpus, workload.clean(), /*server=*/0);
+  const dissem::ServerPopularity pop = dissem::AnalyzeServer(
+      corpus, workload.NewCleanCursor().get(), /*server=*/0);
   const dissem::BlockPopularity blocks =
       dissem::ComputeBlockPopularity(pop, corpus, block_size);
 
@@ -81,12 +81,12 @@ Table Fig1Result::ToTable(size_t max_rows) const {
 
 Tab1Result RunTab1(const Workload& workload) {
   const auto& corpus = workload.corpus();
-  const auto pops = dissem::AnalyzeAllServers(corpus, workload.clean());
+  const auto pops =
+      dissem::AnalyzeAllServers(corpus, workload.NewCleanCursor().get());
   Tab1Result result;
-  const uint32_t days =
-      static_cast<uint32_t>(workload.clean().Span() / kDay) + 1;
-  result.classification = dissem::ClassifyDocuments(
-      corpus, pops, workload.generated().updates, days);
+  const uint32_t days = static_cast<uint32_t>(workload.clean_span() / kDay) + 1;
+  result.classification =
+      dissem::ClassifyDocuments(corpus, pops, workload.updates(), days);
   result.accessed_docs =
       static_cast<uint32_t>(corpus.size()) - result.classification.unaccessed;
   result.remote_mean_update_rate = result.classification.MeanUpdateRate(
@@ -174,27 +174,43 @@ Tab2Result RunTab2() {
 // ---------------------------------------------------------------------------
 
 dissem::PreparedDissemination PrepareServer0(const Workload& workload) {
-  const double train_fraction = dissem::DisseminationConfig{}.train_fraction;
-  if (!workload.streaming()) {
-    return dissem::PrepareDissemination(workload.corpus(), workload.clean(),
-                                        workload.topology(), 0,
-                                        train_fraction);
-  }
-  const auto cursor = workload.NewCleanCursor();
   return dissem::PrepareDisseminationStream(
-      workload.corpus(), workload.topology(), 0, train_fraction,
-      workload.clean_span(), cursor.get());
+      workload.corpus(), workload.topology(), 0,
+      dissem::DisseminationConfig{}.train_fraction, workload.clean_span(),
+      workload.NewCleanCursor().get());
 }
 
 dissem::DisseminationResult SimulateServer0(
     const Workload& workload, const dissem::PreparedDissemination& prepared,
     const dissem::DisseminationConfig& config, Rng* rng) {
-  if (!workload.streaming()) {
-    return SimulateDissemination(prepared, config, rng, &workload.updates());
-  }
-  const auto cursor = workload.NewCleanCursor();
   return SimulateDisseminationStream(prepared, config, rng,
-                                     &workload.updates(), cursor.get());
+                                     &workload.updates(),
+                                     workload.NewCleanCursor().get());
+}
+
+SpecRuns::SpecRuns(const Workload& workload,
+                   const spec::DependencyConfig& dependency)
+    : workload_(&workload) {
+  if (workload.streaming()) return;
+  batch_ = std::make_unique<spec::SpeculationSimulator>(&workload.corpus(),
+                                                        workload.clean_.get());
+  batch_->Prewarm(dependency);
+}
+
+spec::RunTotals SpecRuns::Run(const spec::SpeculationConfig& config,
+                              std::vector<spec::ServerEvent>* server_events) {
+  if (batch_) return batch_->Run(config, server_events);
+  const auto replay = workload_->NewCleanCursor();
+  return spec::StreamingSpeculationSimulator(&workload_->corpus(), replay.get())
+      .Run(config, server_events);
+}
+
+spec::SpeculationMetrics SpecRuns::Evaluate(
+    const spec::SpeculationConfig& config) {
+  spec::SpeculationConfig baseline = config;
+  baseline.mode = spec::ServiceMode::kNone;
+  const spec::RunTotals without_spec = Run(baseline);
+  return spec::ComputeMetrics(Run(config), without_spec);
 }
 
 namespace {
@@ -347,47 +363,13 @@ Fig5Result RunFig5(const Workload& workload, const std::vector<double>& tps,
     grid = {1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.15, 0.1, 0.05};
   }
   const spec::SpeculationConfig base = BaselineSpecConfig();
-
-  if (workload.streaming()) {
-    // Streaming path: the kNone baseline runs once up front; each sweep
-    // point then replays its own fresh cursor once (dependency counting
-    // reads that cursor just ahead of the replay day, so resident state
-    // stays O(history window) instead of O(trace)).
-    Fig5Result result;
-    const spec::RunTotals baseline = [&] {
-      spec::SpeculationConfig b = base;
-      b.mode = spec::ServiceMode::kNone;
-      const auto replay = workload.NewCleanCursor();
-      spec::StreamingSpeculationSimulator sim(&workload.corpus(),
-                                              replay.get());
-      return sim.Run(b);
-    }();
-    result.points = SweepMap(
-        grid.size(), options,
-        [&](size_t index, Rng&) {
-          spec::SpeculationConfig config = base;
-          config.policy.threshold = grid[index];
-          config.closure.min_probability = std::min(0.02, grid[index]);
-          const auto replay = workload.NewCleanCursor();
-          spec::StreamingSpeculationSimulator sim(&workload.corpus(),
-                                                  replay.get());
-          SpecSweepPoint point;
-          point.tp = grid[index];
-          point.metrics = spec::ComputeMetrics(sim.Run(config), baseline);
-          return point;
-        },
-        &result.sweep);
-    return result;
-  }
-
-  spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
-  sim.Prewarm(base.dependency);
+  SpecRuns runs(workload, base.dependency);
 
   Fig5Result result;
   const spec::RunTotals baseline = [&] {
     spec::SpeculationConfig b = base;
     b.mode = spec::ServiceMode::kNone;
-    return sim.Run(b);
+    return runs.Run(b);
   }();
   result.points = SweepMap(
       grid.size(), options,
@@ -397,7 +379,7 @@ Fig5Result RunFig5(const Workload& workload, const std::vector<double>& tps,
         config.closure.min_probability = std::min(0.02, grid[index]);
         SpecSweepPoint point;
         point.tp = grid[index];
-        point.metrics = spec::ComputeMetrics(sim.Run(config), baseline);
+        point.metrics = spec::ComputeMetrics(runs.Run(config), baseline);
         return point;
       },
       &result.sweep);
@@ -795,10 +777,9 @@ Table Fig9Result::ToTable() const {
 
 ExpUpdateCycleResult RunExpUpdateCycle(const Workload& workload, double tp,
                                        const SweepOptions& options) {
-  spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
   spec::SpeculationConfig base = BaselineSpecConfig();
   base.policy.threshold = tp;
-  sim.Prewarm(base.dependency);
+  SpecRuns runs(workload, base.dependency);
 
   ExpUpdateCycleResult result;
   const struct {
@@ -814,7 +795,7 @@ ExpUpdateCycleResult RunExpUpdateCycle(const Workload& workload, double tp,
         ExpUpdateCycleResult::Row row;
         row.update_cycle_days = cases[index].d;
         row.history_days = cases[index].d_prime;
-        row.metrics = sim.Evaluate(config);
+        row.metrics = runs.Evaluate(config);
         return row;
       },
       &result.sweep);
@@ -853,10 +834,9 @@ Table ExpUpdateCycleResult::ToTable() const {
 
 ExpMaxSizeResult RunExpMaxSize(const Workload& workload, double tp,
                                const SweepOptions& options) {
-  spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
   spec::SpeculationConfig base = BaselineSpecConfig();
   base.policy.threshold = tp;
-  sim.Prewarm(base.dependency);
+  SpecRuns runs(workload, base.dependency);
 
   ExpMaxSizeResult result;
   const uint64_t kKb = 1024;
@@ -869,7 +849,7 @@ ExpMaxSizeResult RunExpMaxSize(const Workload& workload, double tp,
         config.policy.max_size = sizes[index];
         ExpMaxSizeResult::Row row;
         row.max_size = sizes[index];
-        row.metrics = sim.Evaluate(config);
+        row.metrics = runs.Evaluate(config);
         return row;
       },
       &result.sweep);
@@ -897,10 +877,9 @@ Table ExpMaxSizeResult::ToTable() const {
 ExpClientCachingResult RunExpClientCaching(const Workload& workload,
                                            double tp,
                                            const SweepOptions& options) {
-  spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
   spec::SpeculationConfig base = BaselineSpecConfig();
   base.policy.threshold = tp;
-  sim.Prewarm(base.dependency);
+  SpecRuns runs(workload, base.dependency);
 
   ExpClientCachingResult result;
   const ExpClientCachingResult::Row cases[] = {
@@ -916,7 +895,7 @@ ExpClientCachingResult RunExpClientCaching(const Workload& workload,
         config.cache.session_timeout = cases[index].session_timeout;
         config.cache.capacity_bytes = cases[index].capacity;
         ExpClientCachingResult::Row row = cases[index];
-        row.metrics = sim.Evaluate(config);
+        row.metrics = runs.Evaluate(config);
         return row;
       },
       &result.sweep);
@@ -941,9 +920,8 @@ Table ExpClientCachingResult::ToTable() const {
 
 ExpCooperativeResult RunExpCooperative(const Workload& workload,
                                        const SweepOptions& options) {
-  spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
   const spec::SpeculationConfig base = BaselineSpecConfig();
-  sim.Prewarm(base.dependency);
+  SpecRuns runs(workload, base.dependency);
 
   const double tps[] = {0.5, 0.25, 0.1};
   ExpCooperativeResult result;
@@ -956,7 +934,7 @@ ExpCooperativeResult RunExpCooperative(const Workload& workload,
         ExpCooperativeResult::Row row;
         row.cooperative = config.cooperative_clients;
         row.tp = config.policy.threshold;
-        row.metrics = sim.Evaluate(config);
+        row.metrics = runs.Evaluate(config);
         return row;
       },
       &result.sweep);
@@ -982,7 +960,6 @@ Table ExpCooperativeResult::ToTable() const {
 
 ExpPrefetchResult RunExpPrefetch(const Workload& workload, double tp,
                                  const SweepOptions& options) {
-  spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
   spec::SpeculationConfig base = BaselineSpecConfig();
   base.policy.threshold = tp;
   // Client-initiated prefetching is only meaningful against a cache that
@@ -990,7 +967,7 @@ ExpPrefetchResult RunExpPrefetch(const Workload& workload, double tp,
   // user's profile knows about is already cached. Use the single-session
   // cache of the paper's client-prefetch study.
   base.cache.session_timeout = kHour;
-  sim.Prewarm(base.dependency);
+  SpecRuns runs(workload, base.dependency);
 
   const spec::ServiceMode modes[] = {
       spec::ServiceMode::kSpeculativePush, spec::ServiceMode::kServerHints,
@@ -1003,7 +980,7 @@ ExpPrefetchResult RunExpPrefetch(const Workload& workload, double tp,
         config.mode = modes[index];
         ExpPrefetchResult::Row row;
         row.mode = modes[index];
-        row.metrics = sim.Evaluate(config);
+        row.metrics = runs.Evaluate(config);
         return row;
       },
       &result.sweep);

@@ -2,6 +2,7 @@
 #define SDS_CORE_EXPERIMENTS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/sweep.h"
@@ -20,15 +21,40 @@ namespace sds::core {
 spec::SpeculationConfig BaselineSpecConfig();
 
 /// \brief The prepared dissemination context of home server 0 at the
-/// default training split, in either workload mode. Prepare it once and
-/// share it across every push, pull or combined replay of the workload.
+/// default training split, from one pass over a clean cursor. Prepare it
+/// once and share it across every push, pull or combined replay of the
+/// workload.
 dissem::PreparedDissemination PrepareServer0(const Workload& workload);
 
 /// \brief One push replay over `prepared` (from PrepareServer0) with the
-/// workload's updates: the batch eval index, or a fresh clean cursor.
+/// workload's updates, reading a fresh clean cursor.
 dissem::DisseminationResult SimulateServer0(
     const Workload& workload, const dissem::PreparedDissemination& prepared,
     const dissem::DisseminationConfig& config, Rng* rng);
+
+/// \brief Speculation replays of a workload in either mode: the speculation
+/// twin of PrepareServer0/SimulateServer0. In batch mode one
+/// SpeculationSimulator over the clean trace serves every call, with
+/// `dependency` prewarmed and models shared by overlapping runs; when
+/// streaming, each call replays a fresh clean cursor. Run and Evaluate may
+/// be called concurrently (from SweepMap workers); results are
+/// bit-identical in both modes.
+class SpecRuns {
+ public:
+  SpecRuns(const Workload& workload, const spec::DependencyConfig& dependency);
+
+  /// One replay under `config` (see SpeculationSimulator::Run).
+  spec::RunTotals Run(const spec::SpeculationConfig& config,
+                      std::vector<spec::ServerEvent>* server_events = nullptr);
+
+  /// `config` and its mode-kNone twin, as the paper's four ratios.
+  spec::SpeculationMetrics Evaluate(const spec::SpeculationConfig& config);
+
+ private:
+  const Workload* workload_;
+  /// Batch mode only.
+  std::unique_ptr<spec::SpeculationSimulator> batch_;
+};
 
 // ---------------------------------------------------------------------------
 // Figure 1 — popularity of data blocks and bandwidth coverage

@@ -10,14 +10,22 @@ namespace sds::core {
 
 FidelityReport ComputeFidelityReport(const Workload& workload) {
   FidelityReport report;
-  const auto& trace = workload.clean();
-
-  report.accesses = trace.size();
-  report.days = trace.Span() / kDay;
+  report.accesses = workload.filter_stats().kept;
+  report.days = workload.clean_span() / kDay;
+  // Clients seen, and the remotely accessed documents of server 0.
   std::unordered_set<trace::ClientId> clients;
-  for (const auto& r : trace.requests) clients.insert(r.client);
+  std::unordered_set<trace::DocumentId> remote_docs;
+  const auto cursor = workload.NewCleanCursor();
+  trace::ForEachRequest(cursor.get(), [&](const trace::Request& r) {
+    clients.insert(r.client);
+    if (r.remote_client && r.server == 0 && r.doc != trace::kInvalidDocument) {
+      remote_docs.insert(r.doc);
+    }
+  });
   report.clients_seen = static_cast<uint32_t>(clients.size());
-  report.sessions = trace::CountSegments(trace, 30.0 * kMinute);
+  report.docs_remotely_accessed = static_cast<uint32_t>(remote_docs.size());
+  cursor->Rewind();
+  report.sessions = trace::CountSegments(cursor.get(), 30.0 * kMinute);
   report.requests_per_session =
       report.sessions == 0
           ? 0.0
@@ -33,15 +41,6 @@ FidelityReport ComputeFidelityReport(const Workload& workload) {
           ? 0.0
           : static_cast<double>(fig1.accessed_bytes) /
                 static_cast<double>(fig1.total_bytes);
-  // Remotely accessed documents of server 0.
-  std::unordered_set<trace::DocumentId> remote_docs;
-  for (const auto& r : trace.requests) {
-    if (r.remote_client && r.server == 0 &&
-        r.doc != trace::kInvalidDocument) {
-      remote_docs.insert(r.doc);
-    }
-  }
-  report.docs_remotely_accessed = static_cast<uint32_t>(remote_docs.size());
 
   const Tab1Result tab1 = RunTab1(workload);
   const double accessed = std::max(1u, tab1.accessed_docs);

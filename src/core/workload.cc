@@ -8,11 +8,6 @@
 
 namespace sds::core {
 
-const trace::LinkGraph& Workload::graph() const {
-  SDS_CHECK(!streaming_) << "graph() is unavailable in streaming mode";
-  return *graph_;
-}
-
 const trace::GeneratedTrace& Workload::generated() const {
   SDS_CHECK(!streaming_) << "generated() is unavailable in streaming mode";
   return *generated_;
@@ -39,6 +34,7 @@ std::unique_ptr<trace::RequestCursor> Workload::NewRawCursor() const {
 }
 
 std::unique_ptr<trace::RequestCursor> Workload::NewCleanCursor() const {
+  if (!streaming_) return std::make_unique<trace::VectorCursor>(clean_.get());
   return std::make_unique<trace::FilteringCursor>(NewRawCursor());
 }
 
@@ -64,12 +60,9 @@ Workload MakeWorkload(const WorkloadConfig& config) {
     // session count, clean span and the FilterTrace accounting.
     auto raw = w.NewRawCursor();
     auto* gen = static_cast<trace::GeneratorCursor*>(raw.get());
-    for (auto chunk = raw->NextChunk(); !chunk.empty();
-         chunk = raw->NextChunk()) {
-      for (trace::Request r : chunk) {
-        if (trace::CleanRequest(&r, &w.filter_stats_)) w.clean_span_ = r.time;
-      }
-    }
+    trace::ForEachRequest(raw.get(), [&](trace::Request r) {
+      if (trace::CleanRequest(&r, &w.filter_stats_)) w.clean_span_ = r.time;
+    });
     // The generated metadata without the trace itself.
     w.generated_ = std::make_unique<trace::GeneratedTrace>();
     w.generated_->updates = gen->updates();
@@ -78,10 +71,9 @@ Workload MakeWorkload(const WorkloadConfig& config) {
     w.num_clients_ = gen->num_clients();
     w.num_servers_ = gen->num_servers();
   } else {
-    w.graph_ = std::make_unique<trace::LinkGraph>(w.corpus_.get(),
-                                                  config.links, &graph_rng);
+    trace::LinkGraph graph(w.corpus_.get(), config.links, &graph_rng);
     w.generated_ = std::make_unique<trace::GeneratedTrace>(
-        GenerateTrace(config.tracegen, w.graph_.get(), &trace_rng));
+        GenerateTrace(config.tracegen, &graph, &trace_rng));
     w.clean_ = std::make_unique<trace::Trace>(
         FilterTrace(w.generated_->trace, &w.filter_stats_));
     w.clean_span_ = w.clean_->Span();

@@ -32,20 +32,19 @@ struct WorkloadConfig {
   bool streaming = false;
 };
 
-/// \brief A fully materialised workload. Components live on the heap so
-/// that internal cross-references (the link graph points at the corpus)
-/// survive moves of the Workload itself. The link graph is in its
-/// end-of-trace state (it drifts daily during generation).
+/// \brief A synthesized workload. Components live on the heap so that
+/// internal cross-references (cursors point at the corpus) survive moves of
+/// the Workload itself.
 ///
-/// In streaming mode (WorkloadConfig::streaming) the trace members are
-/// never built: generated(), clean() and graph() are unavailable, and the
-/// cursor factories plus the unified metadata accessors below are the only
-/// way at the request stream.
+/// Runners read the request stream only through the cursor factories and
+/// the metadata accessors below, which work in both trace modes; only
+/// SpecRuns picks a structure by mode. In streaming mode
+/// (WorkloadConfig::streaming) the trace members are never built and
+/// generated()/clean() abort; they remain for tests, examples and kernel
+/// timings that want the materialised trace itself.
 class Workload {
  public:
   const trace::Corpus& corpus() const { return *corpus_; }
-  /// End-of-trace link graph (batch mode only).
-  const trace::LinkGraph& graph() const;
   /// Raw generated trace (batch mode only).
   const trace::GeneratedTrace& generated() const;
   /// Preprocessed trace (FilterTrace applied): what analyses consume
@@ -81,14 +80,17 @@ class Workload {
   /// the identical RNG draw sequence. Cursors are independent: parallel
   /// sweep workers each create their own.
   std::unique_ptr<trace::RequestCursor> NewRawCursor() const;
-  /// Fresh cursor over the filtered (clean) stream.
+  /// Fresh cursor over the filtered (clean) stream: a VectorCursor over the
+  /// materialised clean trace in batch mode, a filtering generator cursor
+  /// when streaming.
   std::unique_ptr<trace::RequestCursor> NewCleanCursor() const;
 
  private:
   friend Workload MakeWorkload(const WorkloadConfig& config);
+  // Batch speculation runs share one simulator over clean_.
+  friend class SpecRuns;
 
   std::unique_ptr<trace::Corpus> corpus_;
-  std::unique_ptr<trace::LinkGraph> graph_;
   /// Both modes; its trace stays empty when streaming, so the generator
   /// metadata (updates, remote flags, sessions) is stored here once.
   std::unique_ptr<trace::GeneratedTrace> generated_;

@@ -28,15 +28,17 @@ const char* AllocationPolicyToString(AllocationPolicy policy) {
 }
 
 ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
-                                           const trace::Trace& trace,
+                                           trace::RequestCursor* cursor,
+                                           SimTime span,
                                            const ClusterSimConfig& config) {
   SDS_CHECK(config.train_fraction > 0.0 && config.train_fraction < 1.0);
   ClusterSimResult result;
-  const double split = trace.Span() * config.train_fraction;
+  const double split = span * config.train_fraction;
   const uint32_t n = corpus.num_servers();
 
   // --- Training: per-server popularity, λ and R. ---
-  const auto pops = AnalyzeAllServers(corpus, trace, 0.0, split);
+  cursor->Rewind();
+  const auto pops = AnalyzeAllServers(corpus, cursor, 0.0, split);
   std::vector<ServerDemand> demands(n);
   result.rates.resize(n);
   result.lambdas.resize(n);
@@ -110,11 +112,12 @@ ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
   // --- Evaluation: fraction of remote requests the proxy can serve. ---
   uint64_t requests = 0, hits = 0;
   uint64_t bytes = 0, hit_bytes = 0;
-  for (const auto& r : trace.requests) {
-    if (r.time < split || !r.remote_client) continue;
+  cursor->Rewind();
+  trace::ForEachRequest(cursor, [&](const trace::Request& r) {
+    if (r.time < split || !r.remote_client) return;
     if (r.kind != trace::RequestKind::kDocument &&
         r.kind != trace::RequestKind::kAlias) {
-      continue;
+      return;
     }
     ++requests;
     bytes += r.bytes;
@@ -122,7 +125,7 @@ ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
       ++hits;
       hit_bytes += r.bytes;
     }
-  }
+  });
   if (requests > 0) {
     result.hit_fraction =
         static_cast<double>(hits) / static_cast<double>(requests);
@@ -130,6 +133,13 @@ ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
         static_cast<double>(hit_bytes) / static_cast<double>(bytes);
   }
   return result;
+}
+
+ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
+                                           const trace::Trace& trace,
+                                           const ClusterSimConfig& config) {
+  trace::VectorCursor cursor(&trace);
+  return SimulateClusterAllocation(corpus, &cursor, trace.Span(), config);
 }
 
 }  // namespace sds::dissem

@@ -6,7 +6,9 @@
 
 #include "dissem/allocation.h"
 #include "trace/corpus.h"
+#include "trace/cursor.h"
 #include "trace/request.h"
+#include "util/sim_time.h"
 
 namespace sds::dissem {
 
@@ -68,7 +70,15 @@ struct ClusterSimResult {
 /// cluster: fit per-server demand on the training window, divide the
 /// proxy's storage per `policy`, disseminate each server's most popular
 /// documents into its share, then measure the fraction of evaluation-
-/// window remote requests the proxy can serve.
+/// window remote requests the proxy can serve. `span` is the time of the
+/// stream's last request; the cursor is rewound and read twice (training,
+/// then evaluation).
+ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
+                                           trace::RequestCursor* cursor,
+                                           SimTime span,
+                                           const ClusterSimConfig& config);
+
+/// \brief SimulateClusterAllocation over a trace's requests.
 ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
                                            const trace::Trace& trace,
                                            const ClusterSimConfig& config);

@@ -107,23 +107,47 @@ ServerPopularity ServerPopularityBuilder::Finish() {
 }
 
 ServerPopularity AnalyzeServer(const trace::Corpus& corpus,
-                               const trace::Trace& trace,
+                               trace::RequestCursor* cursor,
                                trace::ServerId server, double t_begin,
                                double t_end) {
   ServerPopularityBuilder builder(corpus, server, t_begin, t_end);
-  for (const auto& r : trace.requests) builder.OnRequest(r);
+  trace::ForEachRequest(
+      cursor, [&](const trace::Request& r) { builder.OnRequest(r); });
   return builder.Finish();
+}
+
+ServerPopularity AnalyzeServer(const trace::Corpus& corpus,
+                               const trace::Trace& trace,
+                               trace::ServerId server, double t_begin,
+                               double t_end) {
+  trace::VectorCursor cursor(&trace);
+  return AnalyzeServer(corpus, &cursor, server, t_begin, t_end);
+}
+
+std::vector<ServerPopularity> AnalyzeAllServers(const trace::Corpus& corpus,
+                                                trace::RequestCursor* cursor,
+                                                double t_begin, double t_end) {
+  std::vector<ServerPopularityBuilder> builders;
+  builders.reserve(corpus.num_servers());
+  for (trace::ServerId s = 0; s < corpus.num_servers(); ++s) {
+    builders.emplace_back(corpus, s, t_begin, t_end);
+  }
+  // A builder ignores other servers' requests, so each request goes to
+  // its own server's builder only.
+  trace::ForEachRequest(cursor, [&](const trace::Request& r) {
+    if (r.server < builders.size()) builders[r.server].OnRequest(r);
+  });
+  std::vector<ServerPopularity> result;
+  result.reserve(builders.size());
+  for (auto& builder : builders) result.push_back(builder.Finish());
+  return result;
 }
 
 std::vector<ServerPopularity> AnalyzeAllServers(const trace::Corpus& corpus,
                                                 const trace::Trace& trace,
                                                 double t_begin, double t_end) {
-  std::vector<ServerPopularity> result;
-  result.reserve(corpus.num_servers());
-  for (trace::ServerId s = 0; s < corpus.num_servers(); ++s) {
-    result.push_back(AnalyzeServer(corpus, trace, s, t_begin, t_end));
-  }
-  return result;
+  trace::VectorCursor cursor(&trace);
+  return AnalyzeAllServers(corpus, &cursor, t_begin, t_end);
 }
 
 BlockPopularity ComputeBlockPopularity(const ServerPopularity& pop,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "trace/corpus.h"
+#include "trace/cursor.h"
 #include "trace/request.h"
 
 namespace sds::dissem {
@@ -80,14 +81,28 @@ class ServerPopularityBuilder {
   ServerPopularity pop_;
 };
 
-/// \brief Analyzes remote/local accesses of one server over a trace
-/// restricted to [t_begin, t_end) (pass 0, +inf for the whole trace).
+/// \brief Analyzes remote/local accesses of one server over the rest of
+/// the cursor's stream, restricted to [t_begin, t_end) (pass 0, +inf for
+/// the whole stream).
+ServerPopularity AnalyzeServer(const trace::Corpus& corpus,
+                               trace::RequestCursor* cursor,
+                               trace::ServerId server, double t_begin = 0.0,
+                               double t_end = 1e300);
+
+/// \brief AnalyzeServer over a trace's requests.
 ServerPopularity AnalyzeServer(const trace::Corpus& corpus,
                                const trace::Trace& trace,
                                trace::ServerId server, double t_begin = 0.0,
                                double t_end = 1e300);
 
-/// \brief Analyzes every server of the corpus.
+/// \brief Analyzes every server of the corpus in one pass over the rest of
+/// the cursor's stream.
+std::vector<ServerPopularity> AnalyzeAllServers(const trace::Corpus& corpus,
+                                                trace::RequestCursor* cursor,
+                                                double t_begin = 0.0,
+                                                double t_end = 1e300);
+
+/// \brief AnalyzeAllServers over a trace's requests.
 std::vector<ServerPopularity> AnalyzeAllServers(const trace::Corpus& corpus,
                                                 const trace::Trace& trace,
                                                 double t_begin = 0.0,

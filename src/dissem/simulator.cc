@@ -145,16 +145,6 @@ void SampleIndices(size_t pool_size, uint32_t d, Rng* rng,
   idx->resize(d);
 }
 
-/// True when a request belongs to the prepared evaluation window: the
-/// filter behind eval_index, applied per record on the streaming path.
-bool IsEvalRequest(const PreparedDissemination& prepared,
-                   const trace::Request& r) {
-  if (r.time < prepared.split) return false;
-  if (r.server != prepared.server || !r.remote_client) return false;
-  return r.kind != trace::RequestKind::kNotFound &&
-         r.kind != trace::RequestKind::kScript;
-}
-
 }  // namespace
 
 DisseminationPreparer::DisseminationPreparer(const trace::Corpus& corpus,
@@ -262,10 +252,8 @@ PreparedDissemination PrepareDisseminationStream(
   cursor->Rewind();
   DisseminationPreparer preparer(corpus, topology, server, train_fraction,
                                  span);
-  for (auto chunk = cursor->NextChunk(); !chunk.empty();
-       chunk = cursor->NextChunk()) {
-    for (const auto& r : chunk) preparer.OnRequest(r);
-  }
+  trace::ForEachRequest(
+      cursor, [&](const trace::Request& r) { preparer.OnRequest(r); });
   return preparer.Finish();
 }
 
@@ -340,7 +328,12 @@ net::PlacementResult PlaceProxies(const PreparedDissemination& prepared,
 bool ToEvalRecord(const PreparedDissemination& prepared,
                   const trace::Request& r,
                   DisseminationReplay::EvalRecord* record) {
-  if (!IsEvalRequest(prepared, r)) return false;
+  if (r.time < prepared.split) return false;
+  if (r.server != prepared.server || !r.remote_client) return false;
+  if (r.kind == trace::RequestKind::kNotFound ||
+      r.kind == trace::RequestKind::kScript) {
+    return false;
+  }
   *record = {r.time,
              r.client,
              r.doc,
@@ -1089,21 +1082,10 @@ DisseminationResult SimulateDisseminationStream(
     const PreparedDissemination& prepared, const DisseminationConfig& config,
     Rng* rng, const std::vector<trace::UpdateEvent>* updates,
     trace::RequestCursor* cursor) {
-  cursor->Rewind();
   DisseminationReplay replay(prepared, config, rng, updates);
   size_t k = 0;
-  for (auto chunk = cursor->NextChunk(); !chunk.empty();
-       chunk = cursor->NextChunk()) {
-    for (const auto& r : chunk) {
-      if (!IsEvalRequest(prepared, r)) continue;
-      const uint32_t node =
-          prepared.node_index.at(prepared.topology->client_node(r.client));
-      replay.OnRequest(
-          k++, DisseminationReplay::EvalRecord{
-                   r.time, r.client, r.doc, r.bytes, node,
-                   static_cast<uint32_t>(DayOfTime(r.time))});
-    }
-  }
+  ForEachEvalRecord(prepared, cursor,
+                    [&](const auto& record) { replay.OnRequest(k++, record); });
   return replay.Finish();
 }
 

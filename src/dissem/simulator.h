@@ -438,12 +438,9 @@ void ForEachEvalRecord(const PreparedDissemination& prepared,
                        trace::RequestCursor* cursor, Fn&& fn) {
   cursor->Rewind();
   DisseminationReplay::EvalRecord record;
-  for (auto chunk = cursor->NextChunk(); !chunk.empty();
-       chunk = cursor->NextChunk()) {
-    for (const trace::Request& r : chunk) {
-      if (ToEvalRecord(prepared, r, &record)) fn(record);
-    }
-  }
+  trace::ForEachRequest(cursor, [&](const trace::Request& r) {
+    if (ToEvalRecord(prepared, r, &record)) fn(record);
+  });
 }
 
 /// \brief One-pass streaming simulation: rewinds the cursor and replays

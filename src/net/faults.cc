@@ -207,37 +207,48 @@ FaultSchedule GenerateFaultSchedule(const Topology& topology,
   return schedule;
 }
 
-uint32_t AddLoadBrownouts(const trace::Trace& trace, trace::ServerId server,
-                          const BrownoutConfig& config,
-                          FaultSchedule* schedule) {
-  SDS_CHECK(schedule != nullptr);
-  std::vector<uint64_t> day_requests;
-  std::vector<double> day_bytes;
-  for (const auto& r : trace.requests) {
-    if (r.server != server) continue;
+DailyLoad CountDailyLoad(trace::RequestCursor* cursor, trace::ServerId server) {
+  DailyLoad load;
+  load.server = server;
+  trace::ForEachRequest(cursor, [&](const trace::Request& r) {
+    if (r.server != server) return;
     if (r.kind != trace::RequestKind::kDocument &&
         r.kind != trace::RequestKind::kAlias) {
-      continue;
+      return;
     }
     const size_t day = static_cast<size_t>(DayOfTime(r.time));
-    if (day >= day_requests.size()) {
-      day_requests.resize(day + 1, 0);
-      day_bytes.resize(day + 1, 0.0);
+    if (day >= load.requests.size()) {
+      load.requests.resize(day + 1, 0);
+      load.bytes.resize(day + 1, 0.0);
     }
-    ++day_requests[day];
-    day_bytes[day] += static_cast<double>(r.bytes);
-  }
+    ++load.requests[day];
+    load.bytes[day] += static_cast<double>(r.bytes);
+  });
+  return load;
+}
+
+uint32_t AddLoadBrownouts(const DailyLoad& load, const BrownoutConfig& config,
+                          FaultSchedule* schedule) {
+  SDS_CHECK(schedule != nullptr);
   uint32_t tripped = 0;
-  for (size_t day = 0; day < day_requests.size(); ++day) {
+  for (size_t day = 0; day < load.requests.size(); ++day) {
     const double busy_s =
-        static_cast<double>(day_requests[day]) * config.service_overhead_s +
-        day_bytes[day] / config.service_rate_bytes_per_s;
+        static_cast<double>(load.requests[day]) * config.service_overhead_s +
+        load.bytes[day] / config.service_rate_bytes_per_s;
     if (busy_s / kDay <= config.utilization_threshold) continue;
     const double start = static_cast<double>(day) * kDay;
-    schedule->Add({FaultKind::kServerBrownout, server, start, start + kDay});
+    schedule->Add(
+        {FaultKind::kServerBrownout, load.server, start, start + kDay});
     ++tripped;
   }
   return tripped;
+}
+
+uint32_t AddLoadBrownouts(const trace::Trace& trace, trace::ServerId server,
+                          const BrownoutConfig& config,
+                          FaultSchedule* schedule) {
+  trace::VectorCursor cursor(&trace);
+  return AddLoadBrownouts(CountDailyLoad(&cursor, server), config, schedule);
 }
 
 Status RetryPolicy::Validate() const {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/topology.h"
+#include "trace/cursor.h"
 #include "trace/request.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -135,9 +136,24 @@ struct BrownoutConfig {
   double utilization_threshold = 0.75;
 };
 
-/// \brief Appends one brownout event per overloaded day of `server` in
-/// `trace` (kDocument/kAlias records only) and returns how many days
-/// tripped. Deterministic: no randomness involved.
+/// \brief The offered demand of one server per day: request count and
+/// bytes of its kDocument/kAlias records, indexed by day.
+struct DailyLoad {
+  trace::ServerId server = 0;
+  std::vector<uint64_t> requests;
+  std::vector<double> bytes;
+};
+
+/// \brief Bins the rest of the cursor's stream into `server`'s DailyLoad.
+DailyLoad CountDailyLoad(trace::RequestCursor* cursor, trace::ServerId server);
+
+/// \brief Appends one brownout event per day of `load` whose utilization
+/// exceeds the threshold and returns how many days tripped. Deterministic:
+/// no randomness involved.
+uint32_t AddLoadBrownouts(const DailyLoad& load, const BrownoutConfig& config,
+                          FaultSchedule* schedule);
+
+/// \brief AddLoadBrownouts over the daily load of `server` in `trace`.
 uint32_t AddLoadBrownouts(const trace::Trace& trace, trace::ServerId server,
                           const BrownoutConfig& config,
                           FaultSchedule* schedule);

@@ -226,6 +226,16 @@ class FilteringCursor : public RequestCursor {
   std::vector<Request> chunk_;
 };
 
+/// \brief Calls `fn(request)` for each request of the rest of the cursor's
+/// stream, in stream order: the one-pass loop of the cursor analyses.
+template <typename Fn>
+void ForEachRequest(RequestCursor* cursor, Fn&& fn) {
+  for (auto chunk = cursor->NextChunk(); !chunk.empty();
+       chunk = cursor->NextChunk()) {
+    for (const Request& r : chunk) fn(r);
+  }
+}
+
 /// \brief Drains a cursor into a materialized Trace (num_clients /
 /// num_servers from the exhausted cursor). Callers should check
 /// `cursor->status()` afterwards when the backend can fail.

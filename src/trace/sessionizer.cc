@@ -9,14 +9,11 @@ uint64_t CountSegments(RequestCursor* cursor, SimTime timeout) {
   // for every timeout.
   std::vector<SimTime> last(cursor->num_clients(), -kInfiniteTime);
   uint64_t total = 0;
-  for (auto chunk = cursor->NextChunk(); !chunk.empty();
-       chunk = cursor->NextChunk()) {
-    for (const Request& r : chunk) {
-      if (r.client >= last.size()) last.resize(r.client + 1, -kInfiniteTime);
-      if (!(r.time - last[r.client] < timeout)) ++total;
-      last[r.client] = r.time;
-    }
-  }
+  ForEachRequest(cursor, [&](const Request& r) {
+    if (r.client >= last.size()) last.resize(r.client + 1, -kInfiniteTime);
+    if (!(r.time - last[r.client] < timeout)) ++total;
+    last[r.client] = r.time;
+  });
   return total;
 }
 

@@ -13,46 +13,66 @@
 namespace sds::core {
 namespace {
 
+/// Every shape test runs on both trace sources of SmallConfig: the
+/// materialised trace and the on-the-fly generated one.
 class ExperimentsTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    workload_ = new Workload(MakeWorkload(SmallConfig()));
+    for (const bool streaming : {false, true}) {
+      WorkloadConfig config = SmallConfig();
+      config.streaming = streaming;
+      workloads_[streaming] = new Workload(MakeWorkload(config));
+    }
   }
   static void TearDownTestSuite() {
-    delete workload_;
-    workload_ = nullptr;
+    for (Workload*& workload : workloads_) {
+      delete workload;
+      workload = nullptr;
+    }
   }
-  static Workload* workload_;
+  /// Runs `body` on the batch workload, then on the streaming one.
+  template <typename Body>
+  static void ForEachMode(Body&& body) {
+    for (const bool streaming : {false, true}) {
+      SCOPED_TRACE(streaming ? "streaming" : "batch");
+      body(*workloads_[streaming]);
+    }
+  }
+  static Workload* workloads_[2];
 };
 
-Workload* ExperimentsTest::workload_ = nullptr;
+Workload* ExperimentsTest::workloads_[2] = {nullptr, nullptr};
 
 TEST_F(ExperimentsTest, Fig1PopularityIsSkewed) {
-  const Fig1Result result = RunFig1(*workload_);
-  ASSERT_FALSE(result.cumulative_requests.empty());
-  // Strong concentration: top 10% of bytes covers over half the requests,
-  // and the cumulative curve is monotone ending at ~1.
-  EXPECT_GT(result.top_ten_percent_coverage, 0.5);
-  EXPECT_GT(result.top_ten_percent_coverage,
-            result.top_half_percent_coverage);
-  for (size_t i = 1; i < result.cumulative_requests.size(); ++i) {
-    EXPECT_GE(result.cumulative_requests[i],
-              result.cumulative_requests[i - 1] - 1e-9);
-  }
-  EXPECT_NEAR(result.cumulative_requests.back(), 1.0, 1e-6);
-  EXPECT_LT(result.accessed_docs, result.total_docs);
-  EXPECT_EQ(result.ToTable().num_columns(), 4u);
+  ForEachMode([](const Workload& workload) {
+    const Fig1Result result = RunFig1(workload);
+    ASSERT_FALSE(result.cumulative_requests.empty());
+    // Strong concentration: top 10% of bytes covers over half the requests,
+    // and the cumulative curve is monotone ending at ~1.
+    EXPECT_GT(result.top_ten_percent_coverage, 0.5);
+    EXPECT_GT(result.top_ten_percent_coverage,
+              result.top_half_percent_coverage);
+    for (size_t i = 1; i < result.cumulative_requests.size(); ++i) {
+      EXPECT_GE(result.cumulative_requests[i],
+                result.cumulative_requests[i - 1] - 1e-9);
+    }
+    EXPECT_NEAR(result.cumulative_requests.back(), 1.0, 1e-6);
+    EXPECT_LT(result.accessed_docs, result.total_docs);
+    EXPECT_EQ(result.ToTable().num_columns(), 4u);
+  });
 }
 
 TEST_F(ExperimentsTest, Tab1ClassesMatchPaperShape) {
-  const Tab1Result result = RunTab1(*workload_);
-  const auto& c = result.classification;
-  // Paper: locally popular is the largest class; remotely popular the
-  // smallest of the three; locals update most.
-  EXPECT_GT(c.locally_popular, c.remotely_popular);
-  EXPECT_GT(c.globally_popular, 0u);
-  EXPECT_GT(result.local_mean_update_rate, result.remote_mean_update_rate);
-  EXPECT_EQ(result.ToTable().num_rows(), 4u);
+  ForEachMode([](const Workload& workload) {
+    const Tab1Result result = RunTab1(workload);
+    const auto& c = result.classification;
+    // Paper: locally popular is the largest class; remotely popular the
+    // smallest of the three; locals update most.
+    EXPECT_GT(c.locally_popular, c.remotely_popular);
+    EXPECT_GT(c.globally_popular, 0u);
+    EXPECT_GT(result.local_mean_update_rate, result.remote_mean_update_rate);
+    EXPECT_EQ(result.ToTable().num_rows(), 4u);
+  });
 }
 
 TEST(ExperimentsMathTest, Fig2AllocationShape) {
@@ -98,88 +118,99 @@ TEST(ExperimentsMathTest, Tab2WorkedNumbers) {
 }
 
 TEST_F(ExperimentsTest, Fig3SavingsGrowAndSaturate) {
-  const Fig3Result result = RunFig3(*workload_, /*max_proxies=*/8);
-  ASSERT_EQ(result.num_proxies.size(), 8u);
-  // More proxies never hurt (within noise), 10% curve dominates 4% curve.
-  EXPECT_GT(result.saved_top10.back(), result.saved_top10.front() - 0.02);
-  for (size_t i = 0; i < result.num_proxies.size(); ++i) {
-    EXPECT_GE(result.saved_top10[i], result.saved_top4[i] - 0.03) << i;
-    EXPECT_GE(result.saved_top10[i], 0.0);
-    EXPECT_LE(result.saved_top10[i], 1.0);
-  }
-  // Saturation: the marginal gain of the last proxy is smaller than that
-  // of the first.
-  const double first_gain = result.saved_top10[0];
-  const double last_gain =
-      result.saved_top10.back() - result.saved_top10[result.num_proxies.size() - 2];
-  EXPECT_GT(first_gain, last_gain);
-  // Storage grows linearly with proxies.
-  EXPECT_NEAR(result.storage_top10.back() / result.storage_top10.front(),
-              8.0, 0.5);
+  ForEachMode([](const Workload& workload) {
+    const Fig3Result result = RunFig3(workload, /*max_proxies=*/8);
+    ASSERT_EQ(result.num_proxies.size(), 8u);
+    // More proxies never hurt (within noise), 10% curve dominates 4% curve.
+    EXPECT_GT(result.saved_top10.back(), result.saved_top10.front() - 0.02);
+    for (size_t i = 0; i < result.num_proxies.size(); ++i) {
+      EXPECT_GE(result.saved_top10[i], result.saved_top4[i] - 0.03) << i;
+      EXPECT_GE(result.saved_top10[i], 0.0);
+      EXPECT_LE(result.saved_top10[i], 1.0);
+    }
+    // Saturation: the marginal gain of the last proxy is smaller than that
+    // of the first.
+    const double first_gain = result.saved_top10[0];
+    const double last_gain =
+        result.saved_top10.back() -
+        result.saved_top10[result.num_proxies.size() - 2];
+    EXPECT_GT(first_gain, last_gain);
+    // Storage grows linearly with proxies.
+    EXPECT_NEAR(result.storage_top10.back() / result.storage_top10.front(),
+                8.0, 0.5);
+  });
 }
 
 TEST_F(ExperimentsTest, Fig4HistogramHasEmbeddingPeakAndInversePeaks) {
-  const Fig4Result result = RunFig4(*workload_, 5.0, 40, 14);
-  EXPECT_GT(result.total_pairs, 100u);
-  ASSERT_FALSE(result.peak_centers.empty());
-  // The rightmost peak must be near p = 1 (embedding dependencies).
-  EXPECT_GT(result.peak_centers.back(), 0.8);
-  // And there must be at least one peak below 0.6 (traversal, ~1/k).
-  EXPECT_LT(result.peak_centers.front(), 0.6);
+  ForEachMode([](const Workload& workload) {
+    const Fig4Result result = RunFig4(workload, 5.0, 40, 14);
+    EXPECT_GT(result.total_pairs, 100u);
+    ASSERT_FALSE(result.peak_centers.empty());
+    // The rightmost peak must be near p = 1 (embedding dependencies).
+    EXPECT_GT(result.peak_centers.back(), 0.8);
+    // And there must be at least one peak below 0.6 (traversal, ~1/k).
+    EXPECT_LT(result.peak_centers.front(), 0.6);
+  });
 }
 
 TEST_F(ExperimentsTest, Fig5And6ShapesMatchPaper) {
-  const Fig5Result result =
-      RunFig5(*workload_, {1.0, 0.8, 0.5, 0.3, 0.15});
-  ASSERT_EQ(result.points.size(), 5u);
-  // Traffic grows monotonically as Tp drops.
-  for (size_t i = 1; i < result.points.size(); ++i) {
-    EXPECT_GE(result.points[i].metrics.bandwidth_ratio,
-              result.points[i - 1].metrics.bandwidth_ratio - 1e-6);
-    // All reductions stay in [0, 1].
-    EXPECT_LE(result.points[i].metrics.server_load_ratio, 1.0 + 1e-6);
-    EXPECT_GT(result.points[i].metrics.server_load_ratio, 0.0);
-  }
-  // Embedding-only speculation (Tp = 1) is nearly free.
-  EXPECT_LT(result.points[0].metrics.extra_traffic, 0.05);
-  // Aggressive speculation cuts load by a large factor.
-  EXPECT_LT(result.points.back().metrics.server_load_ratio, 0.8);
-  // Diminishing returns: load reduction per unit extra traffic shrinks.
-  const auto& mid = result.points[2].metrics;
-  const auto& end = result.points.back().metrics;
-  const double mid_eff =
-      (1.0 - mid.server_load_ratio) / std::max(0.01, mid.extra_traffic);
-  const double end_eff =
-      (1.0 - end.server_load_ratio) / std::max(0.01, end.extra_traffic);
-  EXPECT_GT(mid_eff, end_eff);
-  EXPECT_EQ(result.ToTable().num_rows(), 5u);
-  EXPECT_EQ(result.ToFig6Table().num_rows(), 5u);
+  ForEachMode([](const Workload& workload) {
+    const Fig5Result result =
+        RunFig5(workload, {1.0, 0.8, 0.5, 0.3, 0.15});
+    ASSERT_EQ(result.points.size(), 5u);
+    // Traffic grows monotonically as Tp drops.
+    for (size_t i = 1; i < result.points.size(); ++i) {
+      EXPECT_GE(result.points[i].metrics.bandwidth_ratio,
+                result.points[i - 1].metrics.bandwidth_ratio - 1e-6);
+      // All reductions stay in [0, 1].
+      EXPECT_LE(result.points[i].metrics.server_load_ratio, 1.0 + 1e-6);
+      EXPECT_GT(result.points[i].metrics.server_load_ratio, 0.0);
+    }
+    // Embedding-only speculation (Tp = 1) is nearly free.
+    EXPECT_LT(result.points[0].metrics.extra_traffic, 0.05);
+    // Aggressive speculation cuts load by a large factor.
+    EXPECT_LT(result.points.back().metrics.server_load_ratio, 0.8);
+    // Diminishing returns: load reduction per unit extra traffic shrinks.
+    const auto& mid = result.points[2].metrics;
+    const auto& end = result.points.back().metrics;
+    const double mid_eff =
+        (1.0 - mid.server_load_ratio) / std::max(0.01, mid.extra_traffic);
+    const double end_eff =
+        (1.0 - end.server_load_ratio) / std::max(0.01, end.extra_traffic);
+    EXPECT_GT(mid_eff, end_eff);
+    EXPECT_EQ(result.ToTable().num_rows(), 5u);
+    EXPECT_EQ(result.ToFig6Table().num_rows(), 5u);
+  });
 }
 
 TEST_F(ExperimentsTest, ExpMaxSizeHasInteriorSweetSpot) {
-  const ExpMaxSizeResult result = RunExpMaxSize(*workload_, 0.2);
-  ASSERT_GE(result.rows.size(), 4u);
-  // Traffic grows with MaxSize; unlimited uses the most.
-  EXPECT_LT(result.rows.front().metrics.bandwidth_ratio,
-            result.rows.back().metrics.bandwidth_ratio + 1e-6);
-  // Small MaxSize keeps most of the load reduction at a fraction of the
-  // traffic (the paper's "speculation pays off for small documents").
-  const auto& small = result.rows[3].metrics;   // 15 KB
-  const auto& unlimited = result.rows.back().metrics;
-  EXPECT_LT(small.extra_traffic, unlimited.extra_traffic);
-  EXPECT_LT(small.server_load_ratio, 1.0);
+  ForEachMode([](const Workload& workload) {
+    const ExpMaxSizeResult result = RunExpMaxSize(workload, 0.2);
+    ASSERT_GE(result.rows.size(), 4u);
+    // Traffic grows with MaxSize; unlimited uses the most.
+    EXPECT_LT(result.rows.front().metrics.bandwidth_ratio,
+              result.rows.back().metrics.bandwidth_ratio + 1e-6);
+    // Small MaxSize keeps most of the load reduction at a fraction of the
+    // traffic (the paper's "speculation pays off for small documents").
+    const auto& small = result.rows[3].metrics;   // 15 KB
+    const auto& unlimited = result.rows.back().metrics;
+    EXPECT_LT(small.extra_traffic, unlimited.extra_traffic);
+    EXPECT_LT(small.server_load_ratio, 1.0);
+  });
 }
 
 TEST_F(ExperimentsTest, ExpClientCachingShapes) {
-  const ExpClientCachingResult result = RunExpClientCaching(*workload_, 0.25);
-  ASSERT_EQ(result.rows.size(), 4u);
-  // Without any cache, pushed documents cannot be retained, so speculation
-  // is neutral (ratio ~1). Under every *caching* model gains exist.
-  EXPECT_NEAR(result.rows[0].metrics.server_load_ratio, 1.0, 0.01);
-  for (size_t i = 1; i < result.rows.size(); ++i) {
-    EXPECT_LT(result.rows[i].metrics.server_load_ratio, 1.0)
-        << result.rows[i].label;
-  }
+  ForEachMode([](const Workload& workload) {
+    const ExpClientCachingResult result = RunExpClientCaching(workload, 0.25);
+    ASSERT_EQ(result.rows.size(), 4u);
+    // Without any cache, pushed documents cannot be retained, so speculation
+    // is neutral (ratio ~1). Under every *caching* model gains exist.
+    EXPECT_NEAR(result.rows[0].metrics.server_load_ratio, 1.0, 0.01);
+    for (size_t i = 1; i < result.rows.size(); ++i) {
+      EXPECT_LT(result.rows[i].metrics.server_load_ratio, 1.0)
+          << result.rows[i].label;
+    }
+  });
 }
 
 /// Every field of a SpeculationMetrics in declaration order: the four
@@ -253,54 +284,62 @@ const std::vector<double> kClientCachingPins[] = {
 };
 
 TEST_F(ExperimentsTest, ExpClientCachingMatchesPins) {
-  const ExpClientCachingResult result = RunExpClientCaching(*workload_, 0.25);
-  ASSERT_EQ(result.rows.size(), std::size(kClientCachingPins));
-  for (size_t i = 0; i < result.rows.size(); ++i) {
-    SCOPED_TRACE(result.rows[i].label);
-    const std::vector<double> fields = MetricsFields(result.rows[i].metrics);
-    ASSERT_EQ(fields.size(), kClientCachingPins[i].size());
-    for (size_t f = 0; f < fields.size(); ++f) {
-      EXPECT_EQ(fields[f], kClientCachingPins[i][f]) << "field " << f;
+  ForEachMode([](const Workload& workload) {
+    const ExpClientCachingResult result = RunExpClientCaching(workload, 0.25);
+    ASSERT_EQ(result.rows.size(), std::size(kClientCachingPins));
+    for (size_t i = 0; i < result.rows.size(); ++i) {
+      SCOPED_TRACE(result.rows[i].label);
+      const std::vector<double> fields = MetricsFields(result.rows[i].metrics);
+      ASSERT_EQ(fields.size(), kClientCachingPins[i].size());
+      for (size_t f = 0; f < fields.size(); ++f) {
+        EXPECT_EQ(fields[f], kClientCachingPins[i][f]) << "field " << f;
+      }
     }
-  }
+  });
 }
 
 TEST_F(ExperimentsTest, ExpCooperativeSavesBandwidth) {
-  const ExpCooperativeResult result = RunExpCooperative(*workload_);
-  ASSERT_EQ(result.rows.size(), 6u);
-  for (size_t i = 0; i + 1 < result.rows.size(); i += 2) {
-    const auto& blind = result.rows[i];
-    const auto& coop = result.rows[i + 1];
-    ASSERT_FALSE(blind.cooperative);
-    ASSERT_TRUE(coop.cooperative);
-    EXPECT_LE(coop.metrics.bandwidth_ratio,
-              blind.metrics.bandwidth_ratio + 1e-6);
-  }
+  ForEachMode([](const Workload& workload) {
+    const ExpCooperativeResult result = RunExpCooperative(workload);
+    ASSERT_EQ(result.rows.size(), 6u);
+    for (size_t i = 0; i + 1 < result.rows.size(); i += 2) {
+      const auto& blind = result.rows[i];
+      const auto& coop = result.rows[i + 1];
+      ASSERT_FALSE(blind.cooperative);
+      ASSERT_TRUE(coop.cooperative);
+      EXPECT_LE(coop.metrics.bandwidth_ratio,
+                blind.metrics.bandwidth_ratio + 1e-6);
+    }
+  });
 }
 
 TEST_F(ExperimentsTest, ExpPrefetchModesAllHelp) {
-  const ExpPrefetchResult result = RunExpPrefetch(*workload_, 0.25);
-  ASSERT_EQ(result.rows.size(), 4u);
-  for (const auto& row : result.rows) {
-    EXPECT_LT(row.metrics.miss_rate_ratio, 1.0);
-  }
-  // Server push covers newly traversed documents, so it beats pure
-  // client-side prefetching on miss rate; server hints match push on miss
-  // rate (same candidates reach the cache) without duplicate bytes.
-  EXPECT_LT(result.rows[0].metrics.miss_rate_ratio,
-            result.rows[2].metrics.miss_rate_ratio);
-  EXPECT_NEAR(result.rows[1].metrics.miss_rate_ratio,
-              result.rows[0].metrics.miss_rate_ratio, 0.1);
-  EXPECT_LE(result.rows[1].metrics.bandwidth_ratio,
-            result.rows[0].metrics.bandwidth_ratio + 1e-6);
+  ForEachMode([](const Workload& workload) {
+    const ExpPrefetchResult result = RunExpPrefetch(workload, 0.25);
+    ASSERT_EQ(result.rows.size(), 4u);
+    for (const auto& row : result.rows) {
+      EXPECT_LT(row.metrics.miss_rate_ratio, 1.0);
+    }
+    // Server push covers newly traversed documents, so it beats pure
+    // client-side prefetching on miss rate; server hints match push on miss
+    // rate (same candidates reach the cache) without duplicate bytes.
+    EXPECT_LT(result.rows[0].metrics.miss_rate_ratio,
+              result.rows[2].metrics.miss_rate_ratio);
+    EXPECT_NEAR(result.rows[1].metrics.miss_rate_ratio,
+                result.rows[0].metrics.miss_rate_ratio, 0.1);
+    EXPECT_LE(result.rows[1].metrics.bandwidth_ratio,
+              result.rows[0].metrics.bandwidth_ratio + 1e-6);
+  });
 }
 
 TEST_F(ExperimentsTest, ExpUpdateCycleStaleModelsDegrade) {
-  const ExpUpdateCycleResult result = RunExpUpdateCycle(*workload_, 0.25);
-  ASSERT_GE(result.rows.size(), 3u);
-  // D = 1 is the reference; the D = 60 row (never re-estimated within a
-  // 14-day trace) must not be better than D = 1.
-  EXPECT_GE(result.MeanDegradation(2), -0.02);
+  ForEachMode([](const Workload& workload) {
+    const ExpUpdateCycleResult result = RunExpUpdateCycle(workload, 0.25);
+    ASSERT_GE(result.rows.size(), 3u);
+    // D = 1 is the reference; the D = 60 row (never re-estimated within a
+    // 14-day trace) must not be better than D = 1.
+    EXPECT_GE(result.MeanDegradation(2), -0.02);
+  });
 }
 
 }  // namespace
