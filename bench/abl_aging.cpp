@@ -26,6 +26,10 @@ int main(int argc, char** argv) {
   bench::PrintWorkloadSummary(workload);
 
   core::SpecRuns runs(workload, core::BaselineSpecConfig().dependency);
+  // The cases vary only the estimator, whose model the mode-kNone
+  // baseline never builds.
+  const spec::RunTotals baseline =
+      runs.RunBaseline(core::BaselineSpecConfig());
 
   using EstimatorKind = spec::SpeculationConfig::EstimatorKind;
   struct Case {
@@ -55,7 +59,7 @@ int main(int argc, char** argv) {
         config.estimator = cases[index].estimator;
         config.history_days = cases[index].history_days;
         config.decay_per_day = cases[index].decay_per_day;
-        return runs.Evaluate(config);
+        return spec::ComputeMetrics(runs.Run(config), baseline);
       },
       &stats);
 

@@ -22,6 +22,11 @@ int main(int argc, char** argv) {
   bench::PrintHeader("abl_allocation",
                      "ablation: cluster storage allocation policies");
   core::WorkloadConfig workload_config = core::ClusterConfig(/*num_servers=*/8);
+  if (bench_args.smoke) {
+    // The same cluster with a quarter of the clients over a week.
+    workload_config.tracegen.num_clients = 200;
+    workload_config.tracegen.days = 7;
+  }
   workload_config.streaming = bench_args.stream;
   const core::Workload workload = core::MakeWorkload(workload_config);
   std::printf("cluster: 8 servers, %zu docs (%s), %llu accesses\n\n",
@@ -29,6 +34,11 @@ int main(int argc, char** argv) {
               FormatBytes(static_cast<double>(workload.corpus().TotalBytes()))
                   .c_str(),
               static_cast<unsigned long long>(workload.filter_stats().kept));
+
+  // One training and one evaluation pass serve all 20 cells.
+  const dissem::PreparedCluster prepared = dissem::PrepareCluster(
+      workload.corpus(), workload.NewCleanCursor().get(),
+      workload.clean_span(), dissem::ClusterSimConfig{}.train_fraction);
 
   Table table({"storage", "policy", "measured alpha", "predicted alpha",
                "byte shield"});
@@ -49,9 +59,8 @@ int main(int argc, char** argv) {
           config.server_distances.push_back(s);
         }
       }
-      const auto result = SimulateClusterAllocation(
-          workload.corpus(), workload.NewCleanCursor().get(),
-          workload.clean_span(), config);
+      const auto result =
+          SimulateClusterAllocation(workload.corpus(), prepared, config);
       table.AddRow(
           {FormatBytes(result.total_storage),
            dissem::AllocationPolicyToString(policy),

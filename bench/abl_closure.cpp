@@ -27,6 +27,9 @@ int main(int argc, char** argv) {
   bench::PrintWorkloadSummary(workload);
 
   core::SpecRuns runs(workload, core::BaselineSpecConfig().dependency);
+  // The cases vary only fields the mode-kNone baseline never reads.
+  const spec::RunTotals baseline =
+      runs.RunBaseline(core::BaselineSpecConfig());
 
   struct Case {
     double tp;
@@ -52,7 +55,7 @@ int main(int argc, char** argv) {
         config.policy.threshold = cases[index].tp;
         config.use_closure = cases[index].use_closure;
         config.closure.semantics = cases[index].semantics;
-        return runs.Evaluate(config);
+        return spec::ComputeMetrics(runs.Run(config), baseline);
       },
       &stats);
 

@@ -205,11 +205,15 @@ spec::RunTotals SpecRuns::Run(const spec::SpeculationConfig& config,
       .Run(config, server_events);
 }
 
-spec::SpeculationMetrics SpecRuns::Evaluate(
-    const spec::SpeculationConfig& config) {
+spec::RunTotals SpecRuns::RunBaseline(const spec::SpeculationConfig& config) {
   spec::SpeculationConfig baseline = config;
   baseline.mode = spec::ServiceMode::kNone;
-  const spec::RunTotals without_spec = Run(baseline);
+  return Run(baseline);
+}
+
+spec::SpeculationMetrics SpecRuns::Evaluate(
+    const spec::SpeculationConfig& config) {
+  const spec::RunTotals without_spec = RunBaseline(config);
   return spec::ComputeMetrics(Run(config), without_spec);
 }
 
@@ -366,11 +370,7 @@ Fig5Result RunFig5(const Workload& workload, const std::vector<double>& tps,
   SpecRuns runs(workload, base.dependency);
 
   Fig5Result result;
-  const spec::RunTotals baseline = [&] {
-    spec::SpeculationConfig b = base;
-    b.mode = spec::ServiceMode::kNone;
-    return runs.Run(b);
-  }();
+  const spec::RunTotals baseline = runs.RunBaseline(base);
   result.points = SweepMap(
       grid.size(), options,
       [&](size_t index, Rng&) {
@@ -838,6 +838,8 @@ ExpMaxSizeResult RunExpMaxSize(const Workload& workload, double tp,
   base.policy.threshold = tp;
   SpecRuns runs(workload, base.dependency);
 
+  // The rows vary only policy.max_size, which the baseline never reads.
+  const spec::RunTotals baseline = runs.RunBaseline(base);
   ExpMaxSizeResult result;
   const uint64_t kKb = 1024;
   const uint64_t sizes[] = {2 * kKb,  4 * kKb,   8 * kKb,   15 * kKb,
@@ -849,7 +851,7 @@ ExpMaxSizeResult RunExpMaxSize(const Workload& workload, double tp,
         config.policy.max_size = sizes[index];
         ExpMaxSizeResult::Row row;
         row.max_size = sizes[index];
-        row.metrics = runs.Evaluate(config);
+        row.metrics = spec::ComputeMetrics(runs.Run(config), baseline);
         return row;
       },
       &result.sweep);
@@ -923,6 +925,9 @@ ExpCooperativeResult RunExpCooperative(const Workload& workload,
   const spec::SpeculationConfig base = BaselineSpecConfig();
   SpecRuns runs(workload, base.dependency);
 
+  // The rows vary the threshold and cooperative_clients, which the
+  // baseline never reads.
+  const spec::RunTotals baseline = runs.RunBaseline(base);
   const double tps[] = {0.5, 0.25, 0.1};
   ExpCooperativeResult result;
   result.rows = SweepMap(
@@ -934,7 +939,7 @@ ExpCooperativeResult RunExpCooperative(const Workload& workload,
         ExpCooperativeResult::Row row;
         row.cooperative = config.cooperative_clients;
         row.tp = config.policy.threshold;
-        row.metrics = runs.Evaluate(config);
+        row.metrics = spec::ComputeMetrics(runs.Run(config), baseline);
         return row;
       },
       &result.sweep);

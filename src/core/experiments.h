@@ -47,6 +47,12 @@ class SpecRuns {
   spec::RunTotals Run(const spec::SpeculationConfig& config,
                       std::vector<spec::ServerEvent>* server_events = nullptr);
 
+  /// The mode-kNone twin of `config`: the denominator of the paper's four
+  /// ratios. It reads only the cache, cost, retry, fault and protection
+  /// fields of `config`, so a sweep whose rows vary nothing else replays
+  /// it once and calls spec::ComputeMetrics per row.
+  spec::RunTotals RunBaseline(const spec::SpeculationConfig& config);
+
   /// `config` and its mode-kNone twin, as the paper's four ratios.
   spec::SpeculationMetrics Evaluate(const spec::SpeculationConfig& config);
 

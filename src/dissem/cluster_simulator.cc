@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <unordered_set>
 
 #include "dissem/allocation.h"
@@ -27,24 +28,51 @@ const char* AllocationPolicyToString(AllocationPolicy policy) {
   return "?";
 }
 
-ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
-                                           trace::RequestCursor* cursor,
-                                           SimTime span,
-                                           const ClusterSimConfig& config) {
-  SDS_CHECK(config.train_fraction > 0.0 && config.train_fraction < 1.0);
-  ClusterSimResult result;
-  const double split = span * config.train_fraction;
+PreparedCluster PrepareCluster(const trace::Corpus& corpus,
+                               trace::RequestCursor* cursor, SimTime span,
+                               double train_fraction) {
+  SDS_CHECK(train_fraction > 0.0 && train_fraction < 1.0);
+  PreparedCluster prepared;
+  prepared.train_fraction = train_fraction;
+  const double split = span * train_fraction;
   const uint32_t n = corpus.num_servers();
 
   // --- Training: per-server popularity, λ and R. ---
   cursor->Rewind();
-  const auto pops = AnalyzeAllServers(corpus, cursor, 0.0, split);
-  std::vector<ServerDemand> demands(n);
+  prepared.pops = AnalyzeAllServers(corpus, cursor, 0.0, split);
+  prepared.demands.resize(n);
+  for (uint32_t s = 0; s < n; ++s) {
+    const auto fit = FitExponentialPopularity(prepared.pops[s], corpus);
+    prepared.demands[s] = {prepared.pops[s].remote_bytes_per_day, fit.lambda};
+  }
+
+  // --- Evaluation demand per document. ---
+  prepared.eval_requests.assign(corpus.size(), 0);
+  prepared.eval_bytes.assign(corpus.size(), 0);
+  cursor->Rewind();
+  trace::ForEachRequest(cursor, [&](const trace::Request& r) {
+    if (r.time < split || !r.remote_client) return;
+    if (r.kind != trace::RequestKind::kDocument &&
+        r.kind != trace::RequestKind::kAlias) {
+      return;
+    }
+    ++prepared.eval_requests[r.doc];
+    prepared.eval_bytes[r.doc] += r.bytes;
+  });
+  return prepared;
+}
+
+ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
+                                           const PreparedCluster& prepared,
+                                           const ClusterSimConfig& config) {
+  SDS_CHECK(config.train_fraction == prepared.train_fraction);
+  ClusterSimResult result;
+  const uint32_t n = corpus.num_servers();
+  const auto& pops = prepared.pops;
+  const auto& demands = prepared.demands;
   result.rates.resize(n);
   result.lambdas.resize(n);
   for (uint32_t s = 0; s < n; ++s) {
-    const auto fit = FitExponentialPopularity(pops[s], corpus);
-    demands[s] = {pops[s].remote_bytes_per_day, fit.lambda};
     result.rates[s] = demands[s].rate;
     result.lambdas[s] = demands[s].lambda;
   }
@@ -110,22 +138,16 @@ ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
   }
 
   // --- Evaluation: fraction of remote requests the proxy can serve. ---
-  uint64_t requests = 0, hits = 0;
-  uint64_t bytes = 0, hit_bytes = 0;
-  cursor->Rewind();
-  trace::ForEachRequest(cursor, [&](const trace::Request& r) {
-    if (r.time < split || !r.remote_client) return;
-    if (r.kind != trace::RequestKind::kDocument &&
-        r.kind != trace::RequestKind::kAlias) {
-      return;
-    }
-    ++requests;
-    bytes += r.bytes;
-    if (disseminated.count(r.doc) > 0) {
-      ++hits;
-      hit_bytes += r.bytes;
-    }
-  });
+  const uint64_t requests = std::accumulate(
+      prepared.eval_requests.begin(), prepared.eval_requests.end(),
+      uint64_t{0});
+  const uint64_t bytes = std::accumulate(
+      prepared.eval_bytes.begin(), prepared.eval_bytes.end(), uint64_t{0});
+  uint64_t hits = 0, hit_bytes = 0;
+  for (const trace::DocumentId id : disseminated) {
+    hits += prepared.eval_requests[id];
+    hit_bytes += prepared.eval_bytes[id];
+  }
   if (requests > 0) {
     result.hit_fraction =
         static_cast<double>(hits) / static_cast<double>(requests);
@@ -139,7 +161,10 @@ ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
                                            const trace::Trace& trace,
                                            const ClusterSimConfig& config) {
   trace::VectorCursor cursor(&trace);
-  return SimulateClusterAllocation(corpus, &cursor, trace.Span(), config);
+  return SimulateClusterAllocation(
+      corpus,
+      PrepareCluster(corpus, &cursor, trace.Span(), config.train_fraction),
+      config);
 }
 
 }  // namespace sds::dissem

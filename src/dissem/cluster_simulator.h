@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "dissem/allocation.h"
+#include "dissem/popularity.h"
 #include "trace/corpus.h"
 #include "trace/cursor.h"
 #include "trace/request.h"
@@ -66,19 +67,39 @@ struct ClusterSimResult {
   double total_storage = 0.0;
 };
 
+/// \brief What a cluster allocation study reads from the trace, gathered
+/// once and shared by every (storage, policy) cell: per-server popularity
+/// and fitted demand on the training window, and per-document remote
+/// demand on the evaluation window.
+struct PreparedCluster {
+  /// Training split this context was prepared for (configs must match).
+  double train_fraction = 0.0;
+  std::vector<ServerPopularity> pops;
+  std::vector<ServerDemand> demands;
+  /// Evaluation window (time >= split, remote clients, document kinds):
+  /// requests and bytes per document.
+  std::vector<uint64_t> eval_requests;
+  std::vector<uint64_t> eval_bytes;
+};
+
+/// \brief Builds the shared context from the stream: one training pass
+/// (popularity and λ/R fits on the first `train_fraction` of `span`, the
+/// time of the last request) and one evaluation pass.
+PreparedCluster PrepareCluster(const trace::Corpus& corpus,
+                               trace::RequestCursor* cursor, SimTime span,
+                               double train_fraction);
+
 /// \brief Trace-driven evaluation of proxy storage allocation for a
-/// cluster: fit per-server demand on the training window, divide the
-/// proxy's storage per `policy`, disseminate each server's most popular
-/// documents into its share, then measure the fraction of evaluation-
-/// window remote requests the proxy can serve. `span` is the time of the
-/// stream's last request; the cursor is rewound and read twice (training,
-/// then evaluation).
+/// cluster: divide the proxy's storage per `policy` using the fitted
+/// demand, disseminate each server's most popular documents into its
+/// share, then measure the fraction of evaluation-window remote requests
+/// the proxy can serve. Requires config.train_fraction ==
+/// prepared.train_fraction.
 ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
-                                           trace::RequestCursor* cursor,
-                                           SimTime span,
+                                           const PreparedCluster& prepared,
                                            const ClusterSimConfig& config);
 
-/// \brief SimulateClusterAllocation over a trace's requests.
+/// \brief PrepareCluster and SimulateClusterAllocation over a trace.
 ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
                                            const trace::Trace& trace,
                                            const ClusterSimConfig& config);

@@ -503,26 +503,30 @@ DisseminationReplay::DisseminationReplay(
     breakers_.assign(prepared.nodes.size() * (num_proxies + 1),
                      net::CircuitBreaker(protection.breaker));
   }
+  if (dynamic_) reach_.resize(prepared.nodes.size() * (num_proxies + 1));
   if (config.collect_service_times) {
     service_times_.reserve(prepared.eval_requests);
   }
 }
 
-bool DisseminationReplay::ServerReachable(net::NodeId client_node,
-                                          SimTime when) const {
-  // A candidate is reachable when its node is up and every node/link on
-  // the client's route to it is intact.
-  return !faults_->ServerDown(prepared_.server, when) &&
-         !faults_->NodeDown(prepared_.server_node, when) &&
-         faults_->PathUp(*prepared_.topology, client_node,
-                         prepared_.server_node, when);
-}
-
-bool DisseminationReplay::ProxyReachable(net::NodeId client_node, int p,
-                                         SimTime when) const {
-  const net::NodeId node = placement_.proxies[p];
-  return !faults_->NodeDown(node, when) &&
-         faults_->PathUp(*prepared_.topology, client_node, node, when);
+bool DisseminationReplay::Reachable(uint32_t node, int proxy, SimTime when) {
+  // A candidate is reachable when it and its node are up and every
+  // node/link on the client's route to it is intact. Outages last hours
+  // and a retry ladder minutes, so the schedule is asked once per window.
+  // A window is exact for any time inside it, so attempts that run ahead
+  // of the next request's time are answered correctly too.
+  const size_t entity = proxy < 0 ? server_entity_ : static_cast<size_t>(proxy);
+  Reach& reach = reach_[node * (server_entity_ + 1) + entity];
+  if (reach.window.Contains(when)) return reach.up;
+  const net::NodeId target =
+      proxy < 0 ? prepared_.server_node : placement_.proxies[proxy];
+  reach.window = net::Window();
+  reach.up = (proxy >= 0 ||
+              !faults_->ServerDown(prepared_.server, when, &reach.window)) &&
+             !faults_->NodeDown(target, when, &reach.window) &&
+             faults_->PathUp(*prepared_.topology, prepared_.nodes[node],
+                             target, when, &reach.window);
+  return reach.up;
 }
 
 double DisseminationReplay::ServiceTimeS(double waits, double bytes,
@@ -568,7 +572,6 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
     today_ = day;
     std::fill(today_count_.begin(), today_count_.end(), 0);
   }
-  const net::NodeId client_node = prepared_.nodes[r.node];
   const RoutePlan& plan = plans_[r.node];
   const size_t breaker_base = r.node * num_entities;
   const double bytes = static_cast<double>(r.bytes);
@@ -584,11 +587,11 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
     // server with the same policy. ---
     {
       SimTime when = r.time;
-      bool served = ServerReachable(client_node, when);
+      bool served = Reachable(r.node, -1, when);
       for (uint32_t attempt = 1; !served && attempt < retry.max_attempts;
            ++attempt) {
         when += retry.timeout_s + retry.BackoffBeforeRetry(attempt - 1, rng_);
-        served = ServerReachable(client_node, when);
+        served = Reachable(r.node, -1, when);
       }
       if (served) {
         result_.baseline_bytes_hops += bytes * plan.hops_to_server;
@@ -727,9 +730,7 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
       }
       const Candidate& cand = chain[pos];
       const size_t entity = entity_of(cand);
-      const bool reachable =
-          cand.proxy < 0 ? ServerReachable(client_node, when)
-                         : ProxyReachable(client_node, cand.proxy, when);
+      const bool reachable = Reachable(r.node, cand.proxy, when);
       // An entity in emergent brownout is alive but sheds everything:
       // attempts against it fail yet still cost it connection overhead,
       // which is exactly how retry storms pin a struggling target down.

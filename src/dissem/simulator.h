@@ -366,8 +366,10 @@ class DisseminationReplay {
     double backoff_s = 0.0;
   };
 
-  bool ServerReachable(net::NodeId client_node, SimTime when) const;
-  bool ProxyReachable(net::NodeId client_node, int p, SimTime when) const;
+  /// Whether `proxy` (-1 = home server, as in Candidate) is reachable at
+  /// `when` from the attachment node of plan index `node`. Answers come
+  /// from reach_ while `when` stays inside the entry's window.
+  bool Reachable(uint32_t node, int proxy, SimTime when);
   double ServiceTimeS(double waits, double bytes, uint32_t hops) const;
   void ApplyUpdatesThrough(long day);
   /// The only writer of a request's outcome: result fields, time series,
@@ -403,6 +405,15 @@ class DisseminationReplay {
   size_t server_entity_ = 0;
   net::LoadTracker tracker_;
   std::vector<net::CircuitBreaker> breakers_;
+  /// A reachability answer and the window on which the schedule keeps it.
+  struct Reach {
+    net::Window window{0.0, 0.0};  ///< Empty until first asked.
+    bool up = false;
+  };
+  /// One Reach per (attachment node, entity), laid out like breakers_;
+  /// allocated only on the dynamic path. Per run, so the shared schedule
+  /// stays read-only.
+  std::vector<Reach> reach_;
   net::RetryBudget retry_budget_;
   std::vector<double> service_times_;
   /// d-choice scratch (candidate holders and sampled indices), reused

@@ -65,54 +65,69 @@ void FaultSchedule::Insert(Intervals* intervals, uint32_t id, SimTime start,
 }
 
 bool FaultSchedule::Covers(const Intervals& intervals, uint32_t id,
-                           SimTime t) {
+                           SimTime t, Window* window) {
   if (id >= intervals.size()) return false;
   const auto& list = intervals[id];
   // First interval whose start is > t; its predecessor is the only
-  // candidate that can cover t in a sorted disjoint list.
+  // candidate that can cover t in a sorted disjoint list. If it does not,
+  // t lies in the gap between the two.
   auto after = std::upper_bound(
       list.begin(), list.end(), t,
       [](SimTime x, const std::pair<SimTime, SimTime>& iv) {
         return x < iv.first;
       });
-  if (after == list.begin()) return false;
-  return t < std::prev(after)->second;
+  constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
+  SimTime gap_lo = -kInf;
+  if (after != list.begin()) {
+    const auto& [start, end] = *std::prev(after);
+    if (t < end) {
+      if (window != nullptr) window->Narrow(start, end);
+      return true;
+    }
+    gap_lo = end;
+  }
+  if (window != nullptr) {
+    window->Narrow(gap_lo, after == list.end() ? kInf : after->first);
+  }
+  return false;
 }
 
-bool FaultSchedule::NodeDown(NodeId node, SimTime t) const {
-  return Covers(node_down_, node, t);
+bool FaultSchedule::NodeDown(NodeId node, SimTime t, Window* window) const {
+  return Covers(node_down_, node, t, window);
 }
 
-bool FaultSchedule::LinkDown(NodeId child, SimTime t) const {
-  return Covers(link_down_, child, t);
+bool FaultSchedule::LinkDown(NodeId child, SimTime t, Window* window) const {
+  return Covers(link_down_, child, t, window);
 }
 
-bool FaultSchedule::ServerDown(trace::ServerId server, SimTime t) const {
-  return Covers(server_down_, server, t);
+bool FaultSchedule::ServerDown(trace::ServerId server, SimTime t,
+                               Window* window) const {
+  return Covers(server_down_, server, t, window);
 }
 
 bool FaultSchedule::ServerDegraded(trace::ServerId server, SimTime t) const {
-  return Covers(server_degraded_, server, t);
+  return Covers(server_degraded_, server, t, nullptr);
 }
 
 bool FaultSchedule::PathUp(const Topology& topology, NodeId from, NodeId to,
-                           SimTime t) const {
+                           SimTime t, Window* window) const {
   if (node_down_.empty() && link_down_.empty()) return true;
   // The lowest-common-ancestor walk of Topology: the deeper end steps up
   // until both meet. Every edge crossed is keyed by the node it leaves
   // (the deeper endpoint). A step on the `from` side lands on a route
   // node other than `from` (the LCA included, unless it is `from`); the
   // `to` side checks each node it leaves, i.e. `to` up to but excluding
-  // the LCA.
+  // the LCA. A down answer holds wherever the failing entity is down, so
+  // the early returns leave a valid window.
   NodeId a = from;
   NodeId b = to;
   while (a != b) {
     if (topology.depth(a) >= topology.depth(b)) {
-      if (LinkDown(a, t)) return false;
+      if (LinkDown(a, t, window)) return false;
       a = topology.parent(a);
-      if (NodeDown(a, t)) return false;
+      if (NodeDown(a, t, window)) return false;
     } else {
-      if (NodeDown(b, t) || LinkDown(b, t)) return false;
+      if (NodeDown(b, t, window) || LinkDown(b, t, window)) return false;
       b = topology.parent(b);
     }
   }

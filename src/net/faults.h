@@ -1,7 +1,9 @@
 #ifndef SDS_NET_FAULTS_H_
 #define SDS_NET_FAULTS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -41,6 +43,20 @@ struct FaultEvent {
   SimTime end = 0.0;
 };
 
+/// \brief A half-open time window [lo, hi) on which a schedule query's
+/// answer cannot change. The default is the whole time line; each
+/// consulted entity narrows it.
+struct Window {
+  SimTime lo = -std::numeric_limits<SimTime>::infinity();
+  SimTime hi = std::numeric_limits<SimTime>::infinity();
+
+  bool Contains(SimTime t) const { return lo <= t && t < hi; }
+  void Narrow(SimTime from, SimTime to) {
+    lo = std::max(lo, from);
+    hi = std::min(hi, to);
+  }
+};
+
 /// \brief A deterministic overlay of failures on the clientele tree.
 ///
 /// The schedule is built up front (generated from an explicit Rng stream
@@ -58,10 +74,14 @@ class FaultSchedule {
   size_t size() const { return events_.size(); }
   const std::vector<FaultEvent>& events() const { return events_; }
 
-  bool NodeDown(NodeId node, SimTime t) const;
+  /// Each query below that takes a `window` (optional) narrows it to a
+  /// window around `t` on which its answer stays the same, so a caller can
+  /// reuse the answer for any time inside it without asking again.
+  bool NodeDown(NodeId node, SimTime t, Window* window = nullptr) const;
   /// The edge between `child` and its parent is cut at `t`.
-  bool LinkDown(NodeId child, SimTime t) const;
-  bool ServerDown(trace::ServerId server, SimTime t) const;
+  bool LinkDown(NodeId child, SimTime t, Window* window = nullptr) const;
+  bool ServerDown(trace::ServerId server, SimTime t,
+                  Window* window = nullptr) const;
   bool ServerDegraded(trace::ServerId server, SimTime t) const;
 
   /// True when the tree route from `from` to `to` is intact at `t`: every
@@ -70,8 +90,9 @@ class FaultSchedule {
   /// its failure is modelled as the client being offline, not as a service
   /// failure, so it is not checked here.) Walks parent pointers from both
   /// ends up to their lowest common ancestor; no route is materialised.
-  bool PathUp(const Topology& topology, NodeId from, NodeId to,
-              SimTime t) const;
+  /// `window` is narrowed over every node and link consulted.
+  bool PathUp(const Topology& topology, NodeId from, NodeId to, SimTime t,
+              Window* window = nullptr) const;
 
  private:
   // Per-entity interval sets indexed by id (ids never added read as
@@ -82,7 +103,10 @@ class FaultSchedule {
   using Intervals = std::vector<std::vector<std::pair<SimTime, SimTime>>>;
   static void Insert(Intervals* intervals, uint32_t id, SimTime start,
                      SimTime end);
-  static bool Covers(const Intervals& intervals, uint32_t id, SimTime t);
+  /// Whether `id` is covered at `t`; narrows `window` (if non-null) to the
+  /// covering interval or to the gap between its neighbours.
+  static bool Covers(const Intervals& intervals, uint32_t id, SimTime t,
+                     Window* window);
 
   std::vector<FaultEvent> events_;
   Intervals node_down_;

@@ -231,6 +231,115 @@ TEST_F(FailoverTest, FaultReplayIsDeterministicInSeed) {
   EXPECT_EQ(a.proxy_requests, b.proxy_requests);
 }
 
+TEST_F(FailoverTest, RetryLadderAcrossAnOutageStartIsPinned) {
+  // A hand-built replay: one remote client, one document, one proxy at the
+  // client's own attachment node. Request A's retry ladder crosses the
+  // start of a server outage; request B arrives before A's last attempt,
+  // so its queries run behind A's in time; request C lands exactly on the
+  // end of the proxy's outage. With max_attempts 4, a 5 s timeout and a
+  // 1/2/4 s backoff, a ladder from t tries at t, t+6, t+13 and t+22.
+  const trace::Corpus& corpus = workload_->corpus();
+  const net::Topology& topo = workload_->topology();
+  const net::NodeId server_node = topo.server_node(0);
+  trace::ClientId client = 0;
+  while (topo.HopCount(topo.client_node(client), server_node) < 3) {
+    ++client;
+    ASSERT_LT(client, topo.num_clients());
+  }
+  const net::NodeId client_node = topo.client_node(client);
+  const trace::DocumentId doc = corpus.server_docs(0).front();
+  constexpr uint32_t kBytes = 1000;
+  constexpr SimTime kT = 1000.0;
+
+  trace::Trace trace;
+  trace.num_clients = workload_->num_clients();
+  for (const SimTime t : {10.0, 20.0, 30.0, kT, kT + 8.0, kT + 40.0}) {
+    trace.requests.push_back({t, client, doc, 0, kBytes,
+                              trace::RequestKind::kDocument, true});
+  }
+  const PreparedDissemination prepared =
+      PrepareDissemination(corpus, trace, topo, 0, 0.5);
+  ASSERT_EQ(prepared.eval_requests, 3u);
+
+  DisseminationConfig config;
+  config.num_proxies = 1;
+  config.dissemination_fraction = 1.0;
+  config.collect_service_times = true;
+  config.retry.max_attempts = 4;
+  config.retry.timeout_s = 5.0;
+  config.retry.base_backoff_s = 1.0;
+  config.retry.backoff_multiplier = 2.0;
+  Rng placement_rng(1);
+  ASSERT_EQ(PlaceProxies(prepared, config, &placement_rng).proxies,
+            std::vector<net::NodeId>{client_node});
+
+  // The proxy node is down on [T-50, T+40) (the client's own node, which
+  // its route to the server does not check). The server is down on
+  // [T+3, T+10), then the top edge of the route is cut on [T+10, T+22).
+  const std::vector<net::NodeId> route = topo.Route(client_node, server_node);
+  const net::NodeId top = topo.depth(route[route.size() - 2]) >
+                                  topo.depth(route.back())
+                              ? route[route.size() - 2]
+                              : route.back();
+  net::FaultSchedule schedule;
+  schedule.Add({net::FaultKind::kNodeOutage, client_node, kT - 50.0,
+                kT + 40.0});
+  schedule.Add({net::FaultKind::kServerOutage, 0, kT + 3.0, kT + 10.0});
+  schedule.Add({net::FaultKind::kLinkOutage, top, kT + 10.0, kT + 22.0});
+  config.faults = &schedule;
+
+  Rng rng(1);
+  const DisseminationResult r = SimulateDissemination(prepared, config, &rng);
+
+  // Baseline (server only): A is served at T; B fails at T+8 (server),
+  // T+14 and T+21 (link) and is served at T+30; C is served at T+40.
+  // Chain [proxy, server]: A fails at T (proxy), T+6 (server), T+13
+  // (proxy) and is served by the server at T+22; B fails at T+8, T+14
+  // (link), T+21 and is served by the server at T+30; C is served by the
+  // proxy at T+40.
+  const double hops = topo.HopCount(client_node, server_node);
+  const double b = kBytes;
+  EXPECT_DOUBLE_EQ(r.baseline_bytes_hops, 3 * b * hops);
+  EXPECT_DOUBLE_EQ(r.with_proxies_bytes_hops, 2 * b * hops);
+  EXPECT_DOUBLE_EQ(r.saved_fraction, 1.0 - 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(r.proxy_hit_fraction, 1.0 / 3.0);
+  // A dissemination fraction of 1 pushes the server's whole corpus.
+  EXPECT_EQ(r.storage_per_proxy_bytes, corpus.ServerBytes(0));
+  EXPECT_EQ(r.total_storage_bytes, corpus.ServerBytes(0));
+  EXPECT_EQ(r.proxy_requests, std::vector<uint64_t>{1});
+  EXPECT_EQ(r.server_requests, 2u);
+  EXPECT_EQ(r.shielding_overflow_requests, 0u);
+  EXPECT_EQ(r.stale_proxy_requests, 0u);
+  EXPECT_DOUBLE_EQ(r.stale_fraction, 0.0);
+  EXPECT_EQ(r.proxy_nodes, std::vector<net::NodeId>{client_node});
+  EXPECT_EQ(r.unavailable_requests, 0u);
+  EXPECT_DOUBLE_EQ(r.unavailable_fraction, 0.0);
+  EXPECT_EQ(r.baseline_unavailable_requests, 0u);
+  EXPECT_DOUBLE_EQ(r.baseline_unavailable_fraction, 0.0);
+  EXPECT_EQ(r.failover_requests, 2u);
+  EXPECT_DOUBLE_EQ(r.degraded_bytes_hops, 2 * b * hops);
+  EXPECT_EQ(r.retry_attempts, 6u);
+  EXPECT_DOUBLE_EQ(r.retry_wait_seconds, 44.0);
+  EXPECT_EQ(r.emergent_brownouts, 0u);
+  EXPECT_EQ(r.breaker_open_transitions, 0u);
+  EXPECT_EQ(r.retries_suppressed_by_budget, 0u);
+  EXPECT_EQ(r.shed_replica_requests, 0u);
+  EXPECT_EQ(r.fast_failed_requests, 0u);
+  EXPECT_DOUBLE_EQ(r.served_bytes, 3 * b);
+  // Service time = waits + 0.05 s overhead + bytes at 1.5 MB/s + 10 ms
+  // per hop: A and B waited 22 s each, C not at all, at zero hops.
+  const double transfer = 0.05 + b / 1.5e6;
+  const double slow = 22.0 + transfer + 0.01 * hops;
+  EXPECT_DOUBLE_EQ(r.mean_service_s, (2 * slow + transfer) / 3.0);
+  EXPECT_DOUBLE_EQ(r.p50_service_s, slow);
+  EXPECT_DOUBLE_EQ(r.p99_service_s, slow);
+  EXPECT_DOUBLE_EQ(r.load_imbalance_max_mean, 1.0);
+  EXPECT_DOUBLE_EQ(r.load_imbalance_p99_mean, 1.0);
+  std::vector<double> levels(topo.depth(client_node) + 1, 0.0);
+  levels.back() = 1.0;
+  EXPECT_EQ(r.per_level_imbalance, levels);
+}
+
 // --- Self-protection stack and cascade dynamics -----------------------------
 
 class ProtectionTest : public FailoverTest {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <iterator>
 #include <limits>
 #include <utility>
@@ -407,6 +408,120 @@ TEST(FaultScheduleTest, PathUpEqualsRouteConjunctionOnAllNodePairs) {
     // The schedule is dense enough that both answers occur.
     EXPECT_GT(up, 0u) << "seed=" << seed;
     EXPECT_GT(down, 0u) << "seed=" << seed;
+  }
+}
+
+TEST(FaultScheduleTest, WindowIsTheCoveringIntervalOrTheGap) {
+  constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
+  FaultSchedule schedule;
+  schedule.Add({FaultKind::kNodeOutage, 7, 10.0, 20.0});
+  schedule.Add({FaultKind::kNodeOutage, 7, 30.0, 40.0});
+  schedule.Add({FaultKind::kNodeOutage, 7, 40.0, 45.0});  // coalesces
+  const struct {
+    SimTime t;
+    bool down;
+    SimTime lo;
+    SimTime hi;
+  } cases[] = {
+      {5.0, false, -kInf, 10.0}, {10.0, true, 10.0, 20.0},
+      {19.5, true, 10.0, 20.0},  {20.0, false, 20.0, 30.0},
+      {40.0, true, 30.0, 45.0},  {45.0, false, 45.0, kInf},
+  };
+  for (const auto& c : cases) {
+    Window window;
+    EXPECT_EQ(schedule.NodeDown(7, c.t, &window), c.down) << "t=" << c.t;
+    EXPECT_EQ(window.lo, c.lo) << "t=" << c.t;
+    EXPECT_EQ(window.hi, c.hi) << "t=" << c.t;
+  }
+  // An entity with no outages leaves the window as it was; a second query
+  // narrows it to the intersection.
+  Window window;
+  EXPECT_FALSE(schedule.NodeDown(8, 25.0, &window));
+  EXPECT_EQ(window.lo, -kInf);
+  EXPECT_EQ(window.hi, kInf);
+  EXPECT_FALSE(schedule.NodeDown(7, 25.0, &window));
+  EXPECT_FALSE(schedule.ServerDown(0, 25.0, &window));
+  EXPECT_EQ(window.lo, 20.0);
+  EXPECT_EQ(window.hi, 30.0);
+}
+
+TEST(FaultScheduleTest, WindowedAnswersHoldAcrossTheirWindowOnRandomSchedules) {
+  // Property (random topologies and schedules): every windowed query
+  // returns a window [lo, hi) around t, and the boolean query gives the
+  // same answer at lo, at the midpoint and at the last double below hi.
+  // Unbounded ends are probed far outside the schedule's horizon instead.
+  // Probe times include every interval start and end, where answers flip.
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const Topology topo = MakeTopology(40 + 7 * seed, 3, seed);
+    FaultInjectionConfig config;
+    config.horizon_days = 10.0;
+    config.node_failure_rate_per_day = 0.15;
+    config.link_failure_rate_per_day = 0.12;
+    config.server_failure_rate_per_day = 0.3;
+    config.zone_failure_probability = seed % 2 == 0 ? 0.5 : 0.0;
+    Rng rng(seed * 4099 + 11);
+    const FaultSchedule schedule = GenerateFaultSchedule(topo, config, &rng);
+    ASSERT_FALSE(schedule.empty()) << "seed=" << seed;
+    const SimTime horizon = config.horizon_days * kDay;
+
+    std::vector<SimTime> times;
+    Rng probe_rng(seed);
+    for (int i = 0; i < 20; ++i) {
+      times.push_back(probe_rng.NextDouble() * horizon);
+    }
+    for (const FaultEvent& e : schedule.events()) {
+      times.push_back(e.start);
+      times.push_back(e.end);
+    }
+
+    // Checks one windowed answer against the boolean form `query`.
+    const auto check = [&](const char* what, SimTime t, bool got,
+                           const Window& w, const auto& query) {
+      ASSERT_LE(w.lo, t) << what << " seed=" << seed << " t=" << t;
+      ASSERT_LT(t, w.hi) << what << " seed=" << seed << " t=" << t;
+      const SimTime lo = std::isfinite(w.lo) ? w.lo : -horizon;
+      const SimTime last =
+          std::isfinite(w.hi)
+              ? std::nextafter(w.hi, -std::numeric_limits<SimTime>::infinity())
+              : 2.0 * horizon;
+      for (const SimTime at : {lo, lo + 0.5 * (last - lo), last}) {
+        ASSERT_EQ(query(at), got) << what << " seed=" << seed << " t=" << t
+                                  << " window=[" << w.lo << ", " << w.hi
+                                  << ") at=" << at;
+      }
+    };
+
+    size_t flips = 0;
+    for (const SimTime t : times) {
+      const NodeId from = 1 + static_cast<NodeId>(probe_rng.NextBounded(
+                                  topo.num_nodes() - 1));
+      const NodeId to =
+          probe_rng.NextBounded(2) == 0
+              ? topo.server_node(0)
+              : static_cast<NodeId>(probe_rng.NextBounded(topo.num_nodes()));
+      const trace::ServerId server =
+          static_cast<trace::ServerId>(probe_rng.NextBounded(3));
+
+      Window path;
+      const bool up = schedule.PathUp(topo, from, to, t, &path);
+      check("PathUp", t, up, path,
+            [&](SimTime at) { return schedule.PathUp(topo, from, to, at); });
+      Window node;
+      const bool node_down = schedule.NodeDown(to, t, &node);
+      check("NodeDown", t, node_down, node,
+            [&](SimTime at) { return schedule.NodeDown(to, at); });
+      Window link;
+      const bool link_down = schedule.LinkDown(from, t, &link);
+      check("LinkDown", t, link_down, link,
+            [&](SimTime at) { return schedule.LinkDown(from, at); });
+      Window srv;
+      const bool server_down = schedule.ServerDown(server, t, &srv);
+      check("ServerDown", t, server_down, srv,
+            [&](SimTime at) { return schedule.ServerDown(server, at); });
+      flips += !up + node_down + link_down + server_down;
+    }
+    // The schedule is dense enough that down answers occur.
+    EXPECT_GT(flips, 0u) << "seed=" << seed;
   }
 }
 
