@@ -2,6 +2,7 @@
 #define SDS_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -193,8 +194,8 @@ class BenchReport {
       std::fprintf(out, ",\n  \"%s\": %.17g", JsonEscape(key).c_str(),
                    value);
     }
-    // Uniform footprint/throughput keys, present in every report: CI's
-    // perf-smoke job and the cross-commit diffs key on them.
+    // Uniform footprint/throughput keys, present in every report:
+    // tools/bench_history and the cross-commit diffs key on them.
     const double elapsed = lifetime_.Seconds();
     std::fprintf(out, ",\n  \"requests_replayed\": %.17g", requests_);
     std::fprintf(out, ",\n  \"throughput_rps\": %.17g",
@@ -234,7 +235,7 @@ inline bool FinishObsReport(BenchReport* report, const BenchArgs& args) {
   size_t audit_violations = 0;
   if (args.audit) {
     // Final ledger checkpoint over the whole run; sweep joins have already
-    // checked intermediate states. The count lands in the report so CI can
+    // checked intermediate states. The count lands in the report so tools can
     // assert on it, and FinishBench fails the bench when it is non-zero.
     audit_violations = obs::AuditCheckpoint("end-of-run");
     report->Metric("audit_violations",
@@ -287,6 +288,22 @@ inline int FinishBench(BenchReport* report, const BenchArgs& args) {
   const bool obs_ok = FinishObsReport(report, args);
   const bool report_ok = report->Write();
   return obs_ok && report_ok ? 0 : 1;
+}
+
+/// Checks one result invariant the bench's figure rests on. A violation
+/// prints "error: <message>" on stderr and returns 1 (else 0); the bench
+/// ORs the results and exits 1 after FinishBench has written its report,
+/// so the report still shows the offending numbers.
+[[gnu::format(printf, 2, 3)]] inline int Expect(bool holds,
+                                                const char* format, ...) {
+  if (holds) return 0;
+  std::fputs("error: ", stderr);
+  va_list args;
+  va_start(args, format);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
+  std::fputc('\n', stderr);
+  return 1;
 }
 
 /// Paper-scale workload config, or the small CI one under `--smoke`;

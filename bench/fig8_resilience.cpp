@@ -16,7 +16,14 @@
 /// every swept rate — up to a vanishing tail (a fail-fast client can
 /// forgo a recovery that lands late in the backoff ladder it skipped).
 ///
-/// `--smoke` runs a reduced grid on the small workload (CI bit-rot guard).
+/// The bench exits 1 unless, at the worst swept rate, the full stack keeps
+/// availability no lower and retry amplification strictly lower than no
+/// defenses, the dissemination breakers open at least once, and under
+/// scheduled outages the speculation breakers fail fast and its retry
+/// budget suppresses retries at least once each.
+///
+/// `--smoke` runs a reduced grid on the small workload (ctest bit-rot
+/// guard).
 
 #include <cstdio>
 #include <vector>
@@ -48,7 +55,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", result.ToTable().ToAlignedString().c_str());
   std::printf("%s\n\n", result.sweep.Summary().c_str());
 
-  // Flat report keys for the perf-smoke diff: the two headline curves.
+  // Flat report keys: the two headline curves.
   const size_t last_row = result.failure_rates.size() - 1;
   const auto level_index = [&](core::Fig8Protection level) {
     for (size_t i = 0; i < result.levels.size(); ++i) {
@@ -155,9 +162,31 @@ int main(int argc, char** argv) {
       "spec_breaker_fast_fails",
       static_cast<double>(stormy.with_speculation.breaker_fast_fails));
 
+  uint64_t breaker_open_transitions = 0;
+  for (const auto& cell : result.cells) {
+    breaker_open_transitions += cell.sim.breaker_open_transitions;
+  }
+  int failed = 0;
+  failed |= bench::Expect(
+      worst_full.availability >= worst_off.availability,
+      "full protection lowered worst availability (%.4f < %.4f)",
+      worst_full.availability, worst_off.availability);
+  failed |= bench::Expect(
+      worst_full.retry_amplification < worst_off.retry_amplification,
+      "full protection did not cap retries (amplification %.3f >= %.3f)",
+      worst_full.retry_amplification, worst_off.retry_amplification);
+  failed |= bench::Expect(breaker_open_transitions > 0,
+                          "no dissemination breaker ever opened");
+  failed |= bench::Expect(stormy.with_speculation.breaker_fast_fails > 0,
+                          "no speculation breaker ever failed fast");
+  failed |= bench::Expect(
+      stormy.with_speculation.retries_suppressed_by_budget > 0,
+      "the retry budget never suppressed a speculation retry");
+
   bench_report.RequestsProcessed(
       static_cast<double>(result.cells.size()) *
       static_cast<double>(workload.filter_stats().kept));
   bench_report.Metric("total_s", bench_total.Seconds());
-  return bench::FinishBench(&bench_report, bench_args);
+  const int exit_code = bench::FinishBench(&bench_report, bench_args);
+  return failed ? 1 : exit_code;
 }

@@ -14,9 +14,11 @@
 /// exponentially improve the max load) at a modest bytes-hops cost, while
 /// proximity allocation shifts budget toward close, hot proxies. The d=1
 /// configuration makes zero RNG draws and is bit-identical to the legacy
-/// static path — asserted here across two different seeds.
+/// static path across two different seeds. The bench exits 1 unless d = 1
+/// is bit-identical and 1 <= imbalance(d = 2) <= imbalance(static).
 ///
-/// `--smoke` runs a reduced grid on the small workload (CI bit-rot guard).
+/// `--smoke` runs a reduced grid on the small workload (ctest bit-rot
+/// guard).
 
 #include <cstdio>
 #include <vector>
@@ -52,9 +54,8 @@ int main(int argc, char** argv) {
   std::printf("%s\n", result.ToTable().ToAlignedString().c_str());
   std::printf("%s\n\n", result.sweep.Summary().c_str());
 
-  // Flat report keys for the perf-smoke diff: the headline imbalance and
-  // savings numbers at the largest fault-free cell, plus the faulted
-  // availability split.
+  // Flat report keys: the headline imbalance and savings numbers at the
+  // largest fault-free cell, plus the faulted availability split.
   const auto arm_index = [&](core::Fig9Policy policy, uint32_t d,
                              bool faulted) {
     for (size_t i = 0; i < result.arms.size(); ++i) {
@@ -73,8 +74,10 @@ int main(int argc, char** argv) {
       last_row, arm_index(core::Fig9Policy::kDChoice, first_d, false));
   const auto& c_prox = result.cell(
       last_row, arm_index(core::Fig9Policy::kProximity, 1, false));
-  bench_report.Metric("imbalance_static", c_static.sim.load_imbalance_max_mean);
-  bench_report.Metric("imbalance_d2", c_dchoice.sim.load_imbalance_max_mean);
+  const double imbalance_static = c_static.sim.load_imbalance_max_mean;
+  const double imbalance_d2 = c_dchoice.sim.load_imbalance_max_mean;
+  bench_report.Metric("imbalance_static", imbalance_static);
+  bench_report.Metric("imbalance_d2", imbalance_d2);
   bench_report.Metric("imbalance_proximity",
                       c_prox.sim.load_imbalance_max_mean);
   bench_report.Metric("imbalance_p99_static",
@@ -147,9 +150,19 @@ int main(int argc, char** argv) {
                 chart.Render().c_str());
   }
 
+  int failed = 0;
+  failed |= bench::Expect(d1_identical,
+                          "selection_d = 1 diverged from the static optimum");
+  failed |= bench::Expect(imbalance_d2 <= imbalance_static,
+                          "d-choice worsened the load imbalance (%.4f > %.4f)",
+                          imbalance_d2, imbalance_static);
+  failed |= bench::Expect(imbalance_d2 >= 1.0,
+                          "max/mean proxy load %.4f is below 1", imbalance_d2);
+
   bench_report.RequestsProcessed(
       static_cast<double>(result.cells.size()) *
       static_cast<double>(workload.filter_stats().kept));
   bench_report.Metric("total_s", bench_total.Seconds());
-  return bench::FinishBench(&bench_report, bench_args);
+  const int exit_code = bench::FinishBench(&bench_report, bench_args);
+  return failed ? 1 : exit_code;
 }

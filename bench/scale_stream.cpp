@@ -12,14 +12,15 @@
 ///     constant, days swept 1x -> 10x. Every row runs the fig6-style
 ///     dissemination pipeline (streaming prepare + greedy fault-free
 ///     simulate at the paper's 4% and 10% fractions) off generator-backed
-///     cursors. Near-flat RSS across the series (ratio <= 1.2 at 10x
-///     requests) is the pipeline's O(lookahead) residency claim; the
-///     ratio is exported for CI to enforce.
+///     cursors. Near-flat RSS across the series (ratio <= 1.2 at more
+///     than 5x requests) is the pipeline's O(lookahead) residency claim;
+///     the bench exits 1 when it does not hold.
 ///
 ///  2. Headline point: one day, 10M clients (~100M raw requests at full
-///     scale), same pipeline, reported as requests/sec + peak RSS.
+///     scale), same pipeline, reported as requests/sec + peak RSS; the
+///     bench exits 1 unless all three are positive.
 ///
-/// `--smoke` shrinks both parts by ~1000x for CI; the JSON schema is
+/// `--smoke` shrinks both parts by ~1000x for ctest; the JSON schema is
 /// identical.
 
 #include <cstdio>
@@ -154,9 +155,10 @@ int main(int argc, char** argv) {
       series.front().requests > 0.0
           ? series.back().requests / series.front().requests
           : 0.0;
+  const bool flat = rss_ratio > 0.0 && rss_ratio <= 1.2;
   std::printf("\nrequest growth 1x -> %.1fx, peak-RSS ratio %.3f %s\n",
               request_growth, rss_ratio,
-              rss_ratio <= 1.2 ? "(near-flat: OK)" : "(NOT flat)");
+              flat ? "(near-flat: OK)" : "(NOT flat)");
   bench_report.Metric("series_request_growth", request_growth);
   bench_report.Metric("series_rss_ratio", rss_ratio);
 
@@ -168,21 +170,25 @@ int main(int argc, char** argv) {
                       static_cast<double>(headline_clients));
   bench_report.Metric("headline_requests", headline.requests);
   bench_report.Metric("headline_s", headline.seconds);
-  bench_report.Metric("headline_rps",
-                      headline.seconds > 0.0
-                          ? headline.replayed / headline.seconds
-                          : 0.0);
+  const double headline_rps =
+      headline.seconds > 0.0 ? headline.replayed / headline.seconds : 0.0;
+  bench_report.Metric("headline_rps", headline_rps);
   bench_report.Metric("headline_rss_bytes", headline.peak_rss_bytes);
   bench_report.RequestsProcessed(headline.replayed);
 
   bench_report.Metric("total_s", bench_total.Seconds());
+  int failed = 0;
+  failed |= bench::Expect(request_growth > 5.0,
+                          "series spans only %.1fx requests (needs > 5x)",
+                          request_growth);
+  failed |= bench::Expect(flat, "peak-RSS ratio %.3f not in (0, 1.2] at %.1fx "
+                          "requests", rss_ratio, request_growth);
+  failed |= bench::Expect(headline.requests > 0.0 && headline_rps > 0.0 &&
+                              headline.peak_rss_bytes > 0.0,
+                          "headline measured nothing (%.0f requests, %.0f "
+                          "req/s, %.0f RSS bytes)",
+                          headline.requests, headline_rps,
+                          headline.peak_rss_bytes);
   const int exit_code = bench::FinishBench(&bench_report, bench_args);
-  // CI treats a non-flat series as a bench failure, not just a bad number.
-  if (rss_ratio > 1.2) {
-    std::fprintf(stderr,
-                 "error: peak-RSS ratio %.3f exceeds 1.2 at %.1fx requests\n",
-                 rss_ratio, request_growth);
-    return 1;
-  }
-  return exit_code;
+  return failed ? 1 : exit_code;
 }

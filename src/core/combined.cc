@@ -40,7 +40,7 @@ CombinedResult SimulateCombined(const dissem::PreparedDissemination& prepared,
   const double budget =
       config.dissemination.dissemination_fraction *
       static_cast<double>(corpus.ServerBytes(prepared.server));
-  dissem::ProxyStore store(static_cast<uint64_t>(budget) + 1);
+  dissem::ProxyStore store(static_cast<uint64_t>(budget) + 1, corpus.size());
   for (const trace::DocumentId id : prepared.pop.by_popularity) {
     const uint64_t size = corpus.doc(id).size_bytes;
     if (static_cast<double>(store.used_bytes() + size) > budget) continue;

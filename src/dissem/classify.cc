@@ -62,7 +62,7 @@ DocumentClassification ClassifyDocuments(
   for (size_t i = 0; i < out.updates_per_day.size(); ++i) {
     out.updates_per_day[i] /= static_cast<double>(observation_days);
     out.is_mutable[i] =
-        out.updates_per_day[i] > config.mutable_threshold_per_day;
+        out.updates_per_day[i] > kMutableUpdatesPerDay;
     if (out.is_mutable[i]) ++out.mutable_docs;
   }
 

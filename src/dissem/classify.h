@@ -22,12 +22,14 @@ enum class PopularityClass : uint8_t {
 
 const char* PopularityClassToString(PopularityClass cls);
 
+/// A document is "mutable" when its measured update rate exceeds this many
+/// updates per day (classification and DisseminationConfig::
+/// exclude_mutable alike).
+inline constexpr double kMutableUpdatesPerDay = 0.05;
+
 struct ClassificationConfig {
   double remote_threshold = 0.85;
   double local_threshold = 0.15;
-  /// A document is "mutable" when its measured update rate exceeds this
-  /// many updates per day.
-  double mutable_threshold_per_day = 0.05;
 };
 
 /// \brief Classification of every document plus summary counters.

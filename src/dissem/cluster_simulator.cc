@@ -12,6 +12,13 @@
 
 namespace sds::dissem {
 
+namespace {
+
+/// Discount/cap knobs of AllocationPolicy::kProximityWeighted.
+constexpr ProximityAllocationConfig kProximityAllocation{};
+
+}  // namespace
+
 const char* AllocationPolicyToString(AllocationPolicy policy) {
   switch (policy) {
     case AllocationPolicy::kOptimalExponential:
@@ -123,7 +130,7 @@ ClusterSimResult SimulateClusterAllocation(const trace::Corpus& corpus,
         std::vector<uint32_t> distances = config.server_distances;
         distances.resize(n, 0);
         shares = AllocateProximity(demands, distances, budget,
-                                   config.proximity);
+                                   kProximityAllocation);
         break;
       }
       case AllocationPolicy::kGreedyEmpirical:

@@ -46,8 +46,6 @@ struct ClusterSimConfig {
   /// Hop distance of each server from the proxy, for kProximityWeighted;
   /// empty = all zero (degenerates to the undiscounted optimum).
   std::vector<uint32_t> server_distances;
-  /// Discount/cap knobs for kProximityWeighted.
-  ProximityAllocationConfig proximity;
 };
 
 struct ClusterSimResult {

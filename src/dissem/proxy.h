@@ -2,47 +2,38 @@
 #define SDS_DISSEM_PROXY_H_
 
 #include <cstdint>
-#include <unordered_set>
+#include <vector>
 
 #include "trace/document.h"
 
 namespace sds::dissem {
 
 /// \brief The replicated-document store of one service proxy: a byte-
-/// budgeted set of document ids disseminated to it by home servers.
+/// budgeted set of document ids disseminated to it by home servers, held
+/// as one membership bit per document of the corpus.
 class ProxyStore {
  public:
-  explicit ProxyStore(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
+  ProxyStore(uint64_t capacity_bytes, size_t num_docs)
+      : capacity_(capacity_bytes), docs_(num_docs, false) {}
 
   /// Adds a document if it fits; returns false (and stores nothing) when
   /// the remaining capacity is insufficient.
   bool Insert(trace::DocumentId doc, uint64_t size_bytes) {
     if (used_ + size_bytes > capacity_) return false;
-    if (!docs_.insert(doc).second) return true;  // already present
+    if (docs_[doc]) return true;  // already present
+    docs_[doc] = true;
     used_ += size_bytes;
     return true;
   }
 
-  bool Contains(trace::DocumentId doc) const { return docs_.count(doc) > 0; }
-
-  /// Removes a document (e.g. invalidated by an update at the home server).
-  void Erase(trace::DocumentId doc, uint64_t size_bytes) {
-    if (docs_.erase(doc) > 0) used_ -= size_bytes;
-  }
+  bool Contains(trace::DocumentId doc) const { return docs_[doc]; }
 
   uint64_t used_bytes() const { return used_; }
-  uint64_t capacity_bytes() const { return capacity_; }
-  size_t num_docs() const { return docs_.size(); }
-
-  void Clear() {
-    docs_.clear();
-    used_ = 0;
-  }
 
  private:
   uint64_t capacity_;
   uint64_t used_ = 0;
-  std::unordered_set<trace::DocumentId> docs_;
+  std::vector<bool> docs_;
 };
 
 }  // namespace sds::dissem

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dissem/allocation.h"
+#include "dissem/classify.h"
 #include "dissem/expfit.h"
 #include "dissem/popularity.h"
 #include "dissem/proxy.h"
@@ -19,6 +20,11 @@
 
 namespace sds::dissem {
 namespace {
+
+/// Knobs of PlacementStrategy::kProximity and of the proximity budget
+/// split (DisseminationConfig::proximity_allocation).
+constexpr net::ProximityPlacementConfig kProximityPlacement{};
+constexpr ProximityAllocationConfig kProximityAllocation{};
 
 /// Registers the dissemination flow edges once per process. Each side is
 /// independently accumulated (see obs/audit.h): the replay entry counts
@@ -101,13 +107,13 @@ const char* ProxyLoadLevelName(uint32_t depth) {
 
 std::vector<bool> MarkMutable(const trace::Corpus& corpus,
                               const std::vector<trace::UpdateEvent>* updates,
-                              double observation_days, double threshold) {
+                              double observation_days) {
   std::vector<bool> is_mutable(corpus.size(), false);
   if (updates == nullptr || observation_days <= 0.0) return is_mutable;
   std::vector<double> rate(corpus.size(), 0.0);
   for (const auto& u : *updates) rate[u.doc] += 1.0;
   for (size_t i = 0; i < rate.size(); ++i) {
-    is_mutable[i] = rate[i] / observation_days > threshold;
+    is_mutable[i] = rate[i] / observation_days > kMutableUpdatesPerDay;
   }
   return is_mutable;
 }
@@ -319,7 +325,7 @@ net::PlacementResult PlaceProxies(const PreparedDissemination& prepared,
       return net::RandomPlacement(tree, config.num_proxies, 1.0, rng);
     case PlacementStrategy::kProximity:
       return net::ProximityPlacement(tree, config.num_proxies, 1.0,
-                                     config.proximity_placement);
+                                     kProximityPlacement);
   }
   SDS_CHECK(false) << "unknown placement strategy";
   return {};
@@ -367,8 +373,7 @@ DisseminationReplay::DisseminationReplay(
   result_.proxy_nodes = placement_.proxies;
   const size_t num_proxies = placement_.proxies.size();
 
-  is_mutable_ = MarkMutable(corpus, updates, span / kDay,
-                            config.mutable_threshold_per_day);
+  is_mutable_ = MarkMutable(corpus, updates, span / kDay);
 
   const double budget =
       config.dissemination_fraction *
@@ -405,11 +410,11 @@ DisseminationReplay::DisseminationReplay(
     budgets =
         AllocateProximity(demands, distances,
                           budget * static_cast<double>(num_proxies),
-                          config.proximity_allocation_config);
+                          kProximityAllocation);
   }
   stores_.reserve(num_proxies);
   for (size_t p = 0; p < num_proxies; ++p) {
-    stores_.emplace_back(static_cast<uint64_t>(budgets[p]) + 1);
+    stores_.emplace_back(static_cast<uint64_t>(budgets[p]) + 1, corpus.size());
   }
 
   // --- Dissemination contents. ---

@@ -29,8 +29,8 @@ enum class PlacementStrategy : uint8_t {
   kRegional = 1,  ///< Highest-traffic regional (depth-1) nodes.
   kRandom = 2,    ///< Random interior nodes (control).
   /// Proximity-aware greedy (arXiv:1610.05961): candidate neighborhoods
-  /// capped per leaf, gains discounted by client distance. Tuned by
-  /// DisseminationConfig::proximity_placement.
+  /// capped per leaf, gains discounted by client distance (the defaults of
+  /// net::ProximityPlacementConfig).
   kProximity = 3,
 };
 
@@ -50,9 +50,9 @@ struct DisseminationConfig {
   /// own* downstream clients (the geographic tailoring of footnote 5)
   /// instead of the same globally popular set.
   bool tailored_per_proxy = false;
-  /// If true, mutable documents (frequent updates) are not disseminated.
+  /// If true, mutable documents (more than kMutableUpdatesPerDay updates
+  /// a day) are not disseminated.
   bool exclude_mutable = false;
-  double mutable_threshold_per_day = 0.05;
   /// Popularity (and placement) are estimated on the first
   /// `train_fraction` of the trace; the reported savings are measured on
   /// the remainder, so the protocol never sees the future.
@@ -94,15 +94,11 @@ struct DisseminationConfig {
   /// pre-d-choice replay. Under fault injection, the sampled holders lead
   /// the failover chain least-loaded-first.
   uint32_t selection_d = 1;
-  /// Knobs of PlacementStrategy::kProximity.
-  net::ProximityPlacementConfig proximity_placement;
   /// If true, per-proxy storage budgets come from AllocateProximity over
   /// the proxies' training demand and route distance from the server
   /// (arXiv:1610.05961) instead of an equal `dissemination_fraction x
   /// server bytes` each; the total budget across proxies is unchanged.
   bool proximity_allocation = false;
-  /// Knobs of the proximity budget split (used when proximity_allocation).
-  ProximityAllocationConfig proximity_allocation_config;
 };
 
 /// \brief Outcome of one dissemination simulation.

@@ -14,7 +14,7 @@ namespace sds::obs {
 /// documents under per-metric tolerance rules.
 ///
 /// Pure functions (no recording, available in every build flavor): the
-/// `obs_diff` CLI wraps them into the CI gate that pins batch-vs-streaming
+/// `obs_diff` CLI wraps them into the ctest gate that pins batch-vs-streaming
 /// and obs-on-vs-off snapshots today, and sim-vs-live tomorrow.
 ///
 /// Documents are flattened to `path/to/key -> number` with '/' separators

@@ -15,6 +15,15 @@ namespace sds::spec {
 
 namespace {
 
+/// kHybrid: the server pushes only documents at or above this p*; the
+/// client prefetches the rest from its profile.
+constexpr double kHybridPushThreshold = 0.95;
+/// kClientPrefetch / kHybrid: the client-side profile threshold, and the
+/// support at which its heuristics fire (a single past co-occurrence: a
+/// user's own history is tiny compared with the server's logs).
+constexpr double kClientPrefetchThreshold = 0.4;
+constexpr uint32_t kClientPrefetchMinSupport = 1;
+
 /// Registers the speculation flow edges once per process. Each side is
 /// accumulated at a different branch of OnRequest/Finish, so these are
 /// real cross-checks, not derived formulas (see obs/audit.h).
@@ -279,7 +288,7 @@ SpeculationReplay::SpeculationReplay(
   push_policy_ = config.policy;
   if (config.mode == ServiceMode::kHybrid) {
     push_policy_.threshold =
-        std::max(push_policy_.threshold, config.hybrid_push_threshold);
+        std::max(push_policy_.threshold, kHybridPushThreshold);
   }
 
   faulty_ = config.faults != nullptr && !config.faults->empty();
@@ -495,8 +504,7 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
     // The client consults its own profile and fetches likely successors
     // in the background (each is a normal request to the server).
     const auto successors = profiles_[client].Successors(
-        doc, config.client_prefetch_threshold,
-        config.client_prefetch_min_support);
+        doc, kClientPrefetchThreshold, kClientPrefetchMinSupport);
     for (const auto& cand : successors) {
       if (cache.Contains(cand.doc)) continue;
       const uint64_t cand_size = corpus_->doc(cand.doc).size_bytes;

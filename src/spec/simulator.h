@@ -41,8 +41,7 @@ enum class ServiceMode : uint8_t {
   /// hints; the client decides using its own access history).
   kClientPrefetch = 2,
   /// Hybrid: the server pushes only near-certain documents (embedding
-  /// grade, p* >= hybrid_push_threshold); the client prefetches the rest
-  /// from its profile.
+  /// grade, p* >= 0.95); the client prefetches the rest from its profile.
   kHybrid = 3,
   /// Server-assisted prefetching (§3.4): the server attaches the list of
   /// candidate URLs to each response instead of pushing bodies; the client
@@ -101,14 +100,6 @@ struct SpeculationConfig {
   /// Cooperative clients (§3.4): requests piggy-back a digest of the
   /// client's cache, letting the server skip documents already cached.
   bool cooperative_clients = false;
-
-  /// kHybrid: push threshold for the server-initiated part.
-  double hybrid_push_threshold = 0.95;
-  /// kClientPrefetch / kHybrid: client-side profile threshold and support.
-  double client_prefetch_threshold = 0.4;
-  /// Client heuristics fire on a single past co-occurrence (a user's own
-  /// history is tiny compared with the server's logs).
-  uint32_t client_prefetch_min_support = 1;
 
   /// Failure schedule overlaid on the replay (null or empty = fault-free,
   /// bit-identical to the pre-fault-injection simulator). Server outages

@@ -6,17 +6,18 @@ namespace sds::dissem {
 namespace {
 
 TEST(ProxyStoreTest, InsertWithinCapacity) {
-  ProxyStore store(1000);
+  ProxyStore store(1000, 4);
   EXPECT_TRUE(store.Insert(1, 400));
   EXPECT_TRUE(store.Insert(2, 600));
   EXPECT_TRUE(store.Contains(1));
   EXPECT_TRUE(store.Contains(2));
+  EXPECT_FALSE(store.Contains(0));
+  EXPECT_FALSE(store.Contains(3));
   EXPECT_EQ(store.used_bytes(), 1000u);
-  EXPECT_EQ(store.num_docs(), 2u);
 }
 
 TEST(ProxyStoreTest, RejectsOverflow) {
-  ProxyStore store(1000);
+  ProxyStore store(1000, 4);
   EXPECT_TRUE(store.Insert(1, 900));
   EXPECT_FALSE(store.Insert(2, 200));
   EXPECT_FALSE(store.Contains(2));
@@ -24,48 +25,16 @@ TEST(ProxyStoreTest, RejectsOverflow) {
 }
 
 TEST(ProxyStoreTest, DuplicateInsertIsIdempotent) {
-  ProxyStore store(1000);
+  ProxyStore store(1000, 4);
   EXPECT_TRUE(store.Insert(1, 400));
   EXPECT_TRUE(store.Insert(1, 400));
   EXPECT_EQ(store.used_bytes(), 400u);
-  EXPECT_EQ(store.num_docs(), 1u);
-}
-
-TEST(ProxyStoreTest, EraseFreesSpace) {
-  ProxyStore store(1000);
-  store.Insert(1, 800);
-  store.Erase(1, 800);
-  EXPECT_FALSE(store.Contains(1));
-  EXPECT_EQ(store.used_bytes(), 0u);
-  EXPECT_TRUE(store.Insert(2, 900));
-}
-
-TEST(ProxyStoreTest, EraseAbsentIsNoop) {
-  ProxyStore store(1000);
-  store.Insert(1, 100);
-  store.Erase(99, 500);
-  EXPECT_EQ(store.used_bytes(), 100u);
-}
-
-TEST(ProxyStoreTest, ClearResets) {
-  ProxyStore store(1000);
-  store.Insert(1, 400);
-  store.Insert(2, 400);
-  store.Clear();
-  EXPECT_EQ(store.used_bytes(), 0u);
-  EXPECT_EQ(store.num_docs(), 0u);
-  EXPECT_FALSE(store.Contains(1));
 }
 
 TEST(ProxyStoreTest, ExactFit) {
-  ProxyStore store(100);
+  ProxyStore store(100, 4);
   EXPECT_TRUE(store.Insert(1, 100));
   EXPECT_FALSE(store.Insert(2, 1));
-}
-
-TEST(ProxyStoreTest, CapacityAccessor) {
-  ProxyStore store(12345);
-  EXPECT_EQ(store.capacity_bytes(), 12345u);
 }
 
 }  // namespace

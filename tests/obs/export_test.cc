@@ -1,9 +1,15 @@
 #include "obs/export.h"
 
+#include <cstdlib>
+#include <map>
+#include <regex>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/experiments.h"
+#include "core/workload.h"
 #include "obs/journey.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -14,7 +20,72 @@ namespace sds::obs {
 namespace {
 
 // The exporters are pure functions over snapshots, so this suite runs in
-// both build flavors (including -DSDS_OBS=OFF).
+// both build flavors (including -DSDS_OBS=OFF); only the fig5 case at the
+// end needs the recorders.
+
+/// Prometheus text exposition 0.0.4: every sample line is `name{labels}
+/// value`, every TYPE line declares a counter, gauge or histogram, and the
+/// text has samples and at least one `sds_` family.
+void ExpectPrometheusExposition(const std::string& text) {
+  static const std::regex kSample(
+      R"(^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9].*$)");
+  std::istringstream lines(text);
+  std::string line;
+  size_t samples = 0;
+  bool sds_family = false;
+  while (std::getline(lines, line)) {
+    if (line.empty()) continue;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream fields(line.substr(7));
+      std::string name;
+      std::string kind;
+      fields >> name >> kind;
+      EXPECT_TRUE(kind == "counter" || kind == "gauge" || kind == "histogram")
+          << line;
+      sds_family |= name.rfind("sds_", 0) == 0;
+    } else if (line[0] != '#') {
+      EXPECT_TRUE(std::regex_match(line, kSample)) << "bad sample: " << line;
+      ++samples;
+    }
+  }
+  EXPECT_TRUE(sds_family);
+  EXPECT_GT(samples, 0u);
+}
+
+/// Chrome trace-event JSON as Perfetto loads it: every event has ph, pid,
+/// tid and name; phases are M, X or C, with at least the three process
+/// names, one X and one C; X and C events carry ts, X events a dur >= 0,
+/// and the stage spans (pid 0) carry args.bytes and args.point.
+void ExpectChromeTraceSchema(const std::string& json) {
+  const Result<JsonValue> parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* events = parsed.value().Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::map<std::string, size_t> phases;
+  size_t stage_spans = 0;
+  for (const JsonValue& e : events->items()) {
+    for (const char* key : {"ph", "pid", "tid", "name"}) {
+      ASSERT_NE(e.Find(key), nullptr) << "event without " << key;
+    }
+    const std::string ph = e.Find("ph")->AsString();
+    ASSERT_TRUE(ph == "M" || ph == "X" || ph == "C") << "phase " << ph;
+    ++phases[ph];
+    if (ph == "M") continue;
+    EXPECT_NE(e.Find("ts"), nullptr) << ph << " event without ts";
+    if (ph != "X") continue;
+    ASSERT_NE(e.Find("dur"), nullptr);
+    EXPECT_GE(e.Find("dur")->AsNumber(), 0.0);
+    if (e.Find("pid")->AsNumber() == 0.0) {
+      ++stage_spans;
+      EXPECT_NE(e.FindPath({"args", "bytes"}), nullptr);
+      EXPECT_NE(e.FindPath({"args", "point"}), nullptr);
+    }
+  }
+  EXPECT_GE(phases["M"], 3u);
+  EXPECT_GT(phases["X"], 0u);
+  EXPECT_GT(phases["C"], 0u);
+  EXPECT_GT(stage_spans, 0u);
+}
 
 DistData MakeDist(std::initializer_list<double> values) {
   DistData dist;
@@ -123,6 +194,7 @@ TEST(PrometheusTest, RendersCountersGaugesAndHistograms) {
   EXPECT_NE(text.find("sds_queue_response_s_count 3"), std::string::npos);
   // Exposition format ends every line with \n (prom lint requirement).
   EXPECT_EQ(text.back(), '\n');
+  ExpectPrometheusExposition(text);
 }
 
 TEST(PrometheusTest, HistogramBucketsAreCumulative) {
@@ -209,6 +281,7 @@ TEST(ChromeTraceTest, RendersSpansSeriesAndJourneys) {
   EXPECT_TRUE(saw_span);
   EXPECT_TRUE(saw_counter);
   EXPECT_TRUE(saw_journey);
+  ExpectChromeTraceSchema(json);
 }
 
 TEST(ChromeTraceTest, EscapesNames) {
@@ -242,6 +315,64 @@ TEST(MetricsJsonTest, PercentilesAppearInDistributionJson) {
   EXPECT_DOUBLE_EQ(dist->Find("p99")->AsNumber(), 2.0);
   EXPECT_DOUBLE_EQ(dist->Find("max")->AsNumber(), 2.0);
 }
+
+#ifndef SDS_OBS_DISABLED
+
+// What `fig5_speculation_baseline --smoke --obs` writes, recorded in
+// process: the report's "metrics" section is SnapshotMetrics().ToJson(),
+// and the Prometheus and Chrome exports render the same snapshots.
+
+TEST(Fig5ExportTest, BenchOutputsKeepTheirSchemas) {
+  SetEnabled(true);
+  ResetMetrics();
+  ResetTrace();
+  ResetTimeSeries();
+  ResetJourneys();
+  core::RunFig5(core::MakeWorkload(core::SmallConfig()));
+  const MetricsSnapshot snapshot = SnapshotMetrics();
+  ExpectPrometheusExposition(MetricsToPrometheus(snapshot));
+  ExpectChromeTraceSchema(ChromeTraceJson(
+      SnapshotTrace(), SnapshotTimeSeries(), SnapshotJourneys()));
+  SetEnabled(false);
+
+  const Result<JsonValue> parsed = ParseJson(snapshot.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue& metrics = parsed.value();
+  for (const char* section : {"counters", "gauges", "distributions",
+                              "points"}) {
+    ASSERT_NE(metrics.Find(section), nullptr) << section;
+  }
+  for (const char* counter :
+       {"spec.runs", "spec.speculative_hits", "spec.wasted_speculative_bytes",
+        "spec.delta_cache.hits", "sweep.points"}) {
+    EXPECT_NE(metrics.FindPath({"counters", counter}), nullptr) << counter;
+  }
+  const auto& points = metrics.Find("points")->members();
+  EXPECT_FALSE(points.empty());
+  for (const auto& [point, values] : points) {
+    char* end = nullptr;
+    std::strtoll(point.c_str(), &end, 10);
+    EXPECT_TRUE(!point.empty() && *end == '\0') << "point key " << point;
+    EXPECT_NE(values.Find("spec.speculative_hits"), nullptr)
+        << "point " << point;
+  }
+  for (const auto& [name, dist] :
+       metrics.Find("distributions")->members()) {
+    for (const char* field : {"count", "sum", "min", "max", "mean", "p50",
+                              "p95", "p99", "buckets"}) {
+      ASSERT_NE(dist.Find(field), nullptr) << name << " lacks " << field;
+    }
+    const auto at = [&](const char* field) {
+      return dist.Find(field)->AsNumber();
+    };
+    EXPECT_LE(at("min"), at("p50")) << name;
+    EXPECT_LE(at("p50"), at("p95")) << name;
+    EXPECT_LE(at("p95"), at("p99")) << name;
+    EXPECT_LE(at("p99"), at("max")) << name;
+  }
+}
+
+#endif  // !SDS_OBS_DISABLED
 
 }  // namespace
 }  // namespace sds::obs

@@ -1,5 +1,6 @@
 #include "obs/journey.h"
 
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +17,24 @@ namespace sds::obs {
 namespace {
 
 #ifndef SDS_OBS_DISABLED
+
+/// Every journey of the JSON dump carries exactly the documented fields.
+void ExpectJourneyFields(const JourneySnapshot& snapshot) {
+  static const std::set<std::string> kFields = {
+      "stream", "point", "run", "request", "time_s", "client", "doc",
+      "served_by", "hops", "failover_depth", "retries", "pushed_docs",
+      "response_bytes", "queue_s", "transfer_s", "backoff_s"};
+  const Result<JsonValue> parsed = ParseJson(snapshot.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* journeys = parsed.value().Find("journeys");
+  ASSERT_NE(journeys, nullptr);
+  ASSERT_FALSE(journeys->items().empty());
+  for (const JsonValue& j : journeys->items()) {
+    std::set<std::string> fields;
+    for (const auto& [key, value] : j.members()) fields.insert(key);
+    EXPECT_EQ(fields, kFields);
+  }
+}
 
 class JourneyTest : public ::testing::Test {
  protected:
@@ -171,6 +190,7 @@ TEST_F(JourneyTest, JsonIsParseableAndCarriesFields) {
                    static_cast<double>(kServedByCache));
   EXPECT_DOUBLE_EQ(j.Find("queue_s")->AsNumber(), 0.25);
   EXPECT_DOUBLE_EQ(j.Find("point")->AsNumber(), 2.0);
+  ExpectJourneyFields(SnapshotJourneys());
 }
 
 // ---------------------------------------------------------------------------
@@ -204,6 +224,7 @@ TEST_F(JourneyTest, SampledSetIsWorkerCountInvariant) {
 
   const JourneySnapshot serial = run_at(1);
   ASSERT_FALSE(serial.journeys.empty());
+  ExpectJourneyFields(serial);
 
   const uint32_t hw = core::ResolveSweepWorkers(0);
   for (const uint32_t workers : {2u, hw}) {

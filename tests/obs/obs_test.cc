@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -209,15 +211,7 @@ TEST_F(ObsTest, SnapshotJsonIsWellFormedAndOrdered) {
   EXPECT_NE(json.find("\"c.gauge\": 9"), std::string::npos);
   EXPECT_NE(json.find("\"d.dist\""), std::string::npos);
   EXPECT_NE(json.find("\"3\""), std::string::npos);
-  // Balanced braces/brackets (cheap well-formedness check; CI runs a real
-  // JSON parser over the bench reports).
-  long depth = 0;
-  for (const char c : json) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
+  EXPECT_TRUE(ParseJson(json).ok());
 }
 
 TEST_F(ObsTest, EmptySnapshotJson) {
@@ -377,7 +371,6 @@ TEST_F(ObsTest, CompiledOutLayerIsInert) {
   EXPECT_DOUBLE_EQ(TimeSeriesWindow(), kDefaultTimeSeriesWindowS);
   EXPECT_TRUE(SnapshotTimeSeries().empty());
   ResetTimeSeries();
-  EXPECT_FALSE(WriteTimeSeriesCsv("/tmp/never_written.csv"));
 
   {
     ScopedJourneySeed seed(42);
@@ -390,10 +383,20 @@ TEST_F(ObsTest, CompiledOutLayerIsInert) {
   EXPECT_EQ(JourneySamplePeriod(), kDefaultJourneySamplePeriod);
   EXPECT_TRUE(SnapshotJourneys().journeys.empty());
   ResetJourneys();
-  EXPECT_FALSE(WriteJourneys("/tmp/never_written.json"));
 
-  EXPECT_FALSE(WritePrometheus("/tmp/never_written.prom"));
-  EXPECT_FALSE(WriteChromeTrace("/tmp/never_written.trace.json"));
+  // The stub writers report failure and create no file.
+  const std::string dir = ::testing::TempDir();
+  const char* const kFiles[] = {"never_written.csv", "never_written.json",
+                                "never_written.prom",
+                                "never_written.trace.json"};
+  for (const char* name : kFiles) std::filesystem::remove(dir + name);
+  EXPECT_FALSE(WriteTimeSeriesCsv(dir + "never_written.csv"));
+  EXPECT_FALSE(WriteJourneys(dir + "never_written.json"));
+  EXPECT_FALSE(WritePrometheus(dir + "never_written.prom"));
+  EXPECT_FALSE(WriteChromeTrace(dir + "never_written.trace.json"));
+  for (const char* name : kFiles) {
+    EXPECT_FALSE(std::filesystem::exists(dir + name)) << name;
+  }
 
   // The pure renderers stay available in this flavor (tools still link).
   EXPECT_DOUBLE_EQ(DistQuantile(DistData{}, 0.5), 0.0);

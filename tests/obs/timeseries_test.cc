@@ -1,7 +1,11 @@
 #include "obs/timeseries.h"
 
 #include <cmath>
+#include <cstdlib>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +18,32 @@ namespace sds::obs {
 namespace {
 
 #ifndef SDS_OBS_DISABLED
+
+/// The long-format CSV: the fixed header, then at least one row of
+/// exactly four columns whose window start and value are numbers.
+void ExpectCsvSchema(const std::string& csv) {
+  std::istringstream lines(csv);
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "series,point,window_start_s,value");
+  size_t rows = 0;
+  while (std::getline(lines, line)) {
+    std::vector<std::string> cols;
+    std::istringstream fields(line);
+    for (std::string col; std::getline(fields, col, ',');) {
+      cols.push_back(col);
+    }
+    if (!line.empty() && line.back() == ',') cols.emplace_back();
+    ASSERT_EQ(cols.size(), 4u) << line;
+    for (const std::string& number : {cols[2], cols[3]}) {
+      char* end = nullptr;
+      std::strtod(number.c_str(), &end);
+      EXPECT_TRUE(!number.empty() && *end == '\0') << line;
+    }
+    ++rows;
+  }
+  EXPECT_GT(rows, 0u);
+}
 
 class TimeSeriesTest : public ::testing::Test {
  protected:
@@ -104,6 +134,7 @@ TEST_F(TimeSeriesTest, CsvHasHeaderAndRollupAndPointRows) {
   // Rollup row (empty point column) and the per-point row.
   EXPECT_NE(csv.find("test.csv,,100,7"), std::string::npos);
   EXPECT_NE(csv.find("test.csv,2,100,7"), std::string::npos);
+  ExpectCsvSchema(csv);
 }
 
 TEST_F(TimeSeriesTest, JsonIsParseable) {
@@ -158,6 +189,7 @@ TEST_F(TimeSeriesTest, WindowSumsEqualRunCounters) {
   EXPECT_TRUE(ts.total.count("spec.client_requests"));
   EXPECT_TRUE(ts.total.count("spec.server_requests"));
   EXPECT_GT(metrics.counters.at("spec.client_requests"), 0.0);
+  ExpectCsvSchema(ts.ToCsv());
 }
 
 TEST_F(TimeSeriesTest, PerPointSeriesAreWorkerCountInvariant) {

@@ -8,17 +8,21 @@
 // For each input report it extracts the headline numbers — wall (sum of the
 // top-level *_s stage timings), requests_replayed, throughput_rps and
 // peak_rss_bytes — and appends one entry per report to the `runs` array of
-// the output file, creating it if absent. A report written with `--stream`
-// (its `stream` key is non-zero) is named `<bench>+stream`, so rows of the
-// two trace modes never mix. Existing entries are preserved verbatim as
-// parsed values, so the file only ever grows.
+// the output file, creating it if absent. Every bench report carries the
+// last three keys; a report that lacks one, or whose peak_rss_bytes is not
+// positive, is rejected rather than recorded as zero. A report written with
+// `--stream` (its `stream` key is non-zero) is named `<bench>+stream`, so
+// rows of the two trace modes never mix. Existing entries are preserved
+// verbatim as parsed values (older rows may lack keys), so the file only
+// ever grows.
 //
-// Exit codes: 0 = appended, 2 = usage or I/O error.
+// Exit codes: 0 = appended, 2 = usage, I/O or report error.
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/json.h"
@@ -129,14 +133,22 @@ bool ExtractEntry(const std::string& path, const std::string& label,
       }
     }
   }
-  if (const JsonValue* v = report.Find("requests_replayed")) {
-    entry->requests_replayed = v->AsNumber();
+  for (const auto& [key, field] :
+       {std::pair{"requests_replayed", &entry->requests_replayed},
+        std::pair{"throughput_rps", &entry->throughput_rps},
+        std::pair{"peak_rss_bytes", &entry->peak_rss_bytes}}) {
+    const JsonValue* v = report.Find(key);
+    if (v == nullptr || v->kind() != JsonValue::Kind::kNumber) {
+      std::fprintf(stderr, "error: %s: no numeric \"%s\"\n", path.c_str(),
+                   key);
+      return false;
+    }
+    *field = v->AsNumber();
   }
-  if (const JsonValue* v = report.Find("throughput_rps")) {
-    entry->throughput_rps = v->AsNumber();
-  }
-  if (const JsonValue* v = report.Find("peak_rss_bytes")) {
-    entry->peak_rss_bytes = v->AsNumber();
+  if (entry->peak_rss_bytes <= 0.0) {
+    std::fprintf(stderr, "error: %s: peak_rss_bytes %g is not positive\n",
+                 path.c_str(), entry->peak_rss_bytes);
+    return false;
   }
   return true;
 }

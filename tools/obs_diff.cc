@@ -1,7 +1,7 @@
 // obs_diff: diffs two BENCH/metrics JSON snapshots under per-metric
 // tolerance rules and exits non-zero on divergence.
 //
-// This is the CI gate that pins batch-vs-streaming and obs-on-vs-off
+// This is the ctest gate that pins batch-vs-streaming and obs-on-vs-off
 // snapshots against each other (and, once the live serving mode lands,
 // sim-vs-live). Counters compare exactly by default; wall-clock and RSS
 // keys are noise and are ignored by the bench preset.
