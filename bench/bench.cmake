@@ -142,6 +142,11 @@ file(WRITE ${CMAKE_BINARY_DIR}/gates/no_throughput.json
 sds_add_bench_rejects(bench_history_rejects_missing_key bench_history
                       --label x --out ${CMAKE_BINARY_DIR}/gates/never.json
                       ${CMAKE_BINARY_DIR}/gates/no_throughput.json)
+# A comparison that covers no key fails instead of matching vacuously.
+sds_add_bench_rejects(obs_diff_rejects_empty_comparison obs_diff
+                      ${CMAKE_BINARY_DIR}/gates/no_throughput.json
+                      ${CMAKE_BINARY_DIR}/gates/no_throughput.json
+                      --only "metrics/nothing/**")
 
 # Cross-run gates: each runs its benches in its own directory under
 # build/gates/, so none of them races the smoke entries for a report.

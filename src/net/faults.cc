@@ -7,20 +7,6 @@
 
 namespace sds::net {
 
-const char* FaultKindToString(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNodeOutage:
-      return "node-outage";
-    case FaultKind::kLinkOutage:
-      return "link-outage";
-    case FaultKind::kServerOutage:
-      return "server-outage";
-    case FaultKind::kServerBrownout:
-      return "server-brownout";
-  }
-  return "?";
-}
-
 void FaultSchedule::Add(const FaultEvent& event) {
   SDS_CHECK(event.end >= event.start);
   events_.push_back(event);

@@ -32,8 +32,6 @@ enum class FaultKind : uint8_t {
   kServerBrownout = 3,
 };
 
-const char* FaultKindToString(FaultKind kind);
-
 /// \brief One scheduled fault: `id` (a NodeId for node/link faults, a
 /// ServerId for server faults) is affected during [start, end).
 struct FaultEvent {

@@ -1,6 +1,7 @@
 #include "spec/dependency.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -10,6 +11,14 @@
 
 namespace sds::spec {
 namespace {
+
+/// The row order of a finalised matrix: descending probability, ties by
+/// doc id (a total order, since a row holds each doc once).
+bool RowOrder(const SparseProbMatrix::Entry& a,
+              const SparseProbMatrix::Entry& b) {
+  if (a.probability != b.probability) return a.probability > b.probability;
+  return a.doc < b.doc;
+}
 
 /// Sorts a (key, count) run by key and merges duplicates by summing.
 template <typename Key, typename Count>
@@ -104,15 +113,15 @@ double SparseProbMatrix::Get(trace::DocumentId i, trace::DocumentId j) const {
   return 0.0;
 }
 
-void SparseProbMatrix::Definalize() {
-  staging_.reserve(staging_.size() + entries_.size());
-  for (trace::DocumentId i = 0; i < num_docs_; ++i) {
-    for (uint32_t k = offsets_[i]; k < offsets_[i + 1]; ++k) {
-      staging_.push_back({i, entries_[k]});
-    }
-  }
-  offsets_.clear();
-  entries_.clear();
+SparseProbMatrix::SparseProbMatrix(size_t num_docs,
+                                   std::vector<uint32_t> offsets,
+                                   std::vector<Entry> entries)
+    : num_docs_(num_docs),
+      offsets_(std::move(offsets)),
+      entries_(std::move(entries)) {
+  SDS_CHECK(offsets_.size() == num_docs_ + 1 &&
+            offsets_.back() == entries_.size())
+      << "malformed CSR";
 }
 
 void SparseProbMatrix::SortRows() {
@@ -131,12 +140,7 @@ void SparseProbMatrix::SortRows() {
   staging_.shrink_to_fit();
   for (trace::DocumentId i = 0; i < num_docs_; ++i) {
     std::sort(entries_.begin() + offsets_[i],
-              entries_.begin() + offsets_[i + 1],
-              [](const Entry& a, const Entry& b) {
-                if (a.probability != b.probability)
-                  return a.probability > b.probability;
-                return a.doc < b.doc;
-              });
+              entries_.begin() + offsets_[i + 1], RowOrder);
   }
 }
 
@@ -277,48 +281,84 @@ std::vector<DayCounts> CountDailyDependencies(trace::RequestCursor* cursor,
   return out;
 }
 
-void WindowedCounts::Add(const DayCounts& day) {
-  for (const auto& [key, n] : day.pair_counts) {
-    pair_counts_[key] += n;
-    total_pairs_ += n;
+WindowedCounts::Follower* WindowedCounts::Find(uint64_t key, bool insert) {
+  const trace::DocumentId i = static_cast<trace::DocumentId>(key >> 32);
+  const trace::DocumentId j = static_cast<trace::DocumentId>(key & 0xffffffffu);
+  SDS_CHECK(i < num_docs_) << "pair row " << i << " out of range";
+  std::vector<Follower>& row = rows_[i];
+  auto it = std::lower_bound(
+      row.begin(), row.end(), j,
+      [](const Follower& f, trace::DocumentId doc) { return f.doc < doc; });
+  if (it == row.end() || it->doc != j) {
+    if (!insert) return nullptr;
+    it = row.insert(it, {j, 0});
   }
+  touched_[i] = 1;
+  return &*it;
+}
+
+void WindowedCounts::Add(const DayCounts& day) {
+  for (const auto& [key, n] : day.pair_counts) Find(key, true)->count += n;
   for (const auto& [doc, n] : day.occurrences) {
-    if (doc >= occurrences_.size()) occurrences_.resize(doc + 1, 0);
+    SDS_CHECK(doc < num_docs_) << "document " << doc << " out of range";
     occurrences_[doc] += n;
+    touched_[doc] = 1;
   }
 }
 
 void WindowedCounts::Remove(const DayCounts& day) {
   for (const auto& [key, n] : day.pair_counts) {
-    int64_t* count = pair_counts_.Find(key);
-    SDS_CHECK(count != nullptr && *count >= n) << "window underflow";
-    *count -= n;
-    total_pairs_ -= n;
+    Follower* f = Find(key, false);
+    SDS_CHECK(f != nullptr && f->count >= n) << "window underflow";
+    f->count -= n;
   }
   for (const auto& [doc, n] : day.occurrences) {
-    SDS_CHECK(doc < occurrences_.size() && occurrences_[doc] >= n)
+    SDS_CHECK(doc < num_docs_ && occurrences_[doc] >= n)
         << "window underflow";
     occurrences_[doc] -= n;
+    touched_[doc] = 1;
   }
 }
 
-SparseProbMatrix WindowedCounts::BuildMatrix(
-    const DependencyConfig& config) const {
-  SparseProbMatrix matrix(num_docs_);
-  matrix.Reserve(pair_counts_.size());
-  pair_counts_.ForEach([&](uint64_t key, int64_t n) {
-    if (n <= 0 || n < config.min_support) return;
-    const trace::DocumentId i = static_cast<trace::DocumentId>(key >> 32);
-    const trace::DocumentId j =
-        static_cast<trace::DocumentId>(key & 0xffffffffu);
-    if (i >= occurrences_.size() || occurrences_[i] == 0) return;
-    const double p = std::min(
-        1.0, static_cast<double>(n) / static_cast<double>(occurrences_[i]));
-    if (p < config.min_probability) return;
-    matrix.Add(i, j, p);
-  });
-  matrix.SortRows();
-  return matrix;
+void WindowedCounts::AppendRow(trace::DocumentId i,
+                               const DependencyConfig& config,
+                               std::vector<SparseProbMatrix::Entry>* out) const {
+  const int64_t occurrences = occurrences_[i];
+  if (occurrences == 0) return;
+  const size_t begin = out->size();
+  for (const Follower& f : rows_[i]) {
+    if (f.count <= 0 || f.count < config.min_support) continue;
+    const double p = std::min(1.0, static_cast<double>(f.count) /
+                                       static_cast<double>(occurrences));
+    if (p < config.min_probability) continue;
+    out->push_back({f.doc, static_cast<float>(p)});
+  }
+  std::sort(out->begin() + begin, out->end(), RowOrder);
+}
+
+SparseProbMatrix WindowedCounts::BuildMatrix(const DependencyConfig& config) {
+  // Rows depend on the thresholds too: new ones invalidate every row.
+  const std::array<uint64_t, 2> thresholds = {
+      config.min_support, std::bit_cast<uint64_t>(config.min_probability)};
+  const bool rebuild_all = built_for_ != thresholds;
+  built_for_ = thresholds;
+  std::vector<uint32_t> offsets(num_docs_ + 1, 0);
+  std::vector<SparseProbMatrix::Entry> entries;
+  entries.reserve(entries_.size());
+  for (trace::DocumentId i = 0; i < num_docs_; ++i) {
+    if (rebuild_all || touched_[i]) {
+      AppendRow(i, config, &entries);
+    } else {
+      entries.insert(entries.end(), entries_.begin() + offsets_[i],
+                     entries_.begin() + offsets_[i + 1]);
+    }
+    offsets[i + 1] = static_cast<uint32_t>(entries.size());
+  }
+  std::fill(touched_.begin(), touched_.end(), 0);
+  offsets_ = std::move(offsets);
+  entries_ = std::move(entries);
+  // Copies, so the matrix (which an epoch keeps) carries no spare capacity.
+  return SparseProbMatrix(num_docs_, offsets_, entries_);
 }
 
 SparseProbMatrix EstimateDependencies(trace::RequestCursor* cursor,

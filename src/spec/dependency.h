@@ -1,14 +1,17 @@
 #ifndef SDS_SPEC_DEPENDENCY_H_
 #define SDS_SPEC_DEPENDENCY_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "spec/pair_table.h"
 #include "trace/cursor.h"
 #include "trace/request.h"
+#include "util/logging.h"
 #include "util/sim_time.h"
 
 namespace sds::spec {
@@ -22,10 +25,11 @@ inline uint64_t PairKey(trace::DocumentId i, trace::DocumentId j) {
 /// (the paper's P relation): probability that D_j is requested within the
 /// window T_w given that D_i was requested.
 ///
-/// Storage is CSR: Add() stages (row, entry) triplets, SortRows() finalises
-/// them into one contiguous offsets/entries layout. Row() is then a span
-/// over the shared entry array — no per-row vector headers, no per-row
-/// allocations, and sequential row scans walk contiguous memory.
+/// Storage is CSR: Add() stages (row, entry) triplets and SortRows()
+/// finalises them into one contiguous offsets/entries layout, or the CSR
+/// constructor takes finished rows directly. Row() is then a span over the
+/// shared entry array — no per-row vector headers, no per-row allocations,
+/// and sequential row scans walk contiguous memory.
 class SparseProbMatrix {
  public:
   struct Entry {
@@ -37,6 +41,11 @@ class SparseProbMatrix {
 
   SparseProbMatrix() = default;
   explicit SparseProbMatrix(size_t num_docs) : num_docs_(num_docs) {}
+  /// A finalised matrix from CSR arrays: row i is
+  /// entries[offsets[i], offsets[i + 1]), already sorted as SortRows()
+  /// sorts.
+  SparseProbMatrix(size_t num_docs, std::vector<uint32_t> offsets,
+                   std::vector<Entry> entries);
 
   size_t num_docs() const { return num_docs_; }
 
@@ -52,9 +61,9 @@ class SparseProbMatrix {
   double Get(trace::DocumentId i, trace::DocumentId j) const;
 
   /// Adds an entry (caller guarantees j unique within row i); call
-  /// SortRows() once after all insertions.
+  /// SortRows() once after all insertions. A finalised matrix is immutable.
   void Add(trace::DocumentId i, trace::DocumentId j, double p) {
-    if (!offsets_.empty()) Definalize();
+    SDS_CHECK(offsets_.empty()) << "Add on a finalised matrix";
     staging_.push_back({i, {j, static_cast<float>(p)}});
   }
 
@@ -71,8 +80,6 @@ class SparseProbMatrix {
   }
 
  private:
-  void Definalize();
-
   size_t num_docs_ = 0;
   /// Staged (row, entry) triplets awaiting SortRows().
   std::vector<std::pair<trace::DocumentId, Entry>> staging_;
@@ -232,35 +239,55 @@ class DailyDependencyAccumulator {
 ///
 /// The simulator adds each finished day and drops days older than
 /// HistoryLength; BuildMatrix converts the current window into a pruned
-/// SparseProbMatrix. Pair counts live in a flat open-addressing table and
-/// occurrences in a dense per-document array.
+/// SparseProbMatrix. Counts are row-major: each leading document owns one
+/// contiguous (follower, count) list, sorted by follower and searched by
+/// bisection, so a pair costs its 16-byte entry and no hash slot; the
+/// occurrences live in a dense per-document array. Add and Remove mark the
+/// rows they change, and BuildMatrix recomputes only those; every other
+/// row is copied from the previous build.
 class WindowedCounts {
  public:
+  /// Every document id counted must be below `num_docs`.
   explicit WindowedCounts(size_t num_docs)
-      : num_docs_(num_docs), occurrences_(num_docs, 0) {}
+      : num_docs_(num_docs),
+        rows_(num_docs),
+        occurrences_(num_docs, 0),
+        touched_(num_docs, 0) {}
 
   void Add(const DayCounts& day);
   void Remove(const DayCounts& day);
 
-  /// Builds P from the current window, applying the pruning thresholds.
-  SparseProbMatrix BuildMatrix(const DependencyConfig& config) const;
+  /// Builds P from the current window, applying the pruning thresholds:
+  /// the same matrix whatever Add/Remove history led to this window.
+  SparseProbMatrix BuildMatrix(const DependencyConfig& config);
 
   size_t num_docs() const { return num_docs_; }
-  uint64_t total_pairs() const { return total_pairs_; }
-  /// Current windowed counts (0 if absent) — exposed for tests.
-  int64_t OccurrenceCount(trace::DocumentId doc) const {
-    return doc < occurrences_.size() ? occurrences_[doc] : 0;
-  }
-  int64_t PairCount(trace::DocumentId i, trace::DocumentId j) const {
-    const int64_t* n = pair_counts_.Find(PairKey(i, j));
-    return n == nullptr ? 0 : *n;
-  }
 
  private:
+  struct Follower {
+    trace::DocumentId doc = trace::kInvalidDocument;
+    int64_t count = 0;
+  };
+
+  /// The follower of PairKey(i, j) in rows_[i], inserted with count 0 if
+  /// absent and `insert`, else null if absent. Marks row i.
+  Follower* Find(uint64_t key, bool insert);
+  /// Appends the pruned entries of row `i` to `out`, sorted as SortRows()
+  /// sorts.
+  void AppendRow(trace::DocumentId i, const DependencyConfig& config,
+                 std::vector<SparseProbMatrix::Entry>* out) const;
+
   size_t num_docs_;
-  PairTable<int64_t> pair_counts_;
+  /// rows_[i]: every follower of i the window has counted, by ascending
+  /// doc (a count may fall back to 0).
+  std::vector<std::vector<Follower>> rows_;
   std::vector<int64_t> occurrences_;
-  uint64_t total_pairs_ = 0;
+  /// Rows changed since the last build.
+  std::vector<uint8_t> touched_;
+  /// The last build: its pruning thresholds (by bit pattern) and its CSR.
+  std::optional<std::array<uint64_t, 2>> built_for_;
+  std::vector<uint32_t> offsets_;
+  std::vector<SparseProbMatrix::Entry> entries_;
 };
 
 /// \brief One-shot estimation of P over the requests of the interval

@@ -147,8 +147,9 @@ const char* ServiceModeToString(ServiceMode mode) {
 
 SpeculationModel::SpeculationModel(size_t num_docs,
                                    const SpeculationConfig& config,
-                                   DayCountsSource deltas, bool keep_epochs)
-    : config_(config), deltas_(std::move(deltas)), keep_epochs_(keep_epochs) {
+                                   DayCountsSource deltas,
+                                   std::optional<long> last_day)
+    : config_(config), deltas_(std::move(deltas)), last_day_(last_day) {
   SDS_CHECK(deltas_ != nullptr) << "a model needs day counts";
   SDS_CHECK(config.update_cycle_days >= 1);
   SDS_CHECK(config.history_days >= 1);
@@ -179,34 +180,41 @@ void SpeculationModel::FoldDay(long day) {
   }
 }
 
-std::unique_ptr<const ClosureEpoch> SpeculationModel::BuildNext() {
-  do {
+long SpeculationModel::NextRebuildDay() const {
+  long day = day_ + 1;
+  while (!RebuildsOn(day, config_.update_cycle_days)) ++day;
+  return day;
+}
+
+void SpeculationModel::BuildNext() {
+  for (const long rebuild = NextRebuildDay(); day_ < rebuild;) {
     FoldDay(day_++);
-  } while (!RebuildsOn(day_, config_.update_cycle_days));
-  return std::make_unique<ClosureEpoch>(
+  }
+  auto epoch = std::make_unique<const ClosureEpoch>(
       decayed_ ? decayed_->BuildMatrix(config_.dependency)
                : counts_->BuildMatrix(config_.dependency),
       config_.closure);
+  std::lock_guard<std::mutex> lock(epochs_mutex_);
+  epochs_.push_back(std::move(epoch));
+  if (!last_day_ && epochs_.size() > 1) epochs_[epochs_.size() - 2].reset();
 }
 
 const ClosureEpoch* SpeculationModel::Epoch(size_t k) {
-  {
-    std::lock_guard<std::mutex> lock(epochs_mutex_);
-    if (k < epochs_.size()) return epochs_[k].get();
+  if (epochs_built() <= k) {
+    std::lock_guard<std::mutex> build(build_mutex_);
+    while (epochs_built() <= k) BuildNext();
   }
-  std::lock_guard<std::mutex> build(build_mutex_);
-  for (;;) {
-    size_t next = 0;
-    {
-      std::lock_guard<std::mutex> lock(epochs_mutex_);
-      if (k < epochs_.size()) return epochs_[k].get();
-      next = epochs_.size();
+  if (last_day_) {
+    // Build epoch k + 1 ahead for the runs that reach its day next. Never
+    // wait: a caller holding the lock is already building k + 1 or later.
+    std::unique_lock<std::mutex> build(build_mutex_, std::try_to_lock);
+    if (build.owns_lock() && epochs_built() == k + 1 &&
+        NextRebuildDay() <= *last_day_) {
+      BuildNext();
     }
-    std::unique_ptr<const ClosureEpoch> epoch = BuildNext();
-    std::lock_guard<std::mutex> lock(epochs_mutex_);
-    epochs_.push_back(std::move(epoch));
-    if (!keep_epochs_ && next > 0) epochs_[next - 1].reset();
   }
+  std::lock_guard<std::mutex> lock(epochs_mutex_);
+  return epochs_[k].get();
 }
 
 namespace {
@@ -222,8 +230,7 @@ std::shared_ptr<SpeculationModel> PrivateModel(const trace::Corpus* corpus,
   if (!NeedsModel(config.mode)) return nullptr;
   SDS_CHECK(deltas != nullptr) << "speculative modes need day counts";
   return std::make_shared<SpeculationModel>(corpus->size(), config,
-                                            std::move(deltas),
-                                            /*keep_epochs=*/false);
+                                            std::move(deltas), std::nullopt);
 }
 
 /// Reads the simulator's cached day counts (thread-safe: they are
@@ -711,8 +718,9 @@ std::shared_ptr<SpeculationModel> SpeculationSimulator::AcquireModel(
   std::weak_ptr<SpeculationModel>& slot = models_[key];
   std::shared_ptr<SpeculationModel> model = slot.lock();
   if (model == nullptr) {
+    const long last_day = prepared_.day.empty() ? 0 : prepared_.day.back();
     model = std::make_shared<SpeculationModel>(
-        corpus_->size(), config, VectorSource(deltas), /*keep_epochs=*/true);
+        corpus_->size(), config, VectorSource(deltas), last_day);
     slot = model;
     ++model_builds_;
   }

@@ -178,23 +178,30 @@ using DayCountsSource = std::function<const DayCounts*(long day)>;
 /// Epoch k is the model re-estimated on the k-th rebuild day (day 1, then
 /// every day divisible by update_cycle_days): P from the day counts the
 /// estimator holds at that point, plus its lazily computed P* rows. Epochs
-/// are built in order on first request, so a model only ever reads the day
-/// counts it needs, in the order a replay's day-roll would. P and P* depend
-/// on the trace and on the fields of SpeculationSimulator's model key, never
-/// on the policy, so every run with the same key can read the same epochs.
+/// are built in order, so a model only ever reads the day counts it needs,
+/// in the order a replay's day-roll would. P and P* depend on the trace and
+/// on the fields of SpeculationSimulator's model key, never on the policy,
+/// so every run with the same key can read the same epochs.
 ///
-/// A model that keeps its epochs serves any number of concurrent runs that
-/// are at different days (SpeculationSimulator shares one per key among its
-/// in-flight runs); Epoch is thread-safe and epoch pointers stay valid for
-/// the model's lifetime. A private model keeps only the newest epoch: the
-/// previous one is freed when the next is built.
+/// A shared model keeps its epochs and serves any number of concurrent runs
+/// that are at different days (SpeculationSimulator shares one per key
+/// among its in-flight runs); Epoch is thread-safe and epoch pointers stay
+/// valid for the model's lifetime. A shared model also builds one epoch
+/// ahead: the caller that obtains epoch k builds k + 1 next, if nobody else
+/// is building, so runs reaching a new day rarely wait for its epoch. It
+/// never builds an epoch whose rebuild day is past the last day its runs
+/// reach. A private model builds each epoch only when its run asks for it
+/// and keeps only the newest: the previous one is freed when the next is
+/// built.
 class SpeculationModel {
  public:
   /// `num_docs` bounds the document ids; `deltas` supplies the finished
   /// day counts and must be thread-safe if runs share the model. `config`
-  /// is copied; only its model-key fields are read.
+  /// is copied; only its model-key fields are read. With `last_day` (the
+  /// last day its runs' day-rolls reach) the model is shared, else it is
+  /// private.
   SpeculationModel(size_t num_docs, const SpeculationConfig& config,
-                   DayCountsSource deltas, bool keep_epochs);
+                   DayCountsSource deltas, std::optional<long> last_day);
 
   /// True if the model is re-estimated when the day-roll reaches `day`.
   static bool RebuildsOn(long day, uint32_t update_cycle_days) {
@@ -210,12 +217,16 @@ class SpeculationModel {
  private:
   /// Folds finished day `day` into the estimator's counters.
   void FoldDay(long day);
-  /// Steps the day-roll to the next rebuild day and re-estimates there.
-  std::unique_ptr<const ClosureEpoch> BuildNext();
+  /// The first rebuild day after the last day folded.
+  long NextRebuildDay() const;
+  /// Steps the day-roll to the next rebuild day, re-estimates there and
+  /// publishes the epoch. Requires build_mutex_.
+  void BuildNext();
 
   const SpeculationConfig config_;
   const DayCountsSource deltas_;
-  const bool keep_epochs_;
+  /// Set for a shared model: the last day its runs reach.
+  const std::optional<long> last_day_;
 
   /// Epoch-building state, guarded by build_mutex_.
   std::mutex build_mutex_;

@@ -70,13 +70,6 @@ double ZipfDistribution::Pmf(uint64_t rank) const {
   return std::pow(static_cast<double>(rank + 1), -s_) / generalized_harmonic_;
 }
 
-double ZipfDistribution::CumulativeMass(uint64_t k) const {
-  if (k >= n_) return 1.0;
-  double sum = 0.0;
-  for (uint64_t r = 0; r < k; ++r) sum += Pmf(r);
-  return sum;
-}
-
 // ---------------------------------------------------------------------------
 // LognormalDistribution
 // ---------------------------------------------------------------------------

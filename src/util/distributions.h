@@ -32,9 +32,6 @@ class ZipfDistribution {
   /// Probability mass of a given rank.
   double Pmf(uint64_t rank) const;
 
-  /// Sum_{r<k} Pmf(r): fraction of mass in the k most popular ranks.
-  double CumulativeMass(uint64_t k) const;
-
  private:
   double H(double x) const;
   double HInverse(double x) const;

@@ -345,6 +345,88 @@ TEST(WindowedCountsTest, SlidWindowMatchesFreshUnderWindowSlide) {
   }
 }
 
+void ExpectMatricesEq(const SparseProbMatrix& want,
+                      const SparseProbMatrix& got, const std::string& ctx) {
+  ASSERT_EQ(want.num_docs(), got.num_docs()) << ctx;
+  ASSERT_EQ(want.NumEntries(), got.NumEntries()) << ctx;
+  for (trace::DocumentId i = 0; i < want.num_docs(); ++i) {
+    ExpectRowsEq(want.Row(i), got.Row(i), ctx + " row " + std::to_string(i));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(WindowedCountsTest, RebuildWithoutFoldIsIdentical) {
+  const core::Workload w = core::MakeWorkload(core::SmallConfig());
+  const DependencyConfig config;
+  const auto days = CountDailyDependencies(w.clean(), config);
+  ASSERT_GE(days.size(), 3u);
+  WindowedCounts window(w.corpus().size());
+  for (size_t d = 0; d < 3; ++d) window.Add(days[d]);
+  const SparseProbMatrix first = window.BuildMatrix(config);
+  ASSERT_GT(first.NumEntries(), 0u);
+  ExpectMatricesEq(first, window.BuildMatrix(config), "second build");
+}
+
+TEST(WindowedCountsTest, AlternatingConfigsEachMatchFreshWindow) {
+  // Thresholds select a row's entries, so a build under new thresholds
+  // must not reuse rows built under the old ones.
+  DependencyConfig loose;
+  loose.min_support = 1;
+  loose.min_probability = 0.02;
+  DependencyConfig strict;
+  strict.min_support = 3;
+  strict.min_probability = 0.3;
+  Rng rng(41);
+  const size_t num_docs = 40;
+  WindowedCounts slid(num_docs);
+  std::deque<DayCounts> window;
+  for (uint32_t day = 0; day < 20; ++day) {
+    const DayCounts dc = MakeDay(Scenario::kPopularityChurn, day, num_docs,
+                                 &rng);
+    slid.Add(dc);
+    window.push_back(dc);
+    if (window.size() > 5) {
+      slid.Remove(window.front());
+      window.pop_front();
+    }
+    // Some days build under both configs, in either order; some under one.
+    std::vector<const DependencyConfig*> builds = {&loose, &strict};
+    if (day % 2 == 1) std::swap(builds[0], builds[1]);
+    if (day % 3 == 2) builds.pop_back();
+    for (const DependencyConfig* config : builds) {
+      WindowedCounts fresh(num_docs);
+      for (const DayCounts& d : window) fresh.Add(d);
+      ExpectMatricesEq(fresh.BuildMatrix(*config), slid.BuildMatrix(*config),
+                       "day " + std::to_string(day) + " min_support " +
+                           std::to_string(config->min_support));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(WindowedCountsTest, RowEmptiedByRemoveReadsEmpty) {
+  DayCounts lead;  // doc 0 leads doc 1 three times; doc 2 leads doc 3 once
+  lead.pair_counts = {{PairKey(0, 1), 3}, {PairKey(2, 3), 1}};
+  lead.occurrences = {{0, 3}, {2, 1}};
+  DayCounts more;  // only doc 2's row changes
+  more.pair_counts = {{PairKey(2, 3), 2}};
+  more.occurrences = {{2, 2}};
+  WindowedCounts window(4);
+  window.Add(lead);
+  window.Add(more);
+  DependencyConfig config;
+  config.min_support = 1;
+  ASSERT_EQ(window.BuildMatrix(config).Row(0).size(), 1u);
+  window.Remove(lead);
+  const SparseProbMatrix p = window.BuildMatrix(config);
+  EXPECT_TRUE(p.Row(0).empty());
+  EXPECT_DOUBLE_EQ(p.Get(0, 1), 0.0);
+  ASSERT_EQ(p.Row(2).size(), 1u);
+  EXPECT_EQ(p.Row(2)[0].doc, 3u);
+  EXPECT_FLOAT_EQ(p.Row(2)[0].probability, 1.0f);
+  EXPECT_EQ(p.NumEntries(), 1u);
+}
+
 TEST(DependencyTest, ProbabilitiesAreValid) {
   const core::Workload w = core::MakeWorkload(core::SmallConfig());
   const auto p = EstimateDependencies(w.clean(), w.corpus().size(),

@@ -271,6 +271,38 @@ TEST_F(SharedModelTest, ConcurrentPointsBuildTheModelOnce) {
   EXPECT_EQ(model->epochs_built(), sim->prepared().day.back());
 }
 
+TEST_F(SharedModelTest, LookAheadBuildsEachEpochOnceAndNonePastTheLastDay) {
+  // Whoever obtains epoch k builds k + 1 ahead, but never an epoch whose
+  // rebuild day the replays do not reach: a lone run leaves exactly the
+  // epochs it consumed, and so do 2 and 4 overlapping runs.
+  const std::vector<SpeculationConfig> grid = Fig5Grid();
+  for (const uint32_t cycle : {1u, 3u}) {
+    for (const size_t runs : {size_t{1}, size_t{2}, size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "cycle " << cycle << " runs " << runs);
+      const auto sim = NewSimulator();
+      std::vector<SpeculationConfig> configs(grid.begin() + 1,
+                                             grid.begin() + 1 + runs);
+      for (SpeculationConfig& config : configs) {
+        config.update_cycle_days = cycle;
+      }
+      const std::shared_ptr<SpeculationModel> model =
+          sim->AcquireModel(configs[0]);
+      std::vector<std::thread> threads;
+      for (const SpeculationConfig& config : configs) {
+        threads.emplace_back([&sim, &config] { sim->Run(config); });
+      }
+      for (std::thread& t : threads) t.join();
+      EXPECT_EQ(sim->model_builds(), 1u);
+      const long last_day = sim->prepared().day.back();
+      size_t rebuild_days = 0;
+      for (long day = 1; day <= last_day; ++day) {
+        rebuild_days += SpeculationModel::RebuildsOn(day, cycle) ? 1 : 0;
+      }
+      EXPECT_EQ(model->epochs_built(), rebuild_days);
+    }
+  }
+}
+
 TEST_F(SharedModelTest, SerialRunsRebuildPerRun) {
   // A model lives only while a run holds it: runs that never overlap each
   // build their own, as a serial sweep always did.

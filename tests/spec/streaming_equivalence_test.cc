@@ -475,6 +475,33 @@ TEST(StreamingSimulatorTest, AnyChunkingMatchesBatchInOnePass) {
   }
 }
 
+// A streaming run's model is private and builds each epoch only when the
+// day-roll asks for it, so its pass reads ahead only as far as finalising
+// the current day needs; a model that built ahead would read a day further.
+// The maxima are pinned for the default T_w and a one-hour one.
+TEST(StreamingSimulatorTest, PrivateModelLookaheadIsPinned) {
+  const core::Workload& w = SharedWorkload();
+  struct Case {
+    SimTime window;
+    size_t chunk_size;
+    size_t chunks;
+    size_t requests;
+  };
+  for (const Case& c : {Case{5.0, 7, 0, 0}, Case{5.0, 4096, 0, 0},
+                        Case{3600.0, 7, 7, 49}, Case{3600.0, 4096, 1, 3320}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "window " << c.window << " chunk " << c.chunk_size);
+    SpeculationConfig config;
+    config.mode = ServiceMode::kSpeculativePush;
+    config.dependency.window = c.window;
+    ResliceCursor replay(&w.clean(), c.chunk_size);
+    StreamingSpeculationSimulator stream(&w.corpus(), &replay);
+    stream.Run(config);
+    EXPECT_EQ(stream.last_lookahead().chunks, c.chunks);
+    EXPECT_EQ(stream.last_lookahead().requests, c.requests);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Queue statistics
 // ---------------------------------------------------------------------------

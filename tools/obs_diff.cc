@@ -20,7 +20,8 @@
 // Globs use '/' as the path separator ('*'/'?' stay within a segment,
 // "**" crosses); flattened keys look like "metrics/counters/spec.runs".
 //
-// Exit codes: 0 = match, 1 = divergence, 2 = usage or I/O error.
+// Exit codes: 0 = match, 1 = divergence, 2 = usage or I/O error, or a
+// comparison that covers no key (a gate that checks nothing never passes).
 
 #include <cstdio>
 #include <cstdlib>
@@ -140,6 +141,11 @@ int main(int argc, char** argv) {
   }
 
   const DiffReport report = DiffSnapshots(a.value(), b.value(), options);
+  if (report.compared == 0 && report.Match()) {
+    std::fprintf(stderr, "error: no keys compared (%zu ignored)\n",
+                 report.ignored);
+    return 2;
+  }
   if (report.Match()) {
     std::printf("obs_diff: match — %zu keys compared, %zu ignored\n",
                 report.compared, report.ignored);
