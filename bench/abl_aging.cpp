@@ -77,6 +77,12 @@ int main(int argc, char** argv) {
   std::printf("aging matches a short window's freshness while keeping the\n"
               "statistical support of a long one (§3.4's envisioned\n"
               "mechanism).\n");
+  // The shared baseline replay and one replay per case.
+  double replayed = static_cast<double>(baseline.client_requests);
+  for (const auto& m : metrics) {
+    replayed += static_cast<double>(m.with_speculation.client_requests);
+  }
+  bench_report.RequestsProcessed(replayed);
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

@@ -80,6 +80,12 @@ int main(int argc, char** argv) {
               "raw P at the same threshold; sum-product promotes targets\n"
               "reachable along many chains (embedding-heavy pages).\n\n");
 
+  // The shared baseline replay and one replay per case.
+  double replayed = static_cast<double>(baseline.client_requests);
+  for (const auto& m : metrics) {
+    replayed += static_cast<double>(m.with_speculation.client_requests);
+  }
+  bench_report.RequestsProcessed(replayed);
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

@@ -68,6 +68,11 @@ int main(int argc, char** argv) {
   std::printf("%s\n\n", stats.Summary().c_str());
   std::printf("ratios are vs plain service (no proxies, no speculation,\n"
               "same client caches) over the evaluation half of the trace.\n");
+  double replayed = 0.0;
+  for (const auto& result : results) {
+    replayed += static_cast<double>(result.requests_replayed);
+  }
+  bench_report.RequestsProcessed(replayed);
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

@@ -28,6 +28,14 @@ int main(int argc, char** argv) {
   std::printf("%s\n\n", result.sweep.Summary().c_str());
   std::printf("paper: cooperative clients waste less bandwidth for the\n"
               "same speculation level.\n");
+  // The shared baseline replay and one replay per row.
+  double replayed = static_cast<double>(
+      result.rows.front().metrics.without_speculation.client_requests);
+  for (const auto& row : result.rows) {
+    replayed +=
+        static_cast<double>(row.metrics.with_speculation.client_requests);
+  }
+  bench_report.RequestsProcessed(replayed);
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

@@ -30,6 +30,14 @@ int main(int argc, char** argv) {
 
   std::printf("paper: D=7 degrades ~3%% absolute, D=60 ~7%% (vs D=1);\n"
               "       D'=30 improves ~5%% over D'=60.\n");
+  // Each row replays with speculation and its mode-kNone twin.
+  double replayed = 0.0;
+  for (const auto& row : result.rows) {
+    replayed += static_cast<double>(
+        row.metrics.with_speculation.client_requests +
+        row.metrics.without_speculation.client_requests);
+  }
+  bench_report.RequestsProcessed(replayed);
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

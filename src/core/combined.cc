@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "dissem/proxy.h"
+#include "spec/client_cache.h"
 #include "spec/closure.h"
 #include "spec/dependency.h"
 #include "spec/policy.h"
@@ -55,6 +56,7 @@ CombinedResult SimulateCombined(const dissem::PreparedDissemination& prepared,
                                  prepared.split),
       config.speculation.closure);
   spec::ClosureScratch scratch;
+  const spec::DocumentSizes sizes = spec::DocumentSizesOf(corpus);
 
   // --- Two replays over the evaluation window: plain and combined. ---
   struct Totals {
@@ -70,7 +72,7 @@ CombinedResult SimulateCombined(const dissem::PreparedDissemination& prepared,
     std::vector<spec::ClientCache> caches;
     caches.reserve(cursor->num_clients());
     for (uint32_t c = 0; c < cursor->num_clients(); ++c) {
-      caches.emplace_back(config.speculation.cache);
+      caches.emplace_back(config.speculation.cache, &sizes);
     }
     dissem::ForEachEvalRecord(prepared, cursor, [&](const auto& r) {
       spec::ClientCache& cache = caches[r.client];
@@ -91,7 +93,7 @@ CombinedResult SimulateCombined(const dissem::PreparedDissemination& prepared,
       ++(from_proxy ? totals.proxy_requests : totals.server_requests);
       totals.bytes_hops += size * hops;
       totals.latency += Latency(config.speculation, size, hops);
-      cache.Insert(r.doc, r.bytes, /*speculative=*/false);
+      cache.Insert(r.doc, /*speculative=*/false);
       if (!combined) return;
 
       // The serving node pushes its speculation candidates; a proxy can
@@ -101,11 +103,8 @@ CombinedResult SimulateCombined(const dissem::PreparedDissemination& prepared,
                             config.speculation.policy)) {
         if (cache.Contains(cand.doc)) continue;
         if (from_proxy && !store.Contains(cand.doc)) continue;
-        const double cand_size =
-            static_cast<double>(corpus.doc(cand.doc).size_bytes);
-        totals.bytes_hops += cand_size * hops;
-        cache.Insert(cand.doc, corpus.doc(cand.doc).size_bytes,
-                     /*speculative=*/true);
+        totals.bytes_hops += static_cast<double>(sizes[cand.doc]) * hops;
+        cache.Insert(cand.doc, /*speculative=*/true);
       }
     });
     return totals;
@@ -115,6 +114,7 @@ CombinedResult SimulateCombined(const dissem::PreparedDissemination& prepared,
   const Totals both = replay(true);
 
   CombinedResult result;
+  result.requests_replayed = plain.client_requests + both.client_requests;
   if (plain.bytes_hops > 0.0) {
     result.bytes_hops_ratio = both.bytes_hops / plain.bytes_hops;
   }

@@ -35,6 +35,8 @@ struct CombinedResult {
   double proxy_share = 0.0;
   /// Fraction of client requests absorbed by the client cache.
   double cache_hit_share = 0.0;
+  /// Client requests of both replays (plain and combined).
+  uint64_t requests_replayed = 0;
 };
 
 /// \brief Replays the evaluation half of the trace under (a) plain

@@ -357,6 +357,7 @@ DisseminationReplay::DisseminationReplay(
       prepared_(prepared),
       config_(config),
       rng_(rng),
+      backoff_(config.retry),
       tracker_(0, config.protection.load),
       retry_budget_(config.protection.budget) {
   RegisterDissemAuditInvariants();
@@ -595,7 +596,7 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
       bool served = Reachable(r.node, -1, when);
       for (uint32_t attempt = 1; !served && attempt < retry.max_attempts;
            ++attempt) {
-        when += retry.timeout_s + retry.BackoffBeforeRetry(attempt - 1, rng_);
+        when += retry.timeout_s + backoff_.Before(attempt - 1, rng_);
         served = Reachable(r.node, -1, when);
       }
       if (served) {
@@ -770,7 +771,7 @@ void DisseminationReplay::OnRequest(size_t k, const EvalRecord& r) {
           break;
         }
         const double wait =
-            retry.timeout_s + retry.BackoffBeforeRetry(attempts - 1, rng_);
+            retry.timeout_s + backoff_.Before(attempts - 1, rng_);
         result_.retry_wait_seconds += wait;
         o.backoff_s += wait;
         when += wait;

@@ -377,6 +377,7 @@ class DisseminationReplay {
   const PreparedDissemination& prepared_;
   const DisseminationConfig& config_;
   Rng* rng_;
+  net::BackoffLadder backoff_;
   bool active_ = false;
   DisseminationResult result_;
   net::PlacementResult placement_;

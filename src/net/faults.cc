@@ -282,12 +282,30 @@ double RetryPolicy::BackoffBeforeRetry(uint32_t retry_index, Rng* rng) const {
   for (uint32_t i = 0; i < retry_index && backoff < max_backoff_s; ++i) {
     backoff *= backoff_multiplier;
   }
-  backoff = std::min(backoff, max_backoff_s);
+  return Jitter(std::min(backoff, max_backoff_s), rng);
+}
+
+double RetryPolicy::Jitter(double backoff, Rng* rng) const {
   if (jitter > 0.0) {
     SDS_CHECK(rng != nullptr);
     backoff *= 1.0 - jitter + 2.0 * jitter * rng->NextDouble();
   }
   return backoff;
+}
+
+BackoffLadder::BackoffLadder(const RetryPolicy& policy) : policy_(policy) {
+  const uint32_t retries =
+      std::min(policy.max_attempts > 0 ? policy.max_attempts - 1 : 0,
+               kMaxRungs);
+  double backoff = policy.base_backoff_s;
+  for (uint32_t i = 0; i < retries; ++i) {
+    rungs_[num_rungs_++] = std::min(backoff, policy.max_backoff_s);
+    if (!(backoff < policy.max_backoff_s)) {
+      capped_ = true;
+      break;
+    }
+    backoff *= policy.backoff_multiplier;
+  }
 }
 
 LoadTracker::LoadTracker(size_t num_entities, const LoadTrackerConfig& config)

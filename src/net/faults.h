@@ -2,6 +2,7 @@
 #define SDS_NET_FAULTS_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -207,6 +208,41 @@ struct RetryPolicy {
   /// Backoff waited before retry `retry_index` (0 = first retry). `rng`
   /// may be null when jitter == 0.
   double BackoffBeforeRetry(uint32_t retry_index, Rng* rng) const;
+
+  /// Scales `backoff` by the jitter factor (one draw from `rng` when
+  /// jitter > 0, none otherwise).
+  double Jitter(double backoff, Rng* rng) const;
+};
+
+/// \brief A RetryPolicy's capped backoffs, computed once per replay.
+///
+/// Rung i is BackoffBeforeRetry(i) before jitter, from the same
+/// multiplications in the same order. The ladder holds the retries the
+/// policy allows (at most kMaxRungs) and stops at the cap, past which every
+/// backoff equals it; a retry past an uncapped ladder runs the loop.
+/// Before() applies jitter as BackoffBeforeRetry does, with the same draws,
+/// so the two are interchangeable bit for bit.
+class BackoffLadder {
+ public:
+  explicit BackoffLadder(const RetryPolicy& policy);
+
+  /// Equals policy.BackoffBeforeRetry(retry_index, rng).
+  double Before(uint32_t retry_index, Rng* rng) const {
+    if (retry_index < num_rungs_) {
+      return policy_.Jitter(rungs_[retry_index], rng);
+    }
+    return capped_ ? policy_.Jitter(rungs_[num_rungs_ - 1], rng)
+                   : policy_.BackoffBeforeRetry(retry_index, rng);
+  }
+
+ private:
+  static constexpr uint32_t kMaxRungs = 16;
+
+  RetryPolicy policy_;
+  std::array<double, kMaxRungs> rungs_{};
+  uint32_t num_rungs_ = 0;
+  /// True if the last rung reached the cap.
+  bool capped_ = false;
 };
 
 /// \brief Queueing constants and thresholds for LoadTracker. The service

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "trace/corpus.h"
 #include "trace/document.h"
 #include "util/sim_time.h"
 
@@ -22,20 +23,31 @@ struct ClientCacheConfig {
   uint64_t capacity_bytes = 0;
 };
 
+/// \brief Byte size of every document, indexed by id: sizes never change,
+/// so one table serves every cache of a replay.
+using DocumentSizes = std::vector<uint64_t>;
+
+/// The size table of `corpus`.
+DocumentSizes DocumentSizesOf(const trace::Corpus& corpus);
+
 /// \brief Per-client cache with session purging and optional LRU capacity.
 ///
 /// The entries live directly in one open-addressing table (linear probing,
-/// a power-of-two slot count, 16 bytes per entry, freed with one
-/// deallocation). Under the infinite multi-session cache of Figure 5 a
-/// client holds about 90 documents when it looks one up and about 440 at
-/// the 99th percentile, so every lookup is one probe sequence, never a
-/// scan. Recency is a per-entry stamp from a per-cache clock: a use only
-/// restamps its entry, and a capacity-bound cache evicts the minimum stamp,
-/// which is exactly LRU order. Each replay owns its clients' caches; the
-/// const accessors modify nothing.
+/// a power-of-two slot count, 8 bytes per entry, freed with one
+/// deallocation). An entry is a document id and a recency stamp; sizes come
+/// from the shared DocumentSizes table, read when bytes are counted. Under
+/// the infinite multi-session cache of Figure 5 a client holds about 90
+/// documents when it looks one up and about 440 at the 99th percentile, so
+/// every lookup is one probe sequence, never a scan. Recency is a per-entry
+/// stamp from a per-cache clock: a use only restamps its entry, and a
+/// capacity-bound cache evicts the minimum stamp, which is exactly LRU
+/// order. Each replay owns its clients' caches; the const accessors modify
+/// nothing.
 class ClientCache {
  public:
-  explicit ClientCache(const ClientCacheConfig& config) : config_(config) {}
+  /// `sizes` must outlive the cache and hold at most 2^31 - 1 documents:
+  /// an entry keeps a flag in the top bit of its id.
+  ClientCache(const ClientCacheConfig& config, const DocumentSizes* sizes);
 
   /// Must be called at every request of this client *before* Contains /
   /// Insert: purges the cache if the inter-request gap ended the session.
@@ -47,17 +59,17 @@ class ClientCache {
   /// been requested yet (used to count first-use speculative hits).
   bool IsUnusedSpeculative(trace::DocumentId doc) const {
     const size_t slot = Find(doc);
-    return slot != kAbsent && slots_[slot].speculative_unused;
+    return slot != kAbsent && slots_[slot].unused();
   }
 
   /// Marks a speculative entry as used by a real request.
   void MarkUsed(trace::DocumentId doc);
 
-  /// Inserts a document (no-op if present; a present speculative entry
-  /// requested for real should use MarkUsed). Evicts LRU entries when over
-  /// capacity. Documents larger than the capacity are not cached. `doc`
-  /// must not be kInvalidDocument, which marks an empty slot.
-  void Insert(trace::DocumentId doc, uint64_t size_bytes, bool speculative);
+  /// Inserts a document of the size table (no-op if present; a present
+  /// speculative entry requested for real should use MarkUsed). Evicts LRU
+  /// entries when over capacity. Documents larger than the capacity are not
+  /// cached. Aborts on an id outside the size table.
+  void Insert(trace::DocumentId doc, bool speculative);
 
   uint64_t used_bytes() const { return used_; }
   size_t num_docs() const { return count_; }
@@ -77,14 +89,22 @@ class ClientCache {
   uint64_t unused_speculative_docs() const { return unused_spec_docs_; }
 
  private:
+  /// Set in an entry's key while it is speculative and not yet requested.
+  static constexpr uint32_t kUnusedBit = 0x80000000u;
+  /// Key of an empty slot. No document key equals it: ids stay below
+  /// 2^31 - 1.
+  static constexpr uint32_t kEmpty = trace::kInvalidDocument;
+
   struct Entry {
-    trace::DocumentId doc = trace::kInvalidDocument;  // empty slot
+    /// The document id, or'ed with kUnusedBit; kEmpty for an empty slot.
+    uint32_t key = kEmpty;
     /// Value of clock_ at the last insert or use (larger = more recent).
     uint32_t stamp = 0;
-    uint64_t size : 63 = 0;
-    uint64_t speculative_unused : 1 = 0;
+
+    trace::DocumentId doc() const { return key & ~kUnusedBit; }
+    bool unused() const { return (key & kUnusedBit) != 0; }
   };
-  static_assert(sizeof(Entry) == 16);
+  static_assert(sizeof(Entry) == 8);
 
   static constexpr size_t kAbsent = static_cast<size_t>(-1);
 
@@ -100,8 +120,8 @@ class ClientCache {
     if (slots_.empty()) return kAbsent;
     const size_t mask = slots_.size() - 1;
     for (size_t i = Home(doc);; i = (i + 1) & mask) {
-      if (slots_[i].doc == doc) return i;
-      if (slots_[i].doc == trace::kInvalidDocument) return kAbsent;
+      if (slots_[i].key == kEmpty) return kAbsent;
+      if (slots_[i].doc() == doc) return i;
     }
   }
 
@@ -120,6 +140,7 @@ class ClientCache {
   void EvictIfNeeded();
 
   ClientCacheConfig config_;
+  const DocumentSizes* sizes_;
   /// Empty, or a power of two slots of which at most 7/8 are occupied.
   std::vector<Entry> slots_;
   uint64_t used_ = 0;

@@ -1,6 +1,7 @@
 #include "spec/closure.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace sds::spec {
 namespace {
@@ -15,9 +16,8 @@ void SortByProbability(std::vector<SparseProbMatrix::Entry>* out) {
             });
 }
 
-std::vector<SparseProbMatrix::Entry> MaxProductRow(
-    const SparseProbMatrix& p, trace::DocumentId source,
-    const ClosureConfig& config, ClosureScratch& s) {
+void MaxProductRow(const SparseProbMatrix& p, trace::DocumentId source,
+                   const ClosureConfig& config, ClosureScratch& s) {
   // Best-first search: edge weights are probabilities in (0, 1], so the
   // first time a node is popped its chain probability is maximal
   // (Dijkstra in -log space without the logs). `best` is a dense
@@ -31,7 +31,7 @@ std::vector<SparseProbMatrix::Entry> MaxProductRow(
   s.stamp[source] = epoch;
   uint32_t expansions = 0;
 
-  std::vector<SparseProbMatrix::Entry> out;
+  std::vector<SparseProbMatrix::Entry>& out = s.row;
   while (!heap.empty() && expansions < config.max_expansions) {
     std::pop_heap(heap.begin(), heap.end());
     const ClosureScratch::HeapItem item = heap.back();
@@ -59,12 +59,10 @@ std::vector<SparseProbMatrix::Entry> MaxProductRow(
   // Out is produced in pop order == descending probability already; sort
   // for deterministic tie order.
   SortByProbability(&out);
-  return out;
 }
 
-std::vector<SparseProbMatrix::Entry> SumProductRow(
-    const SparseProbMatrix& p, trace::DocumentId source,
-    const ClosureConfig& config, ClosureScratch& s) {
+void SumProductRow(const SparseProbMatrix& p, trace::DocumentId source,
+                   const ClosureConfig& config, ClosureScratch& s) {
   s.Prepare(std::max(p.num_docs(), static_cast<size_t>(source) + 1));
   const uint32_t epoch = s.epoch;
   s.frontier.push_back({source, 1.0});
@@ -103,16 +101,26 @@ std::vector<SparseProbMatrix::Entry> SumProductRow(
     }
     if (s.touched.size() > config.max_expansions) break;
   }
-  std::vector<SparseProbMatrix::Entry> out;
-  out.reserve(s.touched.size());
   for (const trace::DocumentId doc : s.touched) {
     const double prob = std::min(1.0, s.total[doc]);
     if (prob >= config.min_probability) {
-      out.push_back({doc, static_cast<float>(prob)});
+      s.row.push_back({doc, static_cast<float>(prob)});
     }
   }
-  SortByProbability(&out);
-  return out;
+  SortByProbability(&s.row);
+}
+
+/// Computes the closure row of `source` into `scratch->row`.
+void FillClosureRow(const SparseProbMatrix& p, trace::DocumentId source,
+                    const ClosureConfig& config, ClosureScratch* scratch) {
+  switch (config.semantics) {
+    case ClosureSemantics::kMaxProduct:
+      MaxProductRow(p, source, config, *scratch);
+      return;
+    case ClosureSemantics::kSumProductCapped:
+      SumProductRow(p, source, config, *scratch);
+      return;
+  }
 }
 
 }  // namespace
@@ -134,18 +142,14 @@ void ClosureScratch::Prepare(size_t num_docs) {
   frontier.clear();
   events.clear();
   touched.clear();
+  row.clear();
 }
 
 std::vector<SparseProbMatrix::Entry> ComputeClosureRow(
     const SparseProbMatrix& p, trace::DocumentId source,
     const ClosureConfig& config, ClosureScratch* scratch) {
-  switch (config.semantics) {
-    case ClosureSemantics::kMaxProduct:
-      return MaxProductRow(p, source, config, *scratch);
-    case ClosureSemantics::kSumProductCapped:
-      return SumProductRow(p, source, config, *scratch);
-  }
-  return {};
+  FillClosureRow(p, source, config, scratch);
+  return scratch->row;
 }
 
 std::vector<SparseProbMatrix::Entry> ComputeClosureRow(
@@ -161,13 +165,16 @@ SparseProbMatrix ComputeClosure(const SparseProbMatrix& p,
   ClosureScratch scratch;
   for (trace::DocumentId i = 0; i < p.num_docs(); ++i) {
     if (p.Row(i).empty()) continue;
-    for (const auto& e : ComputeClosureRow(p, i, config, &scratch)) {
+    FillClosureRow(p, i, config, &scratch);
+    for (const auto& e : scratch.row) {
       closure.Add(i, e.doc, e.probability);
     }
   }
   closure.SortRows();
   return closure;
 }
+
+const ClosureRows::Row ClosureRows::kEmptyRow{};
 
 ClosureRows::ClosureRows(size_t num_docs)
     : slots_(std::make_unique<std::atomic<const Row*>[]>(num_docs)),
@@ -183,20 +190,38 @@ SparseProbMatrix::RowView ClosureRows::Get(const SparseProbMatrix& p,
   std::atomic<const Row*>& slot = slots_[doc];
   const Row* row = slot.load(std::memory_order_acquire);
   if (row == nullptr) {
-    const Row* mine = new Row(ComputeClosureRow(p, doc, config, scratch));
+    FillClosureRow(p, doc, config, scratch);
+    const Row* mine = NewRow(scratch->row);
     if (slot.compare_exchange_strong(row, mine, std::memory_order_acq_rel,
                                      std::memory_order_acquire)) {
       row = mine;
     } else {
-      delete mine;  // another thread published the same row first
+      FreeRow(mine);  // another thread published the same row first
     }
   }
-  return SparseProbMatrix::RowView(row->data(), row->size());
+  return SparseProbMatrix::RowView(row->entries, row->count);
+}
+
+const ClosureRows::Row* ClosureRows::NewRow(
+    const std::vector<SparseProbMatrix::Entry>& entries) {
+  if (entries.empty()) return &kEmptyRow;
+  void* block = ::operator new(sizeof(Row) +
+                               entries.size() * sizeof(SparseProbMatrix::Entry));
+  // Row is an implicit-lifetime aggregate: the allocation creates it.
+  Row* row = static_cast<Row*>(block);
+  row->count = static_cast<uint32_t>(entries.size());
+  std::uninitialized_copy(entries.begin(), entries.end(), row->entries);
+  return row;
+}
+
+void ClosureRows::FreeRow(const Row* row) {
+  if (row != &kEmptyRow) ::operator delete(const_cast<Row*>(row));
 }
 
 void ClosureRows::DropAll() {
   for (size_t i = 0; i < size_; ++i) {
-    delete slots_[i].exchange(nullptr, std::memory_order_relaxed);
+    const Row* row = slots_[i].exchange(nullptr, std::memory_order_relaxed);
+    if (row != nullptr) FreeRow(row);
   }
 }
 

@@ -71,6 +71,8 @@ class ClosureScratch {
   std::vector<std::pair<trace::DocumentId, double>> events;
   /// Docs with accumulated mass this row, in first-touch order.
   std::vector<trace::DocumentId> touched;
+  /// The row computed last, sorted by descending probability.
+  std::vector<SparseProbMatrix::Entry> row;
 };
 
 /// \brief Computes the full closure P* of P (every row). For large
@@ -80,13 +82,14 @@ SparseProbMatrix ComputeClosure(const SparseProbMatrix& p,
 
 /// \brief Lazily computed closure rows of one P, one slot per document.
 ///
-/// A slot is filled once: the row is computed into a fresh allocation and
-/// published with a release compare-and-swap, and readers load slots with
-/// acquire. Any number of threads may therefore look rows up at once (each
-/// with its own scratch); a thread that loses the race to fill a slot frees
-/// its copy and returns the winner's, which is bit-identical because a row
-/// is a pure function of (P, source, config). Dropping rows is not
-/// thread-safe. Views stay valid until their row is dropped.
+/// A slot is filled once: the row is computed into the caller's scratch,
+/// copied into one exact-size block (its length, then its entries; empty
+/// rows share one static block) and published with a release
+/// compare-and-swap, and readers load slots with acquire. Any number of
+/// threads may therefore look rows up at once (each with its own scratch);
+/// a thread that loses the race to fill a slot frees its copy and returns
+/// the winner's, which is bit-identical because a row is a pure function
+/// of (P, source, config). Dropping rows is not thread-safe. Views stay valid until their row is dropped.
 class ClosureRows {
  public:
   explicit ClosureRows(size_t num_docs);
@@ -106,7 +109,15 @@ class ClosureRows {
   void DropAll();
 
  private:
-  using Row = std::vector<SparseProbMatrix::Entry>;
+  /// One published row in one heap block.
+  struct Row {
+    uint32_t count = 0;
+    SparseProbMatrix::Entry entries[];  // `count` entries follow.
+  };
+  static const Row kEmptyRow;
+
+  static const Row* NewRow(const std::vector<SparseProbMatrix::Entry>& entries);
+  static void FreeRow(const Row* row);
 
   std::unique_ptr<std::atomic<const Row*>[]> slots_;
   size_t size_;
@@ -149,8 +160,9 @@ enum class ClosureMode : uint8_t {
   kBatch = 0,
 };
 
-/// \brief Computes one closure row (exposed for tests). The overload with
-/// a scratch reuses its buffers across calls.
+/// \brief Computes one closure row (exposed for tests and benchmarks). The
+/// overload with a scratch reuses its buffers across calls and leaves the
+/// row in `scratch->row` too.
 std::vector<SparseProbMatrix::Entry> ComputeClosureRow(
     const SparseProbMatrix& p, trace::DocumentId source,
     const ClosureConfig& config);

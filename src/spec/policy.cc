@@ -2,10 +2,10 @@
 
 namespace sds::spec {
 
-std::vector<CandidateDoc> SelectCandidates(
-    SparseProbMatrix::RowView closure_row, const trace::Corpus& corpus,
-    const PolicyConfig& config) {
-  std::vector<CandidateDoc> out;
+void SelectCandidates(SparseProbMatrix::RowView closure_row,
+                      const trace::Corpus& corpus, const PolicyConfig& config,
+                      std::vector<CandidateDoc>* out) {
+  out->clear();
   uint64_t budget_used = 0;
   for (const auto& e : closure_row) {
     if (e.probability < config.threshold) break;  // sorted descending
@@ -15,15 +15,22 @@ std::vector<CandidateDoc> SelectCandidates(
       case PolicyKind::kThreshold:
         break;
       case PolicyKind::kTopK:
-        if (out.size() >= config.top_k) return out;
+        if (out->size() >= config.top_k) return;
         break;
       case PolicyKind::kByteBudget:
         if (budget_used + size > config.byte_budget) continue;
         budget_used += size;
         break;
     }
-    out.push_back({e.doc, e.probability});
+    out->push_back({e.doc, e.probability});
   }
+}
+
+std::vector<CandidateDoc> SelectCandidates(
+    SparseProbMatrix::RowView closure_row, const trace::Corpus& corpus,
+    const PolicyConfig& config) {
+  std::vector<CandidateDoc> out;
+  SelectCandidates(closure_row, corpus, config, &out);
   return out;
 }
 

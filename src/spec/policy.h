@@ -39,9 +39,14 @@ struct CandidateDoc {
 };
 
 /// \brief Applies the policy and the MaxSize filter to a closure row
-/// (sorted by descending probability) and returns the speculation set,
-/// most probable first. Cooperative cache filtering is the simulator's job
-/// (it needs client state).
+/// (sorted by descending probability) and replaces `*out` with the
+/// speculation set, most probable first. Cooperative cache filtering is the
+/// simulator's job (it needs client state).
+void SelectCandidates(SparseProbMatrix::RowView closure_row,
+                      const trace::Corpus& corpus, const PolicyConfig& config,
+                      std::vector<CandidateDoc>* out);
+
+/// The speculation set as a new vector (for tests and one-off callers).
 std::vector<CandidateDoc> SelectCandidates(
     SparseProbMatrix::RowView closure_row, const trace::Corpus& corpus,
     const PolicyConfig& config);

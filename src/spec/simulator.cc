@@ -265,7 +265,9 @@ SpeculationReplay::SpeculationReplay(
       config_(&config),
       server_events_(server_events),
       model_(std::move(model)),
+      sizes_(DocumentSizesOf(*corpus)),
       retry_rng_(config.retry_jitter_seed),
+      backoff_(config.retry),
       tracker_(config.protection.track_load ? num_servers : 0,
                config.protection.load),
       retry_budget_(config.protection.budget) {
@@ -288,7 +290,7 @@ SpeculationReplay::SpeculationReplay(
 
   caches_.reserve(num_clients);
   for (uint32_t c = 0; c < num_clients; ++c) {
-    caches_.emplace_back(config.cache);
+    caches_.emplace_back(config.cache, &sizes_);
   }
   if (client_prefetches_) profiles_.resize(num_clients);
 
@@ -395,9 +397,8 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
         obs::TsCount("spec.retries_suppressed_by_budget", when);
         break;
       }
-      const double wait =
-          config.retry.timeout_s +
-          config.retry.BackoffBeforeRetry(attempt - 1, &retry_rng_);
+      const double wait = config.retry.timeout_s +
+                          backoff_.Before(attempt - 1, &retry_rng_);
       o.backoff_s += wait;
       when += wait;
       if (!config.faults->ServerDown(server, when)) {
@@ -440,10 +441,10 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
   if (degraded && model_ready_ &&
       (server_speculates_ || server_hints_)) {
     ++totals_.brownout_responses;
-    const size_t suppressed =
-        SelectCandidates(ModelRow(doc), *corpus_,
-                         server_speculates_ ? push_policy_ : config.policy)
-            .size();
+    SelectCandidates(ModelRow(doc), *corpus_,
+                     server_speculates_ ? push_policy_ : config.policy,
+                     &candidates_);
+    const size_t suppressed = candidates_.size();
     if (scheduled_degraded) {
       totals_.suppressed_speculative_docs += suppressed;
       obs::TsCount("spec.suppressed_speculative_docs", now,
@@ -456,9 +457,9 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
   }
 
   if (server_speculates_ && model_ready_ && !degraded) {
-    for (const auto& cand :
-         SelectCandidates(ModelRow(doc), *corpus_, push_policy_)) {
-      const uint64_t cand_size = corpus_->doc(cand.doc).size_bytes;
+    SelectCandidates(ModelRow(doc), *corpus_, push_policy_, &candidates_);
+    for (const CandidateDoc& cand : candidates_) {
+      const uint64_t cand_size = sizes_[cand.doc];
       const bool cached = cache.Contains(cand.doc);
       if (cached && config.cooperative_clients) {
         continue;  // digest tells the server not to send it
@@ -474,7 +475,7 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
         obs::FlightRecord(i, "spec.push", "duplicate_waste", cand.doc,
                           static_cast<double>(cand_size));
       } else {
-        cache.Insert(cand.doc, cand_size, /*speculative=*/true);
+        cache.Insert(cand.doc, /*speculative=*/true);
         obs::FlightRecord(i, "spec.push", "pushed", cand.doc,
                           static_cast<double>(cand_size));
       }
@@ -484,12 +485,11 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
   if (server_hints_ && model_ready_ && !degraded) {
     // The hint list itself is negligible; the client fetches hinted
     // documents it lacks as background prefetches.
-    for (const auto& cand :
-         SelectCandidates(ModelRow(doc), *corpus_, config.policy)) {
+    SelectCandidates(ModelRow(doc), *corpus_, config.policy, &candidates_);
+    for (const CandidateDoc& cand : candidates_) {
       if (cache.Contains(cand.doc)) continue;
       ++o.pushed_docs;
-      RecordPrefetch(i, "spec.hint", rec, cand.doc,
-                     corpus_->doc(cand.doc).size_bytes);
+      RecordPrefetch(i, "spec.hint", rec, cand.doc);
     }
   }
 
@@ -504,7 +504,7 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
                                          ? o.response_bytes
                                          : static_cast<double>(size));
   totals_.total_latency += o.transfer_s;
-  cache.Insert(doc, size, /*speculative=*/false);
+  cache.Insert(doc, /*speculative=*/false);
   RecordJourney(i, rec, o);
 
   if (client_prefetches_ && !degraded) {
@@ -514,12 +514,11 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
         doc, kClientPrefetchThreshold, kClientPrefetchMinSupport);
     for (const auto& cand : successors) {
       if (cache.Contains(cand.doc)) continue;
-      const uint64_t cand_size = corpus_->doc(cand.doc).size_bytes;
       if (config.policy.max_size > 0 &&
-          cand_size > config.policy.max_size) {
+          sizes_[cand.doc] > config.policy.max_size) {
         continue;
       }
-      RecordPrefetch(i, "spec.prefetch", rec, cand.doc, cand_size);
+      RecordPrefetch(i, "spec.prefetch", rec, cand.doc);
     }
   }
   if (client_prefetches_) {
@@ -536,14 +535,15 @@ void SpeculationReplay::CountSpeculative(SimTime now, uint64_t size) {
 
 void SpeculationReplay::RecordPrefetch(size_t i, const char* stage,
                                        const Record& rec,
-                                       trace::DocumentId doc, uint64_t size) {
+                                       trace::DocumentId doc) {
+  const uint64_t size = sizes_[doc];
   const double bytes = static_cast<double>(size);
   ++totals_.server_requests;
   obs::TsCount("spec.server_requests", rec.time);
   ++totals_.prefetch_requests;
   totals_.bytes_sent += bytes;
   CountSpeculative(rec.time, size);
-  caches_[rec.client].Insert(doc, size, /*speculative=*/true);
+  caches_[rec.client].Insert(doc, /*speculative=*/true);
   obs::FlightRecord(i, stage, "prefetched", doc, bytes);
   if (track_load_) tracker_.RecordService(rec.server, rec.time, bytes);
   if (server_events_ != nullptr) server_events_->push_back({rec.time, bytes});

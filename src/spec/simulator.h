@@ -267,6 +267,10 @@ class SpeculationReplay {
                     std::shared_ptr<SpeculationModel> model,
                     std::vector<ServerEvent>* server_events);
 
+  /// The client caches point into the replay.
+  SpeculationReplay(const SpeculationReplay&) = delete;
+  SpeculationReplay& operator=(const SpeculationReplay&) = delete;
+
   /// One replayable (kDocument/kAlias) request, with its corpus size and
   /// day index resolved. `i` is the global ordinal of the request among
   /// eligible requests (drives journey sampling).
@@ -310,7 +314,7 @@ class SpeculationReplay {
   /// Accounts one background fetch of `doc` from the server (an accepted
   /// hint or a client prefetch) into the client's cache.
   void RecordPrefetch(size_t i, const char* stage, const Record& rec,
-                      trace::DocumentId doc, uint64_t size);
+                      trace::DocumentId doc);
 
   obs::SpanGuard run_span_;
   obs::JourneyRun journey_;
@@ -340,11 +344,16 @@ class SpeculationReplay {
   std::vector<uint32_t> row_stamp_;
   uint64_t rows_looked_up_ = 0;
 
+  /// Document sizes, shared by every client cache.
+  const DocumentSizes sizes_;
   std::vector<ClientCache> caches_;
+  /// The speculation set of the current request.
+  std::vector<CandidateDoc> candidates_;
   std::vector<internal::UserProfile> profiles_;
   PolicyConfig push_policy_;
   RunTotals totals_;
   Rng retry_rng_;
+  net::BackoffLadder backoff_;
 
   net::LoadTracker tracker_;
   std::vector<net::CircuitBreaker> breakers_;

@@ -61,30 +61,26 @@ GeneratorCursor::GeneratorCursor(const TraceGeneratorConfig& config,
     : config_(config),
       graph_factory_(std::move(graph_factory)),
       initial_rng_(rng),
-      rng_(rng) {
-  Start();
-}
+      rng_(rng) {}
 
-void GeneratorCursor::Start() {
-  generator_.reset();  // References graph_ / rng_; drop it first.
-  graph_.reset();
-  graph_.emplace(graph_factory_());
-  rng_ = initial_rng_;
-  generator_.emplace(config_, &*graph_, &rng_);
-  window_.clear();
-  emit_pos_ = 0;
-  emit_end_ = 0;
-  exhausted_ = false;
+TraceDayGenerator& GeneratorCursor::Generator() const {
+  if (!generator_) {
+    graph_.emplace(graph_factory_());
+    rng_ = initial_rng_;
+    generator_.emplace(config_, &*graph_, &rng_);
+  }
+  return *generator_;
 }
 
 std::span<const Request> GeneratorCursor::NextChunk() {
+  TraceDayGenerator& generator = Generator();
   while (emit_pos_ == emit_end_) {
     if (exhausted_) return {};
     // Keep the overhang and generate the next day behind it.
     window_.erase(window_.begin(),
                   window_.begin() + static_cast<ptrdiff_t>(emit_pos_));
     emit_pos_ = 0;
-    if (!generator_->NextDay(&window_)) {
+    if (!generator.NextDay(&window_)) {
       exhausted_ = true;
       emit_end_ = window_.size();
       continue;
@@ -97,7 +93,7 @@ std::span<const Request> GeneratorCursor::NextChunk() {
     // Everything before the next midnight is final: later emissions have
     // both a later time (sessions only overhang forward) and a larger
     // emission index.
-    const double boundary = static_cast<double>(generator_->day()) * kDay;
+    const double boundary = static_cast<double>(generator.day()) * kDay;
     const auto first_pending =
         std::lower_bound(window_.begin(), window_.end(), boundary,
                          [](const Request& r, double t) { return r.time < t; });
@@ -109,24 +105,31 @@ std::span<const Request> GeneratorCursor::NextChunk() {
   return chunk;
 }
 
-void GeneratorCursor::Rewind() { Start(); }
+void GeneratorCursor::Rewind() {
+  generator_.reset();  // References graph_ / rng_; drop it first.
+  graph_.reset();
+  window_.clear();
+  emit_pos_ = 0;
+  emit_end_ = 0;
+  exhausted_ = false;
+}
 
 uint32_t GeneratorCursor::num_clients() const { return config_.num_clients; }
 
 uint32_t GeneratorCursor::num_servers() const {
-  return generator_->num_servers();
+  return Generator().num_servers();
 }
 
 const std::vector<bool>& GeneratorCursor::client_is_remote() const {
-  return generator_->client_is_remote();
+  return Generator().client_is_remote();
 }
 
 const std::vector<UpdateEvent>& GeneratorCursor::updates() const {
-  return generator_->updates();
+  return Generator().updates();
 }
 
 uint64_t GeneratorCursor::num_sessions() const {
-  return generator_->num_sessions();
+  return Generator().num_sessions();
 }
 
 // ---------------------------------------------------------------------------

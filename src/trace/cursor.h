@@ -101,13 +101,16 @@ class VectorCursor : public RequestCursor {
 /// Resident state is one day of requests plus the overhang, independent of
 /// `config.days`.
 ///
-/// Rewind() rebuilds the link graph via `graph_factory` and restarts from
-/// the initial RNG state, so each pass is identical.
+/// The link graph and the day generator are built on first read, by
+/// NextChunk() or an accessor, via `graph_factory` and from the initial RNG
+/// state. Rewind() drops them, so each pass is identical and a cursor that
+/// is never read builds nothing.
 class GeneratorCursor : public RequestCursor {
  public:
   /// `graph_factory` must return a freshly built link graph (same corpus,
-  /// same construction RNG state) on every call; `rng` is the trace
-  /// stream's RNG state, captured by value.
+  /// same construction RNG state) on every call, and is called once per
+  /// pass that reads the cursor; `rng` is the trace stream's RNG state,
+  /// captured by value.
   GeneratorCursor(const TraceGeneratorConfig& config,
                   std::function<LinkGraph()> graph_factory, Rng rng);
 
@@ -125,15 +128,18 @@ class GeneratorCursor : public RequestCursor {
   uint64_t num_sessions() const;
 
  private:
-  void Start();
+  /// The pass's generator, built on first use.
+  TraceDayGenerator& Generator() const;
 
   TraceGeneratorConfig config_;
   std::function<LinkGraph()> graph_factory_;
   Rng initial_rng_;
 
-  std::optional<LinkGraph> graph_;
-  Rng rng_;
-  std::optional<TraceDayGenerator> generator_;
+  /// The pass's state, built by Generator() (also from const accessors)
+  /// and dropped by Rewind().
+  mutable std::optional<LinkGraph> graph_;
+  mutable Rng rng_;
+  mutable std::optional<TraceDayGenerator> generator_;
   /// Requests in (time, emission index) order: [emit_pos_, emit_end_) is
   /// released and ready to hand out, [emit_end_, size) is the overhang.
   std::vector<Request> window_;

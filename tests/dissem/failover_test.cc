@@ -50,6 +50,41 @@ TEST(RetryPolicyTest, JitterStaysInBoundsAndIsDeterministic) {
   EXPECT_TRUE(saw_off_center);
 }
 
+TEST(RetryPolicyTest, LadderMatchesTheLoopWithTheSameDraws) {
+  net::RetryPolicy capped;  // 1, 2, 4, ... 32, then 60 from retry 6 on
+  capped.max_attempts = 40;
+  net::RetryPolicy jittered = capped;
+  jittered.jitter = 0.3;
+  net::RetryPolicy uncapped;  // multiplier 1 never reaches the cap
+  uncapped.backoff_multiplier = 1.0;
+  uncapped.max_attempts = 200;
+  uncapped.jitter = 0.1;
+  net::RetryPolicy above_cap;  // the base alone exceeds the cap
+  above_cap.base_backoff_s = 90.0;
+  net::RetryPolicy one_attempt;  // no retries: an empty ladder
+  one_attempt.max_attempts = 1;
+  one_attempt.base_backoff_s = 3.0;
+  net::RetryPolicy odd;  // a multiplier whose products round
+  odd.base_backoff_s = 0.3;
+  odd.backoff_multiplier = 1.7;
+  odd.max_backoff_s = 47.3;
+  odd.jitter = 1.0;
+  odd.max_attempts = 12;
+  for (const net::RetryPolicy& policy :
+       {capped, jittered, uncapped, above_cap, one_attempt, odd}) {
+    const net::BackoffLadder ladder(policy);
+    Rng loop_rng(7);
+    Rng ladder_rng(7);
+    // Past the attempts the policy allows too: the ladder stays exact.
+    for (uint32_t i = 0; i < 250; ++i) {
+      EXPECT_EQ(ladder.Before(i, &ladder_rng),
+                policy.BackoffBeforeRetry(i, &loop_rng))
+          << "retry " << i << ", jitter " << policy.jitter;
+    }
+    EXPECT_EQ(ladder_rng.Next(), loop_rng.Next());  // same draws
+  }
+}
+
 // --- Failover ordering in the dissemination simulator -----------------------
 
 class FailoverTest : public ::testing::Test {

@@ -9,28 +9,34 @@
 namespace sds::spec {
 namespace {
 
+/// A size table of 16 documents, all `size` bytes.
+DocumentSizes Uniform(uint64_t size) { return DocumentSizes(16, size); }
+
 TEST(ClientCacheTest, BasicInsertContains) {
-  ClientCache cache({kInfiniteTime, 0});
+  const DocumentSizes sizes = Uniform(100);
+  ClientCache cache({kInfiniteTime, 0}, &sizes);
   cache.Touch(0.0);
   EXPECT_FALSE(cache.Contains(1));
-  cache.Insert(1, 100, false);
+  cache.Insert(1, false);
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_EQ(cache.used_bytes(), 100u);
   EXPECT_EQ(cache.num_docs(), 1u);
 }
 
 TEST(ClientCacheTest, NoCacheWhenTimeoutZero) {
-  ClientCache cache({0.0, 0});
+  const DocumentSizes sizes = Uniform(100);
+  ClientCache cache({0.0, 0}, &sizes);
   cache.Touch(0.0);
-  cache.Insert(1, 100, false);
+  cache.Insert(1, false);
   EXPECT_FALSE(cache.Contains(1));
   EXPECT_EQ(cache.used_bytes(), 0u);
 }
 
 TEST(ClientCacheTest, SessionTimeoutPurges) {
-  ClientCache cache({60.0, 0});
+  const DocumentSizes sizes = Uniform(100);
+  ClientCache cache({60.0, 0}, &sizes);
   cache.Touch(0.0);
-  cache.Insert(1, 100, false);
+  cache.Insert(1, false);
   cache.Touch(30.0);  // same session
   EXPECT_TRUE(cache.Contains(1));
   cache.Touch(120.0);  // gap 90 >= 60: new session
@@ -39,27 +45,30 @@ TEST(ClientCacheTest, SessionTimeoutPurges) {
 }
 
 TEST(ClientCacheTest, GapExactlyTimeoutPurges) {
-  ClientCache cache({60.0, 0});
+  const DocumentSizes sizes = Uniform(100);
+  ClientCache cache({60.0, 0}, &sizes);
   cache.Touch(0.0);
-  cache.Insert(1, 100, false);
+  cache.Insert(1, false);
   cache.Touch(60.0);
   EXPECT_FALSE(cache.Contains(1));
 }
 
 TEST(ClientCacheTest, InfiniteTimeoutNeverPurges) {
-  ClientCache cache({kInfiniteTime, 0});
+  const DocumentSizes sizes = Uniform(100);
+  ClientCache cache({kInfiniteTime, 0}, &sizes);
   cache.Touch(0.0);
-  cache.Insert(1, 100, false);
+  cache.Insert(1, false);
   cache.Touch(1e9);
   EXPECT_TRUE(cache.Contains(1));
 }
 
 TEST(ClientCacheTest, LruEvictionRespectsCapacity) {
-  ClientCache cache({kInfiniteTime, 250});
+  const DocumentSizes sizes = Uniform(100);
+  ClientCache cache({kInfiniteTime, 250}, &sizes);
   cache.Touch(0.0);
-  cache.Insert(1, 100, false);
-  cache.Insert(2, 100, false);
-  cache.Insert(3, 100, false);  // evicts doc 1 (LRU)
+  cache.Insert(1, false);
+  cache.Insert(2, false);
+  cache.Insert(3, false);  // evicts doc 1 (LRU)
   EXPECT_FALSE(cache.Contains(1));
   EXPECT_TRUE(cache.Contains(2));
   EXPECT_TRUE(cache.Contains(3));
@@ -67,28 +76,31 @@ TEST(ClientCacheTest, LruEvictionRespectsCapacity) {
 }
 
 TEST(ClientCacheTest, MarkUsedRefreshesLru) {
-  ClientCache cache({kInfiniteTime, 250});
+  const DocumentSizes sizes = Uniform(100);
+  ClientCache cache({kInfiniteTime, 250}, &sizes);
   cache.Touch(0.0);
-  cache.Insert(1, 100, false);
-  cache.Insert(2, 100, false);
+  cache.Insert(1, false);
+  cache.Insert(2, false);
   cache.MarkUsed(1);                 // 1 becomes most recent
-  cache.Insert(3, 100, false);  // evicts 2, not 1
+  cache.Insert(3, false);  // evicts 2, not 1
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));
 }
 
 TEST(ClientCacheTest, OversizedDocumentNotCached) {
-  ClientCache cache({kInfiniteTime, 100});
+  const DocumentSizes sizes = Uniform(500);
+  ClientCache cache({kInfiniteTime, 100}, &sizes);
   cache.Touch(0.0);
-  cache.Insert(1, 500, true);
+  cache.Insert(1, true);
   EXPECT_FALSE(cache.Contains(1));
   EXPECT_EQ(cache.wasted_speculative_bytes(), 500u);
 }
 
 TEST(ClientCacheTest, SpeculativeFlagLifecycle) {
-  ClientCache cache({kInfiniteTime, 0});
+  const DocumentSizes sizes = Uniform(100);
+  ClientCache cache({kInfiniteTime, 0}, &sizes);
   cache.Touch(0.0);
-  cache.Insert(1, 100, true);
+  cache.Insert(1, true);
   EXPECT_TRUE(cache.IsUnusedSpeculative(1));
   cache.MarkUsed(1);
   EXPECT_FALSE(cache.IsUnusedSpeculative(1));
@@ -96,42 +108,99 @@ TEST(ClientCacheTest, SpeculativeFlagLifecycle) {
 }
 
 TEST(ClientCacheTest, WastedSpeculativeBytesOnPurge) {
-  ClientCache cache({60.0, 0});
+  const DocumentSizes sizes = {0, 100, 50};
+  ClientCache cache({60.0, 0}, &sizes);
   cache.Touch(0.0);
-  cache.Insert(1, 100, true);
-  cache.Insert(2, 50, true);
+  cache.Insert(1, true);
+  cache.Insert(2, true);
   cache.MarkUsed(2);   // used: not wasted
   cache.Touch(500.0);  // purge
   EXPECT_EQ(cache.wasted_speculative_bytes(), 100u);
 }
 
 TEST(ClientCacheTest, WastedSpeculativeBytesOnEviction) {
-  ClientCache cache({kInfiniteTime, 150});
+  const DocumentSizes sizes = Uniform(100);
+  ClientCache cache({kInfiniteTime, 150}, &sizes);
   cache.Touch(0.0);
-  cache.Insert(1, 100, true);
-  cache.Insert(2, 100, false);  // evicts 1 unused
+  cache.Insert(1, true);
+  cache.Insert(2, false);  // evicts 1 unused
   EXPECT_EQ(cache.wasted_speculative_bytes(), 100u);
 }
 
 TEST(ClientCacheTest, DuplicateInsertKeepsBytes) {
-  ClientCache cache({kInfiniteTime, 0});
+  const DocumentSizes sizes = Uniform(100);
+  ClientCache cache({kInfiniteTime, 0}, &sizes);
   cache.Touch(0.0);
-  cache.Insert(1, 100, false);
-  cache.Insert(1, 100, false);
+  cache.Insert(1, false);
+  cache.Insert(1, false);
   EXPECT_EQ(cache.used_bytes(), 100u);
   EXPECT_EQ(cache.num_docs(), 1u);
 }
 
 TEST(ClientCacheTest, ContentsListsAllDocs) {
-  ClientCache cache({kInfiniteTime, 0});
+  const DocumentSizes sizes = Uniform(10);
+  ClientCache cache({kInfiniteTime, 0}, &sizes);
   cache.Touch(0.0);
-  cache.Insert(5, 10, false);
-  cache.Insert(9, 10, false);
+  cache.Insert(5, false);
+  cache.Insert(9, false);
   ASSERT_EQ(cache.num_docs(), 2u);
   EXPECT_TRUE(cache.Contains(5));
   EXPECT_TRUE(cache.Contains(9));
 }
 
+TEST(ClientCacheTest, DistinctSizesComeFromTheTable) {
+  const DocumentSizes sizes = {0, 100, 200, 300, 400};
+  ClientCache cache({kInfiniteTime, 650}, &sizes);
+  cache.Touch(0.0);
+  cache.Insert(1, /*speculative=*/true);
+  cache.Insert(2, /*speculative=*/false);
+  cache.Insert(3, /*speculative=*/true);
+  EXPECT_EQ(cache.used_bytes(), 600u);
+  cache.MarkUsed(1);  // LRU order now 2, 3, 1
+  // 1000 bytes > 650: evicts 2 (200 bytes), then 3 (300, never used).
+  cache.Insert(4, /*speculative=*/false);
+  EXPECT_FALSE(cache.Contains(2));
+  EXPECT_FALSE(cache.Contains(3));
+  EXPECT_TRUE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(4));
+  EXPECT_EQ(cache.used_bytes(), 500u);
+  EXPECT_EQ(cache.wasted_speculative_bytes(), 300u);
+  EXPECT_EQ(cache.wasted_speculative_docs(), 1u);
+
+  // A purge wastes the unused entries at their table sizes.
+  ClientCache session({60.0, 0}, &sizes);
+  session.Touch(0.0);
+  session.Insert(2, /*speculative=*/true);
+  session.Insert(4, /*speculative=*/true);
+  session.Insert(3, /*speculative=*/false);
+  session.MarkUsed(4);
+  EXPECT_EQ(session.used_bytes(), 900u);
+  session.Touch(100.0);
+  EXPECT_EQ(session.used_bytes(), 0u);
+  EXPECT_EQ(session.wasted_speculative_bytes(), 200u);
+  EXPECT_EQ(session.wasted_speculative_docs(), 1u);
+}
+
+TEST(ClientCacheTest, FlagBitIsNotPartOfTheId) {
+  const DocumentSizes sizes = Uniform(100);
+  ClientCache cache({kInfiniteTime, 0}, &sizes);
+  cache.Touch(0.0);
+  cache.Insert(1, /*speculative=*/true);
+  EXPECT_TRUE(cache.Contains(1));
+  EXPECT_TRUE(cache.IsUnusedSpeculative(1));
+  EXPECT_FALSE(cache.Contains(1 | 0x80000000u));
+  EXPECT_FALSE(cache.Contains(trace::kInvalidDocument));
+  EXPECT_FALSE(cache.Contains(0x7fffffffu));
+}
+
+TEST(ClientCacheDeathTest, DocOutsideTheSizeTableAborts) {
+  const DocumentSizes sizes = Uniform(100);
+  ClientCache cache({kInfiniteTime, 0}, &sizes);
+  cache.Touch(0.0);
+  EXPECT_DEATH(cache.Insert(16, /*speculative=*/false), "size table");
+  EXPECT_DEATH(cache.Insert(1 | 0x80000000u, /*speculative=*/true),
+               "size table");
+}
 
 /// Reference LRU cache over a list (front = most recent), written for
 /// clarity: the oracle ClientCache's resident set and counters must follow.
@@ -201,7 +270,7 @@ void ReplayAgainstReference(const ClientCacheConfig& config,
                             const std::vector<uint64_t>& size, int ops,
                             double session_break, Rng& rng) {
   const auto num_docs = static_cast<trace::DocumentId>(size.size());
-  ClientCache cache(config);
+  ClientCache cache(config, &size);
   ReferenceCache ref;
   ref.config = config;
   uint64_t pushed = 0;  // speculative documents inserted as new entries
@@ -222,12 +291,12 @@ void ReplayAgainstReference(const ClientCacheConfig& config,
     } else {
       const bool speculative = rng.NextBernoulli(0.5);
       pushed += speculative ? 1 : 0;
-      cache.Insert(doc, size[doc], speculative);
+      cache.Insert(doc, speculative);
       ref.Insert(doc, size[doc], speculative);
     }
     if (cache.Contains(doc) && rng.NextBernoulli(0.2)) {
       // A duplicate insert only refreshes the entry's recency.
-      cache.Insert(doc, size[doc], rng.NextBernoulli(0.5));
+      cache.Insert(doc, rng.NextBernoulli(0.5));
       ref.Refresh(doc);
     }
     // Ask about the document just acted on first.

@@ -1,6 +1,10 @@
 #include "spec/closure.h"
 
 #include <gtest/gtest.h>
+#include <thread>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace sds::spec {
 namespace {
@@ -173,6 +177,96 @@ TEST(ClosureTest, FullClosureMatchesPerRow) {
     for (size_t k = 0; k < row.size(); ++k) {
       EXPECT_EQ(closure.Row(i)[k].doc, row[k].doc);
       EXPECT_FLOAT_EQ(closure.Row(i)[k].probability, row[k].probability);
+    }
+  }
+}
+
+/// A random P over 200 documents: every fifth has no row, the others
+/// 1-8 edges of random probability (repeats allowed, as in real windows).
+SparseProbMatrix RandomMatrix(uint64_t seed) {
+  Rng rng(seed);
+  SparseProbMatrix p(200);
+  for (trace::DocumentId i = 0; i < 200; ++i) {
+    if (i % 5 == 0) continue;
+    const uint64_t edges = 1 + rng.NextBounded(8);
+    for (uint64_t e = 0; e < edges; ++e) {
+      const auto j = static_cast<trace::DocumentId>(rng.NextBounded(200));
+      if (j != i) p.Add(i, j, 0.05 + 0.95 * rng.NextDouble());
+    }
+  }
+  p.SortRows();
+  return p;
+}
+
+void ExpectSameRow(SparseProbMatrix::RowView got,
+                   const std::vector<SparseProbMatrix::Entry>& want,
+                   trace::DocumentId doc) {
+  ASSERT_EQ(got.size(), want.size()) << doc;
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].doc, want[k].doc) << doc;
+    EXPECT_EQ(got[k].probability, want[k].probability) << doc;
+  }
+}
+
+std::vector<ClosureConfig> BothSemantics() {
+  ClosureConfig max_product = Config(0.02);
+  ClosureConfig sum_product = Config(0.02);
+  sum_product.semantics = ClosureSemantics::kSumProductCapped;
+  return {max_product, sum_product};
+}
+
+TEST(ClosureRowsTest, RowsEqualComputeClosureRow) {
+  const SparseProbMatrix p = RandomMatrix(5);
+  for (const ClosureConfig& config : BothSemantics()) {
+    ClosureRows rows(p.num_docs());
+    ClosureScratch scratch;
+    size_t empty = 0;
+    for (trace::DocumentId doc = 0; doc < p.num_docs(); ++doc) {
+      const std::vector<SparseProbMatrix::Entry> want =
+          ComputeClosureRow(p, doc, config);
+      empty += want.empty() ? 1 : 0;
+      const SparseProbMatrix::RowView row = rows.Get(p, doc, config, &scratch);
+      ExpectSameRow(row, want, doc);
+      // Published once: a second lookup reads the same block.
+      EXPECT_EQ(rows.Get(p, doc, config, &scratch).data(), row.data());
+    }
+    EXPECT_GE(empty, p.num_docs() / 5);  // the rowless documents
+    EXPECT_TRUE(rows.Get(p, 999, config, &scratch).empty());
+    // Dropped rows are computed again, equal to the first ones.
+    rows.DropAll();
+    for (trace::DocumentId doc = 0; doc < p.num_docs(); doc += 7) {
+      ExpectSameRow(rows.Get(p, doc, config, &scratch),
+                    ComputeClosureRow(p, doc, config), doc);
+    }
+  }
+}
+
+TEST(ClosureRowsTest, ConcurrentPublicationAgrees) {
+  // Threads race to publish every row; each reads the winner's block, and
+  // it equals the directly computed row.
+  const SparseProbMatrix p = RandomMatrix(9);
+  for (const ClosureConfig& config : BothSemantics()) {
+    const ClosureRows rows(p.num_docs());
+    constexpr size_t kThreads = 4;
+    const size_t n = p.num_docs();
+    std::vector<std::vector<SparseProbMatrix::RowView>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ClosureScratch scratch;
+        for (size_t k = 0; k < n; ++k) {
+          const auto doc = static_cast<trace::DocumentId>((k + t) % n);
+          seen[t].push_back(rows.Get(p, doc, config, &scratch));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      for (size_t k = 0; k < n; ++k) {
+        const auto doc = static_cast<trace::DocumentId>((k + t) % n);
+        EXPECT_EQ(seen[t][k].data(), seen[0][doc].data()) << doc;
+        ExpectSameRow(seen[t][k], ComputeClosureRow(p, doc, config), doc);
+      }
     }
   }
 }

@@ -109,5 +109,32 @@ TEST(PolicyTest, OutputSortedByProbability) {
   }
 }
 
+TEST(PolicyTest, BufferFormEqualsVectorForm) {
+  const trace::Corpus corpus = MakeCorpus();
+  // A stale set in the buffer must be replaced, not appended to.
+  std::vector<CandidateDoc> buffer = {{3, 0.5}, {2, 0.5}, {1, 0.5}};
+  for (const PolicyKind kind :
+       {PolicyKind::kThreshold, PolicyKind::kTopK, PolicyKind::kByteBudget}) {
+    for (const double threshold : {1.0, 0.5, 0.2}) {
+      for (const uint64_t max_size : {uint64_t{0}, uint64_t{10000}}) {
+        PolicyConfig config;
+        config.kind = kind;
+        config.threshold = threshold;
+        config.top_k = 2;
+        config.byte_budget = 30000;
+        config.max_size = max_size;
+        const std::vector<CandidateDoc> want =
+            SelectCandidates(Row(), corpus, config);
+        SelectCandidates(Row(), corpus, config, &buffer);
+        ASSERT_EQ(buffer.size(), want.size());
+        for (size_t k = 0; k < want.size(); ++k) {
+          EXPECT_EQ(buffer[k].doc, want[k].doc);
+          EXPECT_EQ(buffer[k].probability, want[k].probability);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sds::spec

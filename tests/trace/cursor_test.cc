@@ -112,6 +112,55 @@ TEST(GeneratorCursorTest, MatchesBatchSingleDay) {
   ExpectCursorMatchesBatch(GenFixture(3, SmallTraceConfig(1)));
 }
 
+/// `f`'s graph factory, counting its calls in `*builds`.
+std::function<LinkGraph()> CountingFactory(const GenFixture& f, int* builds) {
+  return [factory = f.GraphFactory(), builds] {
+    ++*builds;
+    return factory();
+  };
+}
+
+TEST(GeneratorCursorTest, BuildsOnFirstReadOncePerPass) {
+  const GenFixture f(42, SmallTraceConfig(3));
+  int builds = 0;
+  {
+    GeneratorCursor never_read(f.config, CountingFactory(f, &builds),
+                               f.trace_rng);
+    never_read.Rewind();
+    EXPECT_EQ(never_read.num_clients(), f.config.num_clients);
+  }
+  EXPECT_EQ(builds, 0);  // a cursor that is never read builds nothing
+
+  GeneratorCursor cursor(f.config, CountingFactory(f, &builds), f.trace_rng);
+  EXPECT_EQ(builds, 0);
+  ExpectSameTrace(Materialize(&cursor), f.batch.trace);
+  EXPECT_EQ(builds, 1);
+  for (int pass = 2; pass <= 3; ++pass) {
+    cursor.Rewind();
+    EXPECT_EQ(builds, pass - 1);
+    ExpectSameTrace(Materialize(&cursor), f.batch.trace);
+    EXPECT_EQ(builds, pass);
+  }
+}
+
+TEST(GeneratorCursorTest, AccessorsBeforeTheFirstChunkAnswerAsAPassStart) {
+  const GenFixture f(42, SmallTraceConfig(3));
+  int builds = 0;
+  GeneratorCursor cursor(f.config, CountingFactory(f, &builds), f.trace_rng);
+  for (int pass = 1; pass <= 2; ++pass) {
+    if (pass == 2) cursor.Rewind();
+    EXPECT_EQ(cursor.num_servers(), f.batch.trace.num_servers);
+    EXPECT_EQ(cursor.client_is_remote(), f.batch.client_is_remote);
+    EXPECT_TRUE(cursor.updates().empty());
+    EXPECT_EQ(cursor.num_sessions(), 0u);
+    EXPECT_EQ(builds, pass);
+    // The pass reads the state the accessors built.
+    ExpectSameTrace(Materialize(&cursor), f.batch.trace);
+    EXPECT_EQ(cursor.num_sessions(), f.batch.num_sessions);
+    EXPECT_EQ(builds, pass);
+  }
+}
+
 TEST(GeneratorCursorTest, StreamIsTimeOrderedAcrossChunks) {
   const GenFixture f(42, SmallTraceConfig(7));
   GeneratorCursor cursor = f.MakeCursor();
