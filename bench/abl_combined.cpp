@@ -43,13 +43,13 @@ int main(int argc, char** argv) {
   core::SweepStats stats;
   const auto results = core::SweepMap(
       cases.size(), core::SweepOptions{.seed = 23},
-      [&](size_t index, Rng& rng) {
+      [&](size_t index, Rng&) {
         core::CombinedConfig config;
         config.dissemination.num_proxies = cases[index].proxies;
         config.dissemination.dissemination_fraction = cases[index].fraction;
         config.speculation = core::BaselineSpecConfig();
         config.speculation.policy.threshold = cases[index].tp;
-        return core::SimulateCombined(prepared, config, &rng,
+        return core::SimulateCombined(prepared, config,
                                       workload.NewCleanCursor().get());
       },
       &stats);

@@ -96,6 +96,10 @@ int main(int argc, char** argv) {
               "overloads, pushing requests back to the server):\n%s",
               shielding.ToAlignedString().c_str());
   std::printf("%s\n", shield_stats.Summary().c_str());
+  // Every case replays the prepared evaluation window once.
+  bench_report.RequestsProcessed(
+      static_cast<double>(level_cases.size() + caps.size()) *
+      static_cast<double>(prepared.eval_requests));
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
         pull.storage_fraction = cases[index].fraction;
         pull.num_proxies = cases[index].proxies;
         point.pull = SimulatePullThroughCache(
-            prepared, pull, &rng, &workload.updates(),
+            prepared, pull, &workload.updates(),
             workload.NewCleanCursor().get());
         return point;
       },
@@ -81,6 +81,9 @@ int main(int argc, char** argv) {
   std::printf("push knows the popularity profile up front; pull pays a\n"
               "compulsory miss (full-path fetch) for every first access at\n"
               "each proxy and churns under tight budgets.\n");
+  // Each case replays the prepared evaluation window twice (push, pull).
+  bench_report.RequestsProcessed(2.0 * static_cast<double>(cases.size()) *
+                                 static_cast<double>(prepared.eval_requests));
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

@@ -42,12 +42,12 @@ int main(int argc, char** argv) {
 
   baseline.mode = spec::ServiceMode::kNone;
   std::vector<spec::ServerEvent> plain_events;
-  runs.Run(baseline, &plain_events);
+  const spec::RunTotals plain_totals = runs.Run(baseline, &plain_events);
 
   spec::SpeculationConfig speculative = core::BaselineSpecConfig();
   speculative.policy.threshold = 0.3;
   std::vector<spec::ServerEvent> spec_events;
-  runs.Run(speculative, &spec_events);
+  const spec::RunTotals spec_totals = runs.Run(speculative, &spec_events);
 
   std::printf("server requests: plain %zu, speculative %zu (-%0.1f%%)\n\n",
               plain_events.size(), spec_events.size(),
@@ -81,6 +81,9 @@ int main(int argc, char** argv) {
   std::printf("speculative responses are bigger (extra bytes), yet the\n"
               "request cut shrinks waiting time by more than the 33%% load\n"
               "cut itself as the server gets busier.\n");
+  bench_report.RequestsProcessed(
+      static_cast<double>(plain_totals.client_requests) +
+      static_cast<double>(spec_totals.client_requests));
   bench_report.Metric("total_s", bench_total.Seconds());
   return bench::FinishBench(&bench_report, bench_args);
 }

@@ -25,7 +25,7 @@ double Latency(const spec::SpeculationConfig& config, double bytes,
 }  // namespace
 
 CombinedResult SimulateCombined(const dissem::PreparedDissemination& prepared,
-                                const CombinedConfig& config, Rng* rng,
+                                const CombinedConfig& config,
                                 trace::RequestCursor* cursor) {
   SDS_CHECK(config.dissemination.train_fraction == prepared.train_fraction)
       << "config/prepared training split mismatch";
@@ -34,8 +34,7 @@ CombinedResult SimulateCombined(const dissem::PreparedDissemination& prepared,
 
   // --- Training: placement, dissemination, P*. ---
   const std::vector<dissem::RoutePlan> plans = dissem::BuildRoutePlans(
-      prepared, dissem::PlaceProxies(prepared, config.dissemination, rng)
-                    .proxies);
+      prepared, dissem::PlaceProxies(prepared, config.dissemination).proxies);
 
   // Every proxy holds the same most popular documents.
   const double budget =

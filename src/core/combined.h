@@ -6,7 +6,6 @@
 #include "dissem/simulator.h"
 #include "spec/simulator.h"
 #include "trace/cursor.h"
-#include "util/rng.h"
 
 namespace sds::core {
 
@@ -46,7 +45,7 @@ struct CombinedResult {
 /// from the training window of `cursor`, which streams the trace the
 /// context was prepared from and is rewound for each of its three passes.
 CombinedResult SimulateCombined(const dissem::PreparedDissemination& prepared,
-                                const CombinedConfig& config, Rng* rng,
+                                const CombinedConfig& config,
                                 trace::RequestCursor* cursor);
 
 }  // namespace sds::core

@@ -24,7 +24,6 @@ spec::SpeculationConfig BaselineSpecConfig() {
   config.dependency.stride_timeout = 5.0;
   config.cache.session_timeout = kInfiniteTime;
   config.cache.capacity_bytes = 0;
-  config.policy.kind = spec::PolicyKind::kThreshold;
   config.policy.max_size = 0;
   config.history_days = 60;
   config.update_cycle_days = 1;

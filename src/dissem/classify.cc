@@ -33,8 +33,7 @@ double DocumentClassification::MeanUpdateRate(PopularityClass cls) const {
 
 DocumentClassification ClassifyDocuments(
     const trace::Corpus& corpus, const std::vector<ServerPopularity>& pops,
-    const std::vector<trace::UpdateEvent>& updates, uint32_t observation_days,
-    const ClassificationConfig& config) {
+    const std::vector<trace::UpdateEvent>& updates, uint32_t observation_days) {
   SDS_CHECK(observation_days >= 1);
   DocumentClassification out;
   out.pop_class.assign(corpus.size(), PopularityClass::kUnaccessed);
@@ -46,9 +45,9 @@ DocumentClassification ClassifyDocuments(
       const auto& s = pop.stats[id];
       if (s.total_requests() == 0) continue;
       const double ratio = s.RemoteRatio();
-      if (ratio > config.remote_threshold) {
+      if (ratio > kRemotelyPopularRatio) {
         out.pop_class[id] = PopularityClass::kRemotelyPopular;
-      } else if (ratio < config.local_threshold) {
+      } else if (ratio < kLocallyPopularRatio) {
         out.pop_class[id] = PopularityClass::kLocallyPopular;
       } else {
         out.pop_class[id] = PopularityClass::kGloballyPopular;

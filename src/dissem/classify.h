@@ -26,11 +26,10 @@ const char* PopularityClassToString(PopularityClass cls);
 /// updates per day (classification and DisseminationConfig::
 /// exclude_mutable alike).
 inline constexpr double kMutableUpdatesPerDay = 0.05;
-
-struct ClassificationConfig {
-  double remote_threshold = 0.85;
-  double local_threshold = 0.15;
-};
+/// Remote-to-local access ratios above this mark a remotely popular
+/// document, below kLocallyPopularRatio a locally popular one (§2).
+inline constexpr double kRemotelyPopularRatio = 0.85;
+inline constexpr double kLocallyPopularRatio = 0.15;
 
 /// \brief Classification of every document plus summary counters.
 struct DocumentClassification {
@@ -54,8 +53,7 @@ struct DocumentClassification {
 /// `observation_days` days.
 DocumentClassification ClassifyDocuments(
     const trace::Corpus& corpus, const std::vector<ServerPopularity>& pops,
-    const std::vector<trace::UpdateEvent>& updates, uint32_t observation_days,
-    const ClassificationConfig& config = {});
+    const std::vector<trace::UpdateEvent>& updates, uint32_t observation_days);
 
 }  // namespace sds::dissem
 

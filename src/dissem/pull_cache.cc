@@ -70,7 +70,7 @@ class LruDocCache {
 
 PullCacheResult SimulatePullThroughCache(
     const PreparedDissemination& prepared, const PullCacheConfig& config,
-    Rng* rng, const std::vector<trace::UpdateEvent>* updates,
+    const std::vector<trace::UpdateEvent>* updates,
     trace::RequestCursor* cursor) {
   PullCacheResult result;
   if (prepared.pop.total_remote_requests == 0) return result;
@@ -80,7 +80,7 @@ PullCacheResult SimulatePullThroughCache(
   DisseminationConfig sites;
   sites.num_proxies = config.num_proxies;
   sites.placement = config.placement;
-  result.proxy_nodes = PlaceProxies(prepared, sites, rng).proxies;
+  result.proxy_nodes = PlaceProxies(prepared, sites).proxies;
   const std::vector<RoutePlan> plans =
       BuildRoutePlans(prepared, result.proxy_nodes);
 
@@ -92,7 +92,7 @@ PullCacheResult SimulatePullThroughCache(
 
   // Updates indexed by day for invalidation.
   std::vector<std::vector<trace::DocumentId>> updates_by_day;
-  if (config.invalidate_on_update && updates != nullptr) {
+  if (updates != nullptr) {
     for (const auto& u : *updates) {
       if (u.day >= updates_by_day.size()) updates_by_day.resize(u.day + 1);
       updates_by_day[u.day].push_back(u.doc);

@@ -7,7 +7,6 @@
 #include "dissem/simulator.h"
 #include "trace/cursor.h"
 #include "trace/request.h"
-#include "util/rng.h"
 
 namespace sds::dissem {
 
@@ -23,8 +22,6 @@ struct PullCacheConfig {
   /// (use the same value as DisseminationConfig::dissemination_fraction
   /// for an equal-storage comparison).
   double storage_fraction = 0.10;
-  /// Invalidate cached copies when the home server updates a document.
-  bool invalidate_on_update = true;
 };
 
 /// \brief Outcome of a pull-through caching simulation.
@@ -46,10 +43,11 @@ struct PullCacheResult {
 /// home server over the prepared context of the push replay (same split,
 /// tree, placement, route plans and evaluation filter), so the two are
 /// directly comparable. `cursor` streams the trace the context was
-/// prepared from; `updates` (optional) drives invalidate_on_update.
+/// prepared from. Each update in `updates` drops the cached copies of its
+/// document at the end of its day; null means no invalidation.
 PullCacheResult SimulatePullThroughCache(
     const PreparedDissemination& prepared, const PullCacheConfig& config,
-    Rng* rng, const std::vector<trace::UpdateEvent>* updates,
+    const std::vector<trace::UpdateEvent>* updates,
     trace::RequestCursor* cursor);
 
 }  // namespace sds::dissem

@@ -308,8 +308,7 @@ std::vector<RoutePlan> BuildRoutePlans(
 }
 
 net::PlacementResult PlaceProxies(const PreparedDissemination& prepared,
-                                  const DisseminationConfig& config,
-                                  Rng* rng) {
+                                  const DisseminationConfig& config) {
   const net::ClienteleTree& tree = prepared.tree;
   switch (config.placement) {
     case PlacementStrategy::kGreedy:
@@ -318,11 +317,6 @@ net::PlacementResult PlaceProxies(const PreparedDissemination& prepared,
                  : net::GreedyPlacementAtDepths(*prepared.topology, tree,
                                                 config.num_proxies, 1.0,
                                                 config.placement_depths);
-    case PlacementStrategy::kRegional:
-      return net::RegionalPlacement(*prepared.topology, tree,
-                                    config.num_proxies, 1.0);
-    case PlacementStrategy::kRandom:
-      return net::RandomPlacement(tree, config.num_proxies, 1.0, rng);
     case PlacementStrategy::kProximity:
       return net::ProximityPlacement(tree, config.num_proxies, 1.0,
                                      kProximityPlacement);
@@ -370,7 +364,7 @@ DisseminationReplay::DisseminationReplay(
   if (prepared.pop.total_remote_requests == 0) return;
   active_ = true;
 
-  placement_ = PlaceProxies(prepared, config, rng);
+  placement_ = PlaceProxies(prepared, config);
   result_.proxy_nodes = placement_.proxies;
   const size_t num_proxies = placement_.proxies.size();
 

@@ -25,9 +25,7 @@ namespace sds::dissem {
 
 /// \brief How proxy sites are chosen on the clientele tree.
 enum class PlacementStrategy : uint8_t {
-  kGreedy = 0,    ///< Marginal-gain greedy on the clientele tree (ours).
-  kRegional = 1,  ///< Highest-traffic regional (depth-1) nodes.
-  kRandom = 2,    ///< Random interior nodes (control).
+  kGreedy = 0,  ///< Marginal-gain greedy on the clientele tree (ours).
   /// Proximity-aware greedy (arXiv:1610.05961): candidate neighborhoods
   /// capped per leaf, gains discounted by client distance (the defaults of
   /// net::ProximityPlacementConfig).
@@ -293,10 +291,9 @@ std::vector<RoutePlan> BuildRoutePlans(const PreparedDissemination& prepared,
                                        const std::vector<net::NodeId>& proxies);
 
 /// \brief The one placement switch (push, pull and combined replays): the
-/// proxy sites of `config`'s strategy on the prepared clientele tree. Only
-/// kRandom draws from `rng`.
+/// proxy sites of `config`'s strategy on the prepared clientele tree.
 net::PlacementResult PlaceProxies(const PreparedDissemination& prepared,
-                                  const DisseminationConfig& config, Rng* rng);
+                                  const DisseminationConfig& config);
 
 /// \brief Trace-driven simulation of the dissemination protocol for one
 /// home server over a prepared context: places proxies on its clientele

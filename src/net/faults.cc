@@ -245,13 +245,6 @@ uint32_t AddLoadBrownouts(const DailyLoad& load, const BrownoutConfig& config,
   return tripped;
 }
 
-uint32_t AddLoadBrownouts(const trace::Trace& trace, trace::ServerId server,
-                          const BrownoutConfig& config,
-                          FaultSchedule* schedule) {
-  trace::VectorCursor cursor(&trace);
-  return AddLoadBrownouts(CountDailyLoad(&cursor, server), config, schedule);
-}
-
 Status RetryPolicy::Validate() const {
   if (max_attempts == 0) {
     return Status::InvalidArgument(

@@ -176,11 +176,6 @@ DailyLoad CountDailyLoad(trace::RequestCursor* cursor, trace::ServerId server);
 uint32_t AddLoadBrownouts(const DailyLoad& load, const BrownoutConfig& config,
                           FaultSchedule* schedule);
 
-/// \brief AddLoadBrownouts over the daily load of `server` in `trace`.
-uint32_t AddLoadBrownouts(const trace::Trace& trace, trace::ServerId server,
-                          const BrownoutConfig& config,
-                          FaultSchedule* schedule);
-
 /// \brief Client-side recovery policy: how a client re-issues a request
 /// after a failed attempt (timeout, dead proxy, broken route).
 ///

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <map>
 #include <vector>
 
@@ -56,18 +55,7 @@ std::string JourneySnapshot::ToJson() const {
 
 namespace {
 
-uint64_t PeriodFromEnv() {
-  if (const char* env = std::getenv("SDS_OBS_JOURNEY_PERIOD")) {
-    char* end = nullptr;
-    const long long value = std::strtoll(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0) {
-      return static_cast<uint64_t>(value);
-    }
-  }
-  return kDefaultJourneySamplePeriod;
-}
-
-std::atomic<uint64_t> g_period{PeriodFromEnv()};
+std::atomic<uint64_t> g_period{kDefaultJourneySamplePeriod};
 
 thread_local uint64_t tls_journey_seed = 0;
 

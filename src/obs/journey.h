@@ -145,8 +145,7 @@ class ScopedJourneySeed {
 };
 
 /// Sets the 1-in-N sampling period (>= 1; 1 = every request). Only call at
-/// join points. Initialised from the SDS_OBS_JOURNEY_PERIOD environment
-/// variable when set to a positive integer.
+/// join points. Starts at kDefaultJourneySamplePeriod.
 void SetJourneySamplePeriod(uint64_t period);
 uint64_t JourneySamplePeriod();
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "obs/shards.h"
@@ -97,16 +96,7 @@ std::string TimeSeriesSnapshot::ToCsv() const {
 
 namespace {
 
-double WindowFromEnv() {
-  if (const char* env = std::getenv("SDS_OBS_WINDOW_S")) {
-    char* end = nullptr;
-    const double value = std::strtod(env, &end);
-    if (end != env && *end == '\0' && value > 0.0) return value;
-  }
-  return kDefaultTimeSeriesWindowS;
-}
-
-std::atomic<double> g_window_s{WindowFromEnv()};
+std::atomic<double> g_window_s{kDefaultTimeSeriesWindowS};
 
 struct TsKey {
   const char* name;

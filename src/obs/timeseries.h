@@ -67,9 +67,8 @@ void TsCount(const char* name, double sim_time_s, double delta = 1.0);
 
 /// Sets the window width in simulated seconds (> 0). Only call at join
 /// points: samples already recorded keep their old window index, so mixing
-/// widths within one run makes the snapshot meaningless. Initialised from
-/// the SDS_OBS_WINDOW_S environment variable when set to a positive
-/// number.
+/// widths within one run makes the snapshot meaningless. Starts at
+/// kDefaultTimeSeriesWindowS.
 void SetTimeSeriesWindow(double seconds);
 double TimeSeriesWindow();
 

@@ -159,21 +159,6 @@ std::vector<SparseProbMatrix::Entry> ComputeClosureRow(
   return ComputeClosureRow(p, source, config, &scratch);
 }
 
-SparseProbMatrix ComputeClosure(const SparseProbMatrix& p,
-                                const ClosureConfig& config) {
-  SparseProbMatrix closure(p.num_docs());
-  ClosureScratch scratch;
-  for (trace::DocumentId i = 0; i < p.num_docs(); ++i) {
-    if (p.Row(i).empty()) continue;
-    FillClosureRow(p, i, config, &scratch);
-    for (const auto& e : scratch.row) {
-      closure.Add(i, e.doc, e.probability);
-    }
-  }
-  closure.SortRows();
-  return closure;
-}
-
 const ClosureRows::Row ClosureRows::kEmptyRow{};
 
 ClosureRows::ClosureRows(size_t num_docs)

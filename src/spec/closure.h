@@ -75,11 +75,6 @@ class ClosureScratch {
   std::vector<SparseProbMatrix::Entry> row;
 };
 
-/// \brief Computes the full closure P* of P (every row). For large
-/// matrices prefer ClosureEpoch, which computes rows lazily.
-SparseProbMatrix ComputeClosure(const SparseProbMatrix& p,
-                                const ClosureConfig& config);
-
 /// \brief Lazily computed closure rows of one P, one slot per document.
 ///
 /// A slot is filled once: the row is computed into the caller's scratch,

@@ -9,24 +9,11 @@
 
 namespace sds::spec {
 
-/// \brief How the server decides what to send along with a requested
-/// document, given the closure row of that document.
-enum class PolicyKind : uint8_t {
-  /// The paper's policy: every D_j with p*[i,j] >= T_p.
-  kThreshold = 0,
-  /// The k most probable documents with p* >= T_p.
-  kTopK = 1,
-  /// Most probable documents until a per-response speculation byte budget
-  /// is exhausted (p* >= T_p as a floor).
-  kByteBudget = 2,
-};
-
+/// \brief The paper's speculation policy: along with a requested D_i the
+/// server sends every D_j with p*[i,j] >= T_p that MaxSize admits.
 struct PolicyConfig {
-  PolicyKind kind = PolicyKind::kThreshold;
   /// T_p in (0, 1].
   double threshold = 0.25;
-  uint32_t top_k = 4;
-  uint64_t byte_budget = 64 * 1024;
   /// MaxSize: documents larger than this are never speculated (0 = no
   /// limit).
   uint64_t max_size = 0;
@@ -38,9 +25,9 @@ struct CandidateDoc {
   double probability = 0.0;
 };
 
-/// \brief Applies the policy and the MaxSize filter to a closure row
-/// (sorted by descending probability) and replaces `*out` with the
-/// speculation set, most probable first. Cooperative cache filtering is the
+/// \brief Applies T_p and the MaxSize filter to a closure row (sorted by
+/// descending probability) and replaces `*out` with the speculation set,
+/// most probable first. Cooperative cache filtering is the
 /// simulator's job (it needs client state).
 void SelectCandidates(SparseProbMatrix::RowView closure_row,
                       const trace::Corpus& corpus, const PolicyConfig& config,

@@ -499,10 +499,8 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
   if (track_load_) tracker_.RecordService(server, now, o.response_bytes);
   totals_.bytes_sent += o.response_bytes;
   totals_.demand_bytes_sent += static_cast<double>(size);
-  o.transfer_s = config.serv_cost +
-                 config.comm_cost * (config.charge_speculative_latency
-                                         ? o.response_bytes
-                                         : static_cast<double>(size));
+  o.transfer_s =
+      config.serv_cost + config.comm_cost * static_cast<double>(size);
   totals_.total_latency += o.transfer_s;
   cache.Insert(doc, /*speculative=*/false);
   RecordJourney(i, rec, o);

@@ -56,15 +56,12 @@ const char* ServiceModeToString(ServiceMode mode);
 /// defaults are the paper's baseline model (table in §3.2).
 struct SpeculationConfig {
   // Cost model: cost of communicating one byte and of servicing one
-  // request, used for the service-time metric.
+  // request, used for the service-time metric. Speculative documents trail
+  // the requested one, so a miss costs ServCost + CommCost x
+  // size(requested) regardless of speculation (the paper's monotone
+  // service-time curves).
   double comm_cost = 1.0;
   double serv_cost = 10000.0;
-  /// If true, speculative bytes in a response delay the requested document
-  /// (strictly serial transfer). Default false: the requested document is
-  /// delivered first and speculative documents trail it, so a miss costs
-  /// ServCost + CommCost x size(requested) regardless of speculation —
-  /// matching the paper's monotone service-time curves.
-  bool charge_speculative_latency = false;
 
   /// Dependency estimation (T_w, StrideTimeout, pruning).
   DependencyConfig dependency;

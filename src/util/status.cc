@@ -13,12 +13,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "InvalidArgument";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
     case StatusCode::kOutOfRange:
       return "OutOfRange";
-    case StatusCode::kFailedPrecondition:
-      return "FailedPrecondition";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kIoError:

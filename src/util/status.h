@@ -18,9 +18,7 @@ enum class StatusCode : uint8_t {
   kOk = 0,
   kInvalidArgument = 1,
   kNotFound = 2,
-  kAlreadyExists = 3,
   kOutOfRange = 4,
-  kFailedPrecondition = 5,
   kInternal = 6,
   kIoError = 7,
   kParseError = 8,

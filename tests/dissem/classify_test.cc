@@ -109,23 +109,6 @@ TEST_F(ClassifyTest, UpdateRatesConsistentWithLog) {
   }
 }
 
-TEST(ClassifyThresholdTest, CustomThresholds) {
-  const core::Workload workload = core::MakeWorkload(core::SmallConfig());
-  const auto pops = AnalyzeAllServers(workload.corpus(), workload.clean());
-  ClassificationConfig loose;
-  loose.remote_threshold = 0.99;
-  loose.local_threshold = 0.01;
-  const auto loose_result = ClassifyDocuments(
-      workload.corpus(), pops, workload.generated().updates, 14, loose);
-  ClassificationConfig strict;
-  strict.remote_threshold = 0.55;
-  strict.local_threshold = 0.45;
-  const auto strict_result = ClassifyDocuments(
-      workload.corpus(), pops, workload.generated().updates, 14, strict);
-  // Widening the "global" band must grow the global class.
-  EXPECT_GT(loose_result.globally_popular, strict_result.globally_popular);
-}
-
 TEST(ClassifyNamesTest, Strings) {
   EXPECT_STREQ(PopularityClassToString(PopularityClass::kRemotelyPopular),
                "remotely-popular");

@@ -304,8 +304,7 @@ TEST_F(FailoverTest, RetryLadderAcrossAnOutageStartIsPinned) {
   config.retry.timeout_s = 5.0;
   config.retry.base_backoff_s = 1.0;
   config.retry.backoff_multiplier = 2.0;
-  Rng placement_rng(1);
-  ASSERT_EQ(PlaceProxies(prepared, config, &placement_rng).proxies,
+  ASSERT_EQ(PlaceProxies(prepared, config).proxies,
             std::vector<net::NodeId>{client_node});
 
   // The proxy node is down on [T-50, T+40) (the client's own node, which

@@ -13,12 +13,14 @@
 namespace sds::dissem {
 namespace {
 
+/// One pull-through replay; `invalidate` feeds it the workload's update
+/// log, otherwise cached copies are never invalidated.
 PullCacheResult RunPull(const core::Workload& workload,
                         const PreparedDissemination& prepared,
-                        const PullCacheConfig& config, uint64_t seed) {
-  Rng rng(seed);
-  return SimulatePullThroughCache(prepared, config, &rng, &workload.updates(),
-                                  workload.NewCleanCursor().get());
+                        const PullCacheConfig& config, bool invalidate = true) {
+  return SimulatePullThroughCache(
+      prepared, config, invalidate ? &workload.updates() : nullptr,
+      workload.NewCleanCursor().get());
 }
 
 class PullCacheTest : public ::testing::Test {
@@ -34,8 +36,8 @@ class PullCacheTest : public ::testing::Test {
     workload_ = nullptr;
   }
 
-  PullCacheResult Run(const PullCacheConfig& config, uint64_t seed = 1) {
-    return RunPull(*workload_, *prepared_, config, seed);
+  PullCacheResult Run(const PullCacheConfig& config, bool invalidate = true) {
+    return RunPull(*workload_, *prepared_, config, invalidate);
   }
 
   static core::Workload* workload_;
@@ -45,12 +47,12 @@ class PullCacheTest : public ::testing::Test {
 core::Workload* PullCacheTest::workload_ = nullptr;
 PreparedDissemination* PullCacheTest::prepared_ = nullptr;
 
-/// One pull-through replay on the small workload (4 proxies, seed 7),
+/// One pull-through replay on the small workload (4 proxies),
 /// recorded when the replay still rebuilt its own training split, tree,
 /// placement and routes: the prepared context must reproduce it exactly.
 struct PullGolden {
   PlacementStrategy placement;
-  bool invalidate;
+  bool invalidate;  ///< Replayed with the update log.
   double storage;
   double baseline_bytes_hops;
   double with_proxies_bytes_hops;
@@ -75,30 +77,6 @@ const PullGolden kPullGoldens[] = {
     {PlacementStrategy::kGreedy, false, 0.5, 89945458, 47767597,
      0.46892708023122187, 0.80933852140077822, 1539361u, 0u, 0u,
      {0, 59, 9, 56}},
-    {PlacementStrategy::kRegional, true, 0.01, 89945458, 86045276,
-     0.043361633669150912, 0.14656290531776914, 42546u, 1219u, 0u,
-     {1, 52, 18, 69}},
-    {PlacementStrategy::kRegional, true, 0.5, 89945458, 50021158,
-     0.44387232982903924, 0.78534370946822307, 1463737u, 0u, 14u,
-     {1, 52, 18, 69}},
-    {PlacementStrategy::kRegional, false, 0.01, 89945458, 86045276,
-     0.043361633669150912, 0.14656290531776914, 42546u, 1219u, 0u,
-     {1, 52, 18, 69}},
-    {PlacementStrategy::kRegional, false, 0.5, 89945458, 49963882,
-     0.44450911573544938, 0.78858625162127105, 1479823u, 0u, 0u,
-     {1, 52, 18, 69}},
-    {PlacementStrategy::kRandom, true, 0.01, 89945458, 89570989,
-     0.0041632897127501511, 0.01232166018158236, 45452u, 117u, 1u,
-     {61, 26, 70, 81}},
-    {PlacementStrategy::kRandom, true, 0.5, 89945458, 85359129,
-     0.050990112252249586, 0.048638132295719845, 462735u, 0u, 3u,
-     {61, 26, 70, 81}},
-    {PlacementStrategy::kRandom, false, 0.01, 89945458, 89562879,
-     0.0042534554663116175, 0.012970168612191959, 45452u, 117u, 0u,
-     {61, 26, 70, 81}},
-    {PlacementStrategy::kRandom, false, 0.5, 89945458, 85342909,
-     0.051170443759372519, 0.049935149156939043, 469755u, 0u, 0u,
-     {61, 26, 70, 81}},
     {PlacementStrategy::kProximity, true, 0.01, 89945458, 87064486,
      0.032030211019660415, 0.05901426718547341, 43060u, 453u, 0u,
      {59, 56, 24, 58}},
@@ -122,9 +100,8 @@ void ExpectPullGoldens(const core::Workload& workload,
                  << g.storage);
     PullCacheConfig config;
     config.placement = g.placement;
-    config.invalidate_on_update = g.invalidate;
     config.storage_fraction = g.storage;
-    const PullCacheResult r = RunPull(workload, prepared, config, 7);
+    const PullCacheResult r = RunPull(workload, prepared, config, g.invalidate);
     EXPECT_EQ(r.baseline_bytes_hops, g.baseline_bytes_hops);
     EXPECT_EQ(r.with_proxies_bytes_hops, g.with_proxies_bytes_hops);
     EXPECT_EQ(r.saved_fraction, g.saved_fraction);
@@ -187,12 +164,10 @@ TEST_F(PullCacheTest, TightBudgetEvicts) {
 }
 
 TEST_F(PullCacheTest, InvalidationDropsCopies) {
-  PullCacheConfig config;
-  config.invalidate_on_update = true;
+  const PullCacheConfig config;
   const auto with = Run(config);
   EXPECT_GT(with.invalidations, 0u);
-  config.invalidate_on_update = false;
-  const auto without = Run(config);
+  const auto without = Run(config, /*invalidate=*/false);
   EXPECT_EQ(without.invalidations, 0u);
   // Invalidation can only reduce hits.
   EXPECT_LE(with.saved_fraction, without.saved_fraction + 0.02);
@@ -223,9 +198,8 @@ TEST_F(PullCacheTest, EmptyTraceYieldsZero) {
       workload_->corpus(), empty, workload_->topology(), 0,
       DisseminationConfig{}.train_fraction);
   trace::VectorCursor cursor(&empty);
-  Rng rng(2);
-  const auto result = SimulatePullThroughCache(prepared, PullCacheConfig{},
-                                               &rng, nullptr, &cursor);
+  const auto result =
+      SimulatePullThroughCache(prepared, PullCacheConfig{}, nullptr, &cursor);
   EXPECT_EQ(result.baseline_bytes_hops, 0.0);
   EXPECT_DOUBLE_EQ(result.saved_fraction, 0.0);
   EXPECT_TRUE(result.proxy_nodes.empty());

@@ -4,7 +4,6 @@
 
 #include "core/experiments.h"
 #include "core/workload.h"
-#include "util/rng.h"
 
 namespace sds::core {
 namespace {
@@ -17,9 +16,7 @@ CombinedResult RunCombined(const Workload& workload,
   config.dissemination.dissemination_fraction = 0.10;
   config.speculation = BaselineSpecConfig();
   config.speculation.policy.threshold = tp;
-  Rng rng(3);
-  return SimulateCombined(prepared, config, &rng,
-                          workload.NewCleanCursor().get());
+  return SimulateCombined(prepared, config, workload.NewCleanCursor().get());
 }
 
 class CombinedTest : public ::testing::Test {

@@ -206,7 +206,9 @@ TEST(AddLoadBrownoutsTest, TripsOnlyOverloadedDays) {
   config.utilization_threshold = 0.05;
   // 200 x 50 MB / 1.5 MB/s ~ 6667 s busy ~ 0.077 utilization > 0.05.
   FaultSchedule schedule;
-  const uint32_t tripped = AddLoadBrownouts(trace, 0, config, &schedule);
+  trace::VectorCursor cursor(&trace);
+  const uint32_t tripped =
+      AddLoadBrownouts(CountDailyLoad(&cursor, 0), config, &schedule);
   EXPECT_EQ(tripped, 1u);
   EXPECT_FALSE(schedule.ServerDegraded(0, 1000.0));
   EXPECT_TRUE(schedule.ServerDegraded(0, kDay + 1.0));
@@ -215,7 +217,8 @@ TEST(AddLoadBrownoutsTest, TripsOnlyOverloadedDays) {
   // Brownout does not mean down, and other servers are unaffected.
   EXPECT_FALSE(schedule.ServerDown(0, kDay + 1.0));
   FaultSchedule other;
-  EXPECT_EQ(AddLoadBrownouts(trace, 1, config, &other), 0u);
+  cursor.Rewind();
+  EXPECT_EQ(AddLoadBrownouts(CountDailyLoad(&cursor, 1), config, &other), 0u);
   EXPECT_TRUE(other.empty());
 }
 

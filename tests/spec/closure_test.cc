@@ -41,12 +41,21 @@ TEST(ClosureTest, MaxProductPicksBestChain) {
   EXPECT_NEAR(p03, 0.2, 1e-6);
 }
 
+/// p*[row source, doc], or 0 when the row has no entry for `doc`.
+double Prob(SparseProbMatrix::RowView row, trace::DocumentId doc) {
+  for (const auto& e : row) {
+    if (e.doc == doc) return e.probability;
+  }
+  return 0.0;
+}
+
 TEST(ClosureTest, ClosureDominatesDirectEdges) {
-  const auto p = ChainMatrix();
-  const auto closure = ComputeClosure(p, Config());
-  for (trace::DocumentId i = 0; i < p.num_docs(); ++i) {
-    for (const auto& e : p.Row(i)) {
-      EXPECT_GE(closure.Get(i, e.doc) + 1e-6, e.probability);
+  const ClosureEpoch epoch(ChainMatrix(), Config());
+  ClosureScratch scratch;
+  for (trace::DocumentId i = 0; i < epoch.matrix().num_docs(); ++i) {
+    const auto row = epoch.ClosureRow(i, &scratch);
+    for (const auto& e : epoch.PRow(i)) {
+      EXPECT_GE(Prob(row, e.doc) + 1e-6, e.probability);
     }
   }
 }
@@ -163,20 +172,24 @@ TEST(ClosureEpochTest, CachesRowsForTheEpoch) {
 }
 
 TEST(ClosureTest, EmptyMatrix) {
-  SparseProbMatrix p(5);
-  const auto closure = ComputeClosure(p, Config());
-  EXPECT_EQ(closure.NumEntries(), 0u);
+  const ClosureEpoch epoch(SparseProbMatrix(5), Config());
+  ClosureScratch scratch;
+  for (trace::DocumentId i = 0; i < 5; ++i) {
+    EXPECT_TRUE(epoch.ClosureRow(i, &scratch).empty());
+  }
 }
 
 TEST(ClosureTest, FullClosureMatchesPerRow) {
   const auto p = ChainMatrix();
-  const auto closure = ComputeClosure(p, Config());
+  const ClosureEpoch epoch(p, Config());
+  ClosureScratch scratch;
   for (trace::DocumentId i = 0; i < p.num_docs(); ++i) {
+    const auto closure = epoch.ClosureRow(i, &scratch);
     const auto row = ComputeClosureRow(p, i, Config());
-    ASSERT_EQ(closure.Row(i).size(), row.size());
+    ASSERT_EQ(closure.size(), row.size());
     for (size_t k = 0; k < row.size(); ++k) {
-      EXPECT_EQ(closure.Row(i)[k].doc, row[k].doc);
-      EXPECT_FLOAT_EQ(closure.Row(i)[k].probability, row[k].probability);
+      EXPECT_EQ(closure[k].doc, row[k].doc);
+      EXPECT_FLOAT_EQ(closure[k].probability, row[k].probability);
     }
   }
 }

@@ -122,23 +122,33 @@ SparseProbMatrix RandomMatrix(uint64_t seed, size_t docs, size_t edges) {
   return p;
 }
 
+/// p*[row source, doc], or 0 when the row has no entry for `doc`.
+double Prob(SparseProbMatrix::RowView row, trace::DocumentId doc) {
+  for (const auto& e : row) {
+    if (e.doc == doc) return e.probability;
+  }
+  return 0.0;
+}
+
 class ClosurePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ClosurePropertyTest, ClosureInvariants) {
   const SparseProbMatrix p = RandomMatrix(GetParam(), 40, 160);
   ClosureConfig config;
   config.min_probability = 0.05;
-  const SparseProbMatrix closure = ComputeClosure(p, config);
+  const ClosureEpoch closure(p, config);
+  ClosureScratch scratch;
 
   for (trace::DocumentId i = 0; i < p.num_docs(); ++i) {
+    const auto row = closure.ClosureRow(i, &scratch);
     // Dominates direct edges (that survive the pruning threshold).
     for (const auto& e : p.Row(i)) {
       if (e.probability >= config.min_probability) {
-        EXPECT_GE(closure.Get(i, e.doc) + 1e-6, e.probability);
+        EXPECT_GE(Prob(row, e.doc) + 1e-6, e.probability);
       }
     }
     float prev = 1.0f;
-    for (const auto& e : closure.Row(i)) {
+    for (const auto& e : row) {
       EXPECT_GT(e.probability, 0.0f);
       EXPECT_LE(e.probability, 1.0f);
       EXPECT_LE(e.probability, prev);  // sorted
@@ -153,15 +163,17 @@ TEST_P(ClosurePropertyTest, DepthOneEqualsDirectEdges) {
   ClosureConfig config;
   config.min_probability = 0.05;
   config.max_depth = 1;
-  const SparseProbMatrix closure = ComputeClosure(p, config);
+  const ClosureEpoch closure(p, config);
+  ClosureScratch scratch;
   for (trace::DocumentId i = 0; i < p.num_docs(); ++i) {
+    const auto row = closure.ClosureRow(i, &scratch);
     for (const auto& e : p.Row(i)) {
       if (e.probability >= config.min_probability) {
-        EXPECT_FLOAT_EQ(closure.Get(i, e.doc), e.probability);
+        EXPECT_FLOAT_EQ(Prob(row, e.doc), e.probability);
       }
     }
     // Nothing beyond the direct successors.
-    for (const auto& e : closure.Row(i)) {
+    for (const auto& e : row) {
       EXPECT_GT(p.Get(i, e.doc), 0.0);
     }
   }
@@ -173,16 +185,19 @@ TEST_P(ClosurePropertyTest, HigherThresholdPrunesMonotonically) {
   loose.min_probability = 0.05;
   ClosureConfig strict;
   strict.min_probability = 0.3;
-  const SparseProbMatrix l = ComputeClosure(p, loose);
-  const SparseProbMatrix s = ComputeClosure(p, strict);
+  const ClosureEpoch l(p, loose);
+  const ClosureEpoch s(p, strict);
+  ClosureScratch scratch;
   // Every strict entry appears in the loose closure with the same value
   // (pruning cannot *create* chains; it can lower values only by cutting
   // intermediate hops, so >= is the invariant for the entry value).
   for (trace::DocumentId i = 0; i < p.num_docs(); ++i) {
-    for (const auto& e : s.Row(i)) {
-      EXPECT_GE(l.Get(i, e.doc) + 1e-6, e.probability);
+    const auto l_row = l.ClosureRow(i, &scratch);
+    const auto s_row = s.ClosureRow(i, &scratch);
+    for (const auto& e : s_row) {
+      EXPECT_GE(Prob(l_row, e.doc) + 1e-6, e.probability);
     }
-    EXPECT_LE(s.Row(i).size(), l.Row(i).size());
+    EXPECT_LE(s_row.size(), l_row.size());
   }
 }
 

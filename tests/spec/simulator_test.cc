@@ -188,15 +188,6 @@ TEST_F(SpecSimTest, SpeculativeHitsAreCounted) {
   EXPECT_LE(totals.speculative_hits, totals.speculative_docs_sent);
 }
 
-TEST_F(SpecSimTest, ChargingSpeculativeLatencyIsSlower) {
-  SpeculationConfig cheap = Baseline(0.2);
-  SpeculationConfig charged = cheap;
-  charged.charge_speculative_latency = true;
-  const RunTotals a = sim_->Run(cheap);
-  const RunTotals b = sim_->Run(charged);
-  EXPECT_GT(b.total_latency, a.total_latency);
-}
-
 TEST_F(SpecSimTest, DeterministicAcrossRuns) {
   const RunTotals a = sim_->Run(Baseline(0.3));
   const RunTotals b = sim_->Run(Baseline(0.3));

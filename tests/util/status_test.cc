@@ -30,9 +30,8 @@ TEST(StatusTest, Equality) {
 TEST(StatusTest, AllCodesHaveNames) {
   for (const StatusCode code :
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
-        StatusCode::kAlreadyExists, StatusCode::kOutOfRange,
-        StatusCode::kFailedPrecondition, StatusCode::kInternal,
-        StatusCode::kIoError, StatusCode::kParseError}) {
+        StatusCode::kOutOfRange, StatusCode::kInternal, StatusCode::kIoError,
+        StatusCode::kParseError}) {
     EXPECT_STRNE(StatusCodeToString(code), "Unknown");
   }
 }
